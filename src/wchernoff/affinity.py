@@ -8,8 +8,10 @@ which is convex on [0, 1] with F(1) = ln E_phi(p) and F(0) = ln E_phi(q).
 The weighted Chernoff information is -min F over [0, 1]; the minimiser is
 the optimal skewing parameter alpha*.  Closed forms are used for
 Gaussian/Poisson/Exponential pairs under constant or exponential-tilt
-weights, with a generic bisection-on-derivative solver (golden-section
-fallback) for everything else.
+weights.  Everything else goes to the generic solver: Brent's bracketed
+root-finder (scipy.optimize.brentq) on F', with the bracket and the
+boundary cases taken just inside the endpoints of [0, 1], where F' is
+finite even when the tilted mean of ln p/q at an endpoint is not.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from . import _numeric
 from .errors import (
@@ -58,9 +61,11 @@ AT_ZERO = "at_zero"
 AT_ONE = "at_one"
 FLAT = "flat"
 
-DERIVATIVE_TOL = 1e-10
-MAX_BISECT_ITER = 200
 FLAT_TOL = 1e-12
+# the generic solver works on [EDGE, 1 - EDGE]: a minimiser closer to an
+# endpoint is reported at the endpoint or at the edge point, whichever has
+# the lower F, so alpha* is exact to EDGE and D to about F'' EDGE^2
+EDGE = 1e-6
 
 
 def log_mean(a, b):
@@ -235,13 +240,9 @@ class AffinityCurve:
         z = _numeric.weighted_power_integral(
             self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha
         )
-
-        def log_ratio(x):
-            return (_numeric.logpdf_vec(self.model_p, x)
-                    - _numeric.logpdf_vec(self.model_q, x))
-
         num = _numeric.weighted_power_integral(
-            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha, factor=log_ratio
+            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha,
+            factor=lambda lp, lq: lp - lq,
         )
         return num / z
 
@@ -377,9 +378,11 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
     """Maximise the weighted Bhattacharyya distance over alpha in [0, 1].
 
     `solver="auto"` uses the closed-form critical point when available
-    (projected onto [0, 1]); `solver="generic"` forces bisection on the
-    derivative of the log-affinity (golden-section fallback).  The curve
-    evaluation `mode` is independent of the solver choice.
+    (projected onto [0, 1]); `solver="generic"` forces the bracketed
+    root-finder on the derivative of the log-affinity, which decides the
+    boundary cases from values and slopes just inside [0, 1] rather than
+    from the sign of an endpoint derivative.  The curve evaluation `mode`
+    is independent of the solver choice.
     """
     curve = AffinityCurve(model_p, model_q, weight, mode=mode)
     f0 = curve.log_rho(0.0)
@@ -403,59 +406,38 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
             return ChernoffResult(alpha, -curve.log_rho(alpha), boundary, 0, residual)
     elif solver != "generic":
         raise PreconditionError(f"unknown solver '{solver}'")
-
-    try:
-        return _bisect_derivative(curve)
-    except ConvergenceError:
-        return _golden_section(curve)
+    return _root_find(curve, f0, f1)
 
 
-def _bisect_derivative(curve):
-    """Bisection on F' (monotone by convexity of F)."""
-    d0 = curve.derivative(0.0)
-    if d0 >= 0.0:
-        return ChernoffResult(0.0, -curve.log_rho(0.0), AT_ZERO, 0, 0.0)
-    d1 = curve.derivative(1.0)
-    if d1 <= 0.0:
-        return ChernoffResult(1.0, -curve.log_rho(1.0), AT_ONE, 0, 0.0)
-    lo, hi = 0.0, 1.0
-    mid, dm = 0.5, None
-    for it in range(1, MAX_BISECT_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        dm = curve.derivative(mid)
-        if abs(dm) <= DERIVATIVE_TOL or (hi - lo) <= 1e-15:
-            return ChernoffResult(mid, -curve.log_rho(mid), INTERIOR, it, abs(dm))
-        if dm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return ChernoffResult(mid, -curve.log_rho(mid), INTERIOR, MAX_BISECT_ITER, abs(dm))
+def _root_find(curve, f0, f1):
+    """Minimise the convex F by Brent's method on its increasing derivative.
+
+    F' is only evaluated inside [EDGE, 1 - EDGE].  At an endpoint the
+    tilted mean of ln p/q can be infinite (N(0,1) against Cauchy at
+    alpha = 0), and quadrature then returns a finite value of either sign.
+    """
+    slopes = {}
+
+    def slope(alpha):  # brentq re-evaluates the bracket ends and the root
+        if alpha not in slopes:
+            slopes[alpha] = curve.derivative(alpha)
+        return slopes[alpha]
+
+    lo, hi = EDGE, 1.0 - EDGE
+    if slope(lo) >= 0.0:
+        return _near_end(curve, 0.0, f0, lo, slope(lo))
+    if slope(hi) <= 0.0:
+        return _near_end(curve, 1.0, f1, hi, slope(hi))
+    alpha, info = optimize.brentq(slope, lo, hi, full_output=True, disp=False)
+    if not info.converged:
+        raise ConvergenceError(f"root-finder on F' did not converge: {info.flag}")
+    return ChernoffResult(alpha, -curve.log_rho(alpha), INTERIOR, info.iterations,
+                          abs(slope(alpha)))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(curve):
-    """Minimise F directly when the derivative integral is unavailable."""
-    lo, hi = 0.0, 1.0
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = curve.log_rho(x1), curve.log_rho(x2)
-    it = 0
-    while (hi - lo) > 1e-12 and it < MAX_BISECT_ITER:
-        it += 1
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = curve.log_rho(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = curve.log_rho(x2)
-    alpha = 0.5 * (lo + hi)
-    # classify against the true endpoints
-    if curve.log_rho(0.0) <= curve.log_rho(alpha):
-        return ChernoffResult(0.0, -curve.log_rho(0.0), AT_ZERO, it, 0.0)
-    if curve.log_rho(1.0) <= curve.log_rho(alpha):
-        return ChernoffResult(1.0, -curve.log_rho(1.0), AT_ONE, it, 0.0)
-    return ChernoffResult(alpha, -curve.log_rho(alpha), INTERIOR, it, 0.0)
+def _near_end(curve, end, f_end, inner, d_inner):
+    """The minimum lies between `end` and `inner`: report the lower of the two."""
+    f_inner = curve.log_rho(inner)
+    if f_end <= f_inner:
+        return ChernoffResult(end, -f_end, AT_ZERO if end == 0.0 else AT_ONE, 0, 0.0)
+    return ChernoffResult(inner, -f_inner, INTERIOR, 0, abs(d_inner))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import _numeric
 from .affinity import (
@@ -27,7 +26,7 @@ from .affinity import (
     cauchy_kl,
     chernoff,
 )
-from .errors import ConvergenceError, PreconditionError, UnsupportedCombinationError
+from .errors import PreconditionError, UnsupportedCombinationError
 from .models import (
     Categorical,
     Cauchy,
@@ -274,12 +273,8 @@ def weighted_kl(model_p, model_q, weight):
                 return math.inf
             out += wk * pk * math.log(pk / qk)
         return out
-
-    def log_ratio(x):
-        return _numeric.logpdf_vec(model_p, x) - _numeric.logpdf_vec(model_q, x)
-
     return _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
-                                            factor=log_ratio)
+                                            factor=lambda lp, lq: lp - lq)
 
 
 def weighted_bregman(family, theta1, theta2):
@@ -322,53 +317,25 @@ class ChernoffArc:
 
     def total_mass(self, alpha):
         """Integral of (pq)_alpha; equals 1 by construction, recomputed numerically."""
-        return self._integrate(alpha, None)
+        c = self.curve
+        z = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight,
+                                             alpha, 1.0 - alpha)
+        return z / math.exp(c.log_rho(alpha))
 
     def kl(self, alpha, beta):
-        """Unweighted D_KL((pq)_alpha || (pq)_beta) by direct integration."""
+        """Unweighted D_KL((pq)_alpha || (pq)_beta) by direct integration.
 
-        def diff(x):
-            return self.log_density(alpha, x) - self.log_density(beta, x)
-
-        return self._integrate(alpha, diff)
-
-    def _integrate(self, alpha, factor):
+        ln (pq)_alpha - ln (pq)_beta = (alpha - beta) ln(p/q) + F(beta) - F(alpha),
+        integrated against phi p^alpha q^(1-alpha) and divided by rho(alpha).
+        """
         c = self.curve
-        support = c.model_p.support
-        if support in ("nonneg_int", "finite"):
-            k = _numeric.discrete_grid(c.model_p, c.model_q, c.weight)
-            with np.errstate(invalid="ignore"):
-                dens = np.exp(self.log_density(alpha, k))
-            dens = np.where(np.isnan(dens), 0.0, dens)
-            if factor is None:
-                return float(np.sum(dens))
-            f = np.asarray(factor(k), dtype=float)
-            return float(np.sum(np.where(dens == 0.0, 0.0,
-                                         dens * np.where(np.isfinite(f), f, 0.0))))
-
-        def integrand(x):
-            xs = np.asarray(x, dtype=float)
-            with np.errstate(invalid="ignore"):
-                dens = np.exp(self.log_density(alpha, xs))
-            dens = np.where(np.isnan(dens), 0.0, dens)
-            if factor is not None:
-                f = np.asarray(factor(xs), dtype=float)
-                dens = np.where(dens == 0.0, 0.0,
-                                dens * np.where(np.isfinite(f), f, 0.0))
-            return dens
-
-        lo = 0.0 if support == "halfline" else -np.inf
-        cuts = [p for p in _numeric._quad_points(c.model_p, c.model_q) if p > lo]
-        edges = [lo] + cuts + [np.inf]
-        total = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            y, _ = integrate.quad(integrand, left, right,
-                                  epsabs=_numeric.QUAD_EPSABS,
-                                  epsrel=_numeric.QUAD_EPSREL, limit=200)
-            total += y
-        if not math.isfinite(total):
-            raise ConvergenceError("arc integral diverged")
-        return total
+        f_alpha = c.log_rho(alpha)
+        shift = c.log_rho(beta) - f_alpha
+        step = alpha - beta
+        num = _numeric.weighted_power_integral(
+            c.model_p, c.model_q, c.weight, alpha, 1.0 - alpha,
+            factor=lambda lp, lq: step * (lp - lq) + shift)
+        return num / math.exp(f_alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 from scipy.special import gammaln
 
 from . import _numeric
@@ -322,8 +323,11 @@ def _mc_mean(model, weight, n, replicates, seed, stream_id, error_fn):
         err = error_fn(x_flat, count)
         score = np.zeros(count)
         hit = err > 0.0
-        with np.errstate(over="raise"):
-            score[hit] = np.exp(log_phi[hit]) * err[hit]
+        try:
+            with np.errstate(over="raise"):
+                score[hit] = np.exp(log_phi[hit]) * err[hit]
+        except FloatingPointError as exc:
+            raise ConvergenceError("weight phi(x_1..n) overflows on a sampled replicate") from exc
         total += float(score.sum())
         total_sq += float((score * score).sum())
         done += count
@@ -426,18 +430,21 @@ def tilted_stats(problem):
         return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
 
     # unweighted KL(Q||P) and Var_Q(ln(q/p)) numerically; d is infinite
-    def log_ratio(x):
-        return _numeric.logpdf_vec(q, x) - _numeric.logpdf_vec(p, x)
-
     kl = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                          factor=log_ratio)
-
-    def centred_sq(x):
-        return (log_ratio(x) - kl) ** 2
-
+                                          factor=lambda lp, lq: lq - lp)
     sigma2 = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                              factor=centred_sq)
+                                              factor=lambda lp, lq: (lq - lp - kl) ** 2)
     return TiltedLikelihoodStats(kl, math.inf, sigma2, problem.shift)
+
+
+def _psi(problem, a, b, tilt):
+    """ln int p^a q^b + tilt under the constant weight; +inf unless finite."""
+    try:
+        val = _numeric.log_power_integral(problem.model_p, problem.model_q,
+                                          ConstWeight(), a, b)
+    except (ConvergenceError, FloatingPointError, OverflowError) as exc:
+        raise ConvergenceError(f"cumulant integral int p^{a} q^{b} diverged") from exc
+    return val + tilt if math.isfinite(val) else math.inf
 
 
 def cumulants(problem, alpha):
@@ -449,29 +456,22 @@ def cumulants(problem, alpha):
     finite.
     """
     alpha = float(alpha)
-    p, q, w = problem.model_p, problem.model_q, ConstWeight()
-    shift = problem.shift
-    try:
-        ip = _numeric.weighted_power_integral(p, q, w, 1.0 - alpha, alpha)
-    except (ConvergenceError, FloatingPointError, OverflowError) as exc:
-        raise ConvergenceError(
-            f"psi_P integral int q^{alpha} p^{1 - alpha} diverged") from exc
-    try:
-        iq = _numeric.weighted_power_integral(p, q, w, -alpha, 1.0 + alpha)
-    except (ConvergenceError, FloatingPointError, OverflowError) as exc:
-        raise ConvergenceError(
-            f"psi_Q integral int q^{1 + alpha} p^{-alpha} diverged") from exc
-    psi_p = math.log(ip) + alpha * shift if ip > 0.0 and math.isfinite(ip) else math.inf
-    psi_q = math.log(iq) + alpha * shift if iq > 0.0 and math.isfinite(iq) else math.inf
-    return psi_p, psi_q
+    tilt = alpha * problem.shift
+    return (_psi(problem, 1.0 - alpha, alpha, tilt),
+            _psi(problem, -alpha, 1.0 + alpha, tilt))
 
 
 _LEGENDRE_SPAN = 20.0
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LEGENDRE_POINTS = 17
 
 
 def _legendre(psi, r):
-    """sup over alpha in [-20, 20] of alpha r - psi(alpha)."""
+    """sup over alpha in [-20, 20] of alpha r - psi(alpha).
+
+    The objective is concave (psi is convex), so the best point of a
+    coarse grid brackets the maximiser between its two neighbours, where a
+    bounded scalar maximiser finishes the search.
+    """
 
     def g(a):
         try:
@@ -480,7 +480,7 @@ def _legendre(psi, r):
             return -math.inf
         return a * r - v if math.isfinite(v) else -math.inf
 
-    grid = np.linspace(-_LEGENDRE_SPAN, _LEGENDRE_SPAN, 81)
+    grid = np.linspace(-_LEGENDRE_SPAN, _LEGENDRE_SPAN, _LEGENDRE_POINTS)
     vals = [g(a) for a in grid]
     best = int(np.argmax(vals))
     if vals[best] == -math.inf:
@@ -492,31 +492,22 @@ def _legendre(psi, r):
             raise RateInfiniteError("Legendre supremum unbounded on [-20, 20]")
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    while hi - lo > 1e-10:
-        if g1 >= g2:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - _GOLDEN * (hi - lo)
-            g1 = g(x1)
-        else:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + _GOLDEN * (hi - lo)
-            g2 = g(x2)
-    return max(g1, g2)
+    res = optimize.minimize_scalar(lambda a: -g(a), bounds=(lo, hi), method="bounded",
+                                   options={"xatol": 1e-10})
+    return float(max(-res.fun, vals[best]))
 
 
 def rate_function(problem, r):
     """(I_P(r), I_Q(r)) by concave maximisation of the Legendre objective.
 
-    Both transforms are computed independently; they are linked by
-    I_Q(r) = I_P(r) - r + shift, and I_P(0) is the tilted-likelihood
-    Chernoff exponent.
+    Both transforms are computed independently, each from its own
+    cumulant; they are linked by I_Q(r) = I_P(r) - r + shift, and I_P(0)
+    is the tilted-likelihood Chernoff exponent.
     """
     r = float(r)
-    i_p = _legendre(lambda a: cumulants(problem, a)[0], r)
-    i_q = _legendre(lambda a: cumulants(problem, a)[1], r)
+    shift = problem.shift
+    i_p = _legendre(lambda a: _psi(problem, 1.0 - a, a, a * shift), r)
+    i_q = _legendre(lambda a: _psi(problem, -a, 1.0 + a, a * shift), r)
     return i_p, i_q
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from wchernoff import _numeric
 from wchernoff import (
     AffinityCurve,
     Categorical,
@@ -244,7 +245,7 @@ class TestChernoff:
 
 
 class TestGenericSolverAgreement:
-    """The generic bisection path must reproduce every closed-form answer."""
+    """The generic root-finding path must reproduce every closed-form answer."""
 
     CASES = [
         (P2, P1, CONST),
@@ -265,6 +266,53 @@ class TestGenericSolverAgreement:
         assert generic.boundary == closed.boundary
         assert generic.alpha_star == pytest.approx(closed.alpha_star, abs=1e-8)
         assert generic.d_c_w == pytest.approx(closed.d_c_w, abs=1e-8)
+
+
+class TestQuadratureSolver:
+    """The generic solver on the quadrature path, against closed forms and grids."""
+
+    @pytest.mark.parametrize("p,q,w", [
+        (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3])),
+        (E2, E1, ExpTiltWeight([0.5])),
+    ])
+    def test_matches_closed_form(self, p, q, w):
+        closed = chernoff(p, q, w)
+        generic = chernoff(p, q, w, solver="generic", mode="quadrature")
+        assert generic.boundary == closed.boundary == "interior"
+        assert abs(generic.alpha_star - closed.alpha_star) <= 1e-7
+        assert abs(generic.d_c_w - closed.d_c_w) <= 1e-9
+
+    def test_integral_count(self, monkeypatch):
+        calls = []
+        integral = _numeric.weighted_power_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integral(*args, **kwargs)
+
+        monkeypatch.setattr(_numeric, "weighted_power_integral", counted)
+        chernoff(G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3]),
+                 solver="generic", mode="quadrature")
+        assert 0 < len(calls) <= 24
+
+    @pytest.mark.parametrize("p,q,flip", [
+        (G0, Cauchy(0.0, 1.0), False),
+        (Cauchy(0.0, 1.0), G0, True),
+    ])
+    def test_gauss_vs_cauchy_dense_grid(self, p, q, flip):
+        # F'(0) is -inf here (E_Cauchy[x^2] diverges) while its quadrature
+        # comes back finite and positive; the optimum is interior
+        curve = AffinityCurve(p, q, CONST)
+        grid = np.linspace(0.0, 1.0, 401)
+        vals = np.array([curve.log_rho(a) for a in grid])
+        best = int(np.argmin(vals))
+        res = chernoff(p, q, CONST)
+        assert res.boundary == "interior"
+        assert abs(res.alpha_star - grid[best]) <= 1.0 / 400
+        assert res.d_c_w >= -vals[best]
+        alpha = 1.0 - res.alpha_star if flip else res.alpha_star
+        assert alpha == pytest.approx(0.2049601077, abs=1e-6)
+        assert res.d_c_w == pytest.approx(0.1490201425703, abs=1e-9)
 
 
 class TestCauchy:

@@ -257,6 +257,15 @@ class TestErrorPaths:
                                       "--model-q", '{"family": "categorical", "probs": [0.0, 1.0]}'])
         assert result.exit_code in (2, 3)
 
+    def test_weight_overflow_exits_3(self, runner):
+        result = runner.invoke(main, ["simulate", "--model-p", POISSON_P,
+                                      "--model-q", POISSON_Q,
+                                      "--weight", '{"kind": "exp_tilt", "gamma": [40]}',
+                                      "--n", "20", "--replicates", "10000", "--seed", "3"])
+        assert result.exit_code == 3
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0

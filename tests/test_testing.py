@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from wchernoff import _numeric
 from wchernoff import (
     BinaryTestProblem,
     Categorical,
     ConstWeight,
+    ConvergenceError,
     Exponential,
     ExpTiltWeight,
     Gaussian,
@@ -161,6 +163,12 @@ class TestOptimalLossMC:
     def test_replicate_floor(self):
         with pytest.raises(PreconditionError):
             optimal_loss_mc(bern_problem(2), 500)
+
+    def test_weight_overflow_is_typed(self):
+        # phi = e^(40 sum x) overflows on replicates with sum x above 17
+        prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ExpTiltWeight([40.0]), 20)
+        with pytest.raises(ConvergenceError):
+            optimal_loss_mc(prob, 10000, seed=3)
 
     def test_simulate_report(self):
         rep = simulate(BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10),
@@ -350,6 +358,23 @@ class TestCumulants:
         assert psi_p == pytest.approx(math.log(raw) + alpha * prob.shift, abs=1e-10)
 
 
+    def test_poisson_exponents_outside_unit_interval(self):
+        # int p^-a q^(1+a) for Poisson is exp(a lam_p - (1+a) lam_q + lam_p^-a lam_q^(1+a)):
+        # at alpha = 10 that is e^1013 and e^2036, beyond the [0, 1] grid
+        # and beyond double precision outside the log domain
+        psi_p, psi_q = cumulants(BinaryTestProblem(Poisson(1.0), Poisson(2.0), CONST, 1), 10.0)
+        assert psi_p == pytest.approx(2.0 ** 10 - 11.0, rel=1e-13)
+        assert psi_q == pytest.approx(2.0 ** 11 - 12.0, rel=1e-13)
+
+    def test_grid_unchanged_inside_unit_interval(self):
+        w = ExpTiltWeight([0.25])
+        grid = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w)
+        for a in (0.0, 0.3, 1.0):
+            same = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w, a, 1.0 - a)
+            assert np.array_equal(same, grid)
+        assert _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), CONST).size == 50
+
+
 class TestRateFunction:
     def test_i_p_zero_is_chernoff(self):
         prob = bern_problem(1)
@@ -371,6 +396,20 @@ class TestRateFunction:
         # r above the maximal increment ln(q/p) cannot be reached
         with pytest.raises(RateInfiniteError):
             rate_function(bern_problem(1), 2.0)
+
+    @pytest.mark.parametrize("r", [-0.4, 0.1, 1.0])
+    def test_exponential_closed_form_legendre(self, r):
+        # psi_P(a) = (1-a) ln l_p + a ln l_q - ln L(a), L(a) = l_p + a (l_q - l_p);
+        # its slope equals r where L = (l_q - l_p) / (ln(l_q/l_p) - r)
+        lp, lq = 2.0, 1.0
+        big_l = (lq - lp) / (math.log(lq / lp) - r)
+        a = (big_l - lp) / (lq - lp)
+        psi = (1.0 - a) * math.log(lp) + a * math.log(lq) - math.log(big_l)
+        i_p, i_q = rate_function(
+            BinaryTestProblem(Exponential(lp), Exponential(lq), CONST, 1), r)
+        assert abs(i_p - (a * r - psi)) <= 1e-9
+        # psi_Q(a) = psi_P(a + 1) under the constant weight
+        assert abs(i_q - (a * r - psi - r)) <= 1e-9
 
 
 class TestBernoulliKL:
