@@ -164,7 +164,9 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
 
     `factor` defaults to 1 (see the module docstring for its contract).
     Discrete supports are summed exactly; continuous supports use adaptive
-    quadrature with absolute tolerance 1e-12 and relative tolerance 1e-10.
+    quadrature with absolute tolerance 1e-12 and relative tolerance 1e-10,
+    and raise ConvergenceError when QUADPACK reports a failure (a divergent
+    integral can come back finite with a small error estimate).
     """
     support = common_support(model_p, model_q)
 
@@ -203,10 +205,15 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for left, right in zip(edges[:-1], edges[1:]):
-                y, e = integrate.quad(integrand, left, right,
-                                      epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-                total += y
-                err += e
+                out = integrate.quad(integrand, left, right, full_output=1,
+                                     epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
+                if len(out) > 3:
+                    # QUADPACK's message (divergence, subdivision limit,
+                    # roundoff) comes with an error estimate that can look small
+                    reason = out[3].strip().splitlines()[0]
+                    raise ConvergenceError(f"quadrature did not converge: {reason}")
+                total += out[0]
+                err += out[1]
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

@@ -4,8 +4,14 @@ Binary losses use the pointwise form of the optimal total loss,
 
     L_n* = integral phi(x_1..n) min{p(x_1..n), q(x_1..n)},
 
-evaluated exactly on small product spaces (multinomial-count enumeration)
-or by direct Monte Carlo under each hypothesis.  The M-ary analogue sums
+computed on a statistic T of the n-sample that carries phi and every
+likelihood: S = sum x_i for Poisson, Exponential and shared-variance
+Gaussian models under a constant or exponential-tilt weight, the symbol
+counts for categorical models, and the sample itself otherwise.  Exact
+sums run over the states of T (S = 0..K for Poisson, every count vector
+for categorical models); Monte Carlo draws T from its law under each
+hypothesis (Poi(n lam), Gamma(n, 1/rate), N(n mu, n sigma^2), or
+Multinomial(n, probs)).  The M-ary analogue sums
 phi (sum_i w_i p_i - max_j w_j p_j).  The tilted log-likelihood section
 implements the cumulants psi_P/psi_Q, their Legendre transforms, and the
 Bennett-type martingale tail bound, all for the shifted statistic
@@ -21,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from . import _numeric
 from .affinity import chernoff
+from .expfam import family_of_pair
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -35,6 +42,7 @@ from .errors import (
 from .models import (
     Categorical,
     ConstWeight,
+    Exponential,
     Poisson,
     poisson_truncation,
     rng_stream,
@@ -68,8 +76,8 @@ __all__ = [
 EXACT_ENUMERATION = "exact_enumeration"
 MONTE_CARLO = "monte_carlo"
 
+# cells of the largest array an exact categorical sum builds
 STATE_BUDGET = 10_000_000
-POISSON_EXACT_MAX_N = 5
 MC_CHUNK = 100_000
 
 
@@ -159,85 +167,207 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration on product spaces
+# The statistic of an n-sample
 # ---------------------------------------------------------------------------
 
 
-def _single_letter_grid(models, weight, n):
-    """Support points for enumeration, or raise for unsupported models."""
-    first = models[0]
-    if isinstance(first, Categorical):
-        return np.arange(first.size)
-    if isinstance(first, Poisson):
-        if n > POISSON_EXACT_MAX_N:
-            raise StateSpaceOverflowError(
-                f"exact enumeration for Poisson supports n <= {POISSON_EXACT_MAX_N};"
-                " use the Monte Carlo estimator"
-            )
-        return _numeric.discrete_grid(models[0], models[1 % len(models)], weight)
-    raise UnsupportedCombinationError(
-        "exact enumeration needs categorical or Poisson models; use Monte Carlo"
-    )
+def _counts_dot(counts, table):
+    """counts @ table per row, reading 0 * ln 0 as 0.
+
+    A row is -inf exactly where it uses a symbol whose table entry is
+    -inf (a zero-mass symbol or a zero weight); a plain product would give
+    nan on every row that does not use it.
+    """
+    live = np.isfinite(table)
+    out = counts @ np.where(live, table, 0.0)
+    if not live.all():
+        out[counts[:, ~live].sum(axis=1) > 0] = -np.inf
+    return out
 
 
 def _count_matrix(n, k):
     """All multisets of n draws from k symbols, as a counts matrix.
 
-    Rows are compositions of n into k non-negative parts; the product
-    space of size k^n collapses onto comb(n+k-1, n) rows because the
-    weight and both densities factorise over i.i.d. coordinates.
+    Rows are compositions of n into k non-negative parts, in the order of
+    `itertools.combinations_with_replacement(range(k), n)`; the product
+    space of size k^n collapses onto comb(n+k-1, n) rows because the weight
+    and every density factorise over i.i.d. coordinates.  Each row is the
+    gaps between k - 1 bars placed among n + k - 1 slots (stars and bars);
+    the placements come in lexicographic order, the rows' order reversed.
+    Work and memory stay within a few times rows x k cells.
     """
-    states = math.comb(n + k - 1, n)
-    if states > STATE_BUDGET:
+    rows = math.comb(n + k - 1, n)
+    if rows * k > STATE_BUDGET:
         raise StateSpaceOverflowError(
-            f"enumeration would need {states} states (budget {STATE_BUDGET});"
-            " use the Monte Carlo estimator"
+            f"enumeration would need {rows} states of {k} symbols"
+            f" (budget {STATE_BUDGET} cells); use the Monte Carlo estimator"
         )
-    counts = np.zeros((states, k), dtype=np.int64)
-    for row, combo in enumerate(itertools.combinations_with_replacement(range(k), n)):
-        counts[row] = np.bincount(combo, minlength=k)
-    return counts
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n + k - 1), k - 1)),
+        dtype=np.int64, count=rows * (k - 1)).reshape(rows, k - 1)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), n + k - 1)])
+    return (np.diff(edges, axis=1) - 1)[::-1]
+
+
+def _no_exact_sum():
+    return UnsupportedCombinationError(
+        "exact sums need categorical models, or Poisson models under a constant"
+        " or exponential-tilt weight; use Monte Carlo"
+    )
+
+
+class _SampleStatistic:
+    """T = the n-sample itself, for pairs without a smaller statistic."""
+
+    def __init__(self, models, weight, n):
+        if any(getattr(m, "dim", 1) != 1 for m in models):
+            raise UnsupportedCombinationError("vectorised log-density needs dim 1")
+        self.models, self.weight, self.n = models, weight, n
+
+    def draw(self, i, rng, count):
+        x = self.models[i].sample(rng, count * self.n)
+        return np.asarray(x, dtype=float).reshape(count, self.n)
+
+    def log_weight(self, t):
+        return _numeric.log_weight_vec(self.weight, t).sum(axis=1)
+
+    def log_lik(self, i, t):
+        return _numeric.logpdf_vec(self.models[i], t).sum(axis=1)
+
+    def state_logs(self):
+        raise _no_exact_sum()
+
+
+class _SumStatistic:
+    """T = S = sum x_i for members of one natural exponential family.
+
+    ln p_i^n = theta_i S - n F(theta_i) plus a term shared by all models,
+    and ln phi^n = gamma S.  S follows Poi(n lam), Gamma(n, 1/rate) or
+    N(n mu, n sigma^2).
+    """
+
+    def __init__(self, models, family, n):
+        self.models, self.family, self.n = models, family, n
+        self.thetas = [family.theta_of_model(m) for m in models]
+
+    def draw(self, i, rng, count):
+        m, n = self.models[i], self.n
+        if isinstance(m, Poisson):
+            return rng.poisson(n * m.lam, count)
+        if isinstance(m, Exponential):
+            return rng.gamma(n, 1.0 / m.rate, count)
+        return rng.normal(n * m.mean[0], math.sqrt(n * m.cov[0, 0]), count)
+
+    def log_weight(self, t):
+        return self.family.gamma * t
+
+    def log_lik(self, i, t):
+        theta = self.thetas[i]
+        return theta * t - self.n * self.family.F(theta)
+
+    def state_logs(self):
+        """S = 0..K with base gamma S and logs ln Poi(S; n lam_i)."""
+        if self.family.name != "poisson":
+            raise _no_exact_sum()
+        top = self.n * math.exp(max(self.family.gamma, 0.0)) * max(m.lam for m in self.models)
+        if top > _numeric.MAX_SUM_TERMS:
+            raise ConvergenceError(f"Poisson sum over a tilted mean of {top:.3e} is too long")
+        s = np.arange(poisson_truncation(top) + 1, dtype=float)
+        return self.log_weight(s), [_numeric.logpdf_vec(Poisson(self.n * m.lam), s)
+                                    for m in self.models]
+
+
+class _CountStatistic:
+    """T = the symbol counts of an n-sample, ~ Multinomial(n, probs)."""
+
+    def __init__(self, models, weight, n):
+        symbols = np.arange(models[0].size)
+        if any(m.size != symbols.size for m in models):
+            raise UnsupportedCombinationError("categorical supports differ in size")
+        self.models, self.n = models, n
+        self.log_phi = _numeric.log_weight_vec(weight, symbols)
+        self.log_probs = [_numeric.logpdf_vec(m, symbols) for m in models]
+
+    def draw(self, i, rng, count):
+        return rng.multinomial(self.n, self.models[i].probs, size=count)
+
+    def log_weight(self, t):
+        return _counts_dot(t, self.log_phi)
+
+    def log_lik(self, i, t):
+        return _counts_dot(t, self.log_probs[i])
+
+    def state_logs(self):
+        """Every count vector, with base ln(multinomial coefficient phi^n)."""
+        counts = _count_matrix(self.n, self.log_phi.size)
+        log_mult = gammaln(self.n + 1.0) - np.sum(gammaln(counts + 1.0), axis=1)
+        return (log_mult + self.log_weight(counts),
+                [self.log_lik(i, counts) for i in range(len(self.models))])
+
+
+def _statistic(models, weight, n):
+    """The smallest built-in statistic of an n-sample that carries every loss.
+
+    Each statistic T offers draw(i, rng, count) under models[i],
+    log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n up to a term shared
+    by all models, and state_logs() -> (base, logs) over the states of T.
+    """
+    if isinstance(models[0], Categorical):
+        return _CountStatistic(models, weight, n)
+    try:
+        families = [family_of_pair(models[0], m, weight)[0] for m in models[1:]]
+    except (UnsupportedCombinationError, PreconditionError):
+        return _SampleStatistic(models, weight, n)
+    return _SumStatistic(models, families[0], n)
+
+
+# ---------------------------------------------------------------------------
+# Exact sums over the states of the statistic
+# ---------------------------------------------------------------------------
 
 
 def _enumeration_logs(models, weight, n):
-    """(log multinomial + log phi, [log p_i(x) for each model]) per state."""
-    grid = _single_letter_grid(models, weight, n)
-    counts = _count_matrix(n, grid.size)
-    log_mult = gammaln(n + 1.0) - np.sum(gammaln(counts + 1.0), axis=1)
-    log_phi = counts @ _numeric.log_weight_vec(weight, grid)
-    base = log_mult + np.where(np.isnan(log_phi), -np.inf, log_phi)
-    logs = []
-    for m in models:
-        lp = _numeric.logpdf_vec(m, grid)
-        row = counts @ np.where(np.isfinite(lp), lp, -1e300)
-        # recover exact -inf where a zero-mass symbol is actually used
-        dead = counts[:, ~np.isfinite(lp)].sum(axis=1) > 0
-        row = np.where(dead, -np.inf, row)
-        logs.append(row)
-    return base, logs
+    """(base, [log p_i^n for each model]) per state of the statistic.
+
+    exp(base + logs_i) is the sum of phi^n p_i^n over the sample points of
+    a state, on which phi^n and every ratio p_i^n / p_j^n are constant.  So
+    for any f with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the
+    product-space sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states
+    of f(exp(base + logs_1), ..., exp(base + logs_M)).
+    """
+    return _statistic(models, weight, n).state_logs()
+
+
+def _exact_estimate(log_terms, n):
+    """LossEstimate of an exact sum, from the logs of its terms.
+
+    The sum is taken in the log domain, so the exponent stays exact where
+    the loss itself underflows a double (Poisson pairs at n = 1e4).
+    """
+    log_value = float(logsumexp(log_terms))
+    try:
+        value = math.exp(log_value)
+    except OverflowError as exc:
+        raise ConvergenceError(f"exact loss e^{log_value:.6g} overflows a double") from exc
+    return LossEstimate(value, 0.0, EXACT_ENUMERATION, 0, -log_value / n)
 
 
 def optimal_loss_exact(problem):
-    """L_n* by exact product-space summation of phi min{p, q}."""
+    """L_n* by an exact sum of phi min{p, q} over the states of the statistic."""
     base, (lp, lq) = _enumeration_logs(
         (problem.model_p, problem.model_q), problem.weight, problem.n)
-    with np.errstate(invalid="ignore"):
-        terms = np.exp(base + np.minimum(lp, lq))
-    value = float(np.sum(np.where(np.isnan(terms), 0.0, terms)))
-    exponent = math.inf if value == 0.0 else -math.log(value) / problem.n
-    return LossEstimate(value, 0.0, EXACT_ENUMERATION, 0, exponent)
+    return _exact_estimate(base + np.minimum(lp, lq), problem.n)
 
 
 def weighted_tv(problem):
     """TV_phi = half the phi-weighted L1 distance on the product space."""
     base, (lp, lq) = _enumeration_logs(
         (problem.model_p, problem.model_q), problem.weight, problem.n)
-    with np.errstate(invalid="ignore"):
-        tp = np.exp(base + lp)
-        tq = np.exp(base + lq)
-    tp = np.where(np.isnan(tp), 0.0, tp)
-    tq = np.where(np.isnan(tq), 0.0, tq)
-    return float(0.5 * np.sum(np.abs(tp - tq)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv = float(0.5 * np.sum(np.abs(np.exp(base + lp) - np.exp(base + lq))))
+    if not math.isfinite(tv):
+        raise ConvergenceError("TV_phi overflows a double")
+    return tv
 
 
 def mary_optimal_loss(problem, n, method=EXACT_ENUMERATION, replicates=None, seed=0):
@@ -246,35 +376,27 @@ def mary_optimal_loss(problem, n, method=EXACT_ENUMERATION, replicates=None, see
     w = problem.priors if problem.priors is not None else (1.0,) * len(models)
     if method == EXACT_ENUMERATION:
         base, logs = _enumeration_logs(models, problem.weight, n)
-        with np.errstate(invalid="ignore"):
-            dens = np.stack([wi * np.exp(li) for wi, li in zip(w, logs)])
-        dens = np.where(np.isnan(dens), 0.0, dens)
-        gap = dens.sum(axis=0) - dens.max(axis=0)
-        with np.errstate(invalid="ignore"):
-            scale = np.exp(base)
-        value = float(np.sum(np.where(np.isnan(scale), 0.0, scale) * gap))
-        exponent = math.inf if value == 0.0 else -math.log(value) / n
-        return LossEstimate(value, 0.0, EXACT_ENUMERATION, 0, exponent)
+        # sum_i w_i p_i - max_i w_i p_i: every term of a state but its largest
+        terms = np.sort([math.log(wi) + base + li for wi, li in zip(w, logs)], axis=0)
+        return _exact_estimate(terms[:-1], n)
     if method != MONTE_CARLO:
         raise PreconditionError(f"unknown method '{method}'")
     if replicates is None or replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
+    stat = _statistic(models, problem.weight, n)
+    log_w = [math.log(wi) for wi in w]
     total, var = 0.0, 0.0
-    for i, model in enumerate(models):
-        mean_i, var_i = _mc_mean(
-            model, problem.weight, n, replicates, seed, i,
-            lambda x_flat, count: _mary_error_indicator(models, w, i, x_flat, count, n))
+    for i in range(len(models)):
+        mean_i, var_i = _mc_mean(stat, i, replicates, seed, i,
+                                 lambda t, i=i: _mary_error_indicator(stat, log_w, i, t))
         total += w[i] * mean_i
         var += (w[i] ** 2) * var_i / replicates
     exponent = math.inf if total <= 0.0 else -math.log(total) / n
     return LossEstimate(total, math.sqrt(var), MONTE_CARLO, replicates, exponent)
 
 
-def _mary_error_indicator(models, w, i, x_flat, count, n):
-    scores = np.stack([
-        math.log(wj) + _numeric.logpdf_vec(m, x_flat).reshape(count, n).sum(axis=1)
-        for wj, m in zip(w, models)
-    ])
+def _mary_error_indicator(stat, log_w, i, t):
+    scores = np.stack([lw + stat.log_lik(j, t) for j, lw in enumerate(log_w)])
     decided = np.argmax(scores, axis=0)  # first index wins ties
     return (decided != i).astype(float)
 
@@ -307,8 +429,8 @@ def mary_exponent(problem):
 # ---------------------------------------------------------------------------
 
 
-def _mc_mean(model, weight, n, replicates, seed, stream_id, error_fn):
-    """Mean and variance of phi(x_1..n) * error over i.i.d. n-vectors.
+def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
+    """Mean and variance of phi(x_1..n) * error(T) over draws of T under model i.
 
     Chunked with a fixed chunk size so results are deterministic in
     (seed, stream_id) regardless of the replicate total.
@@ -316,11 +438,9 @@ def _mc_mean(model, weight, n, replicates, seed, stream_id, error_fn):
     total, total_sq, done, chunk_idx = 0.0, 0.0, 0, 0
     while done < replicates:
         count = min(MC_CHUNK, replicates - done)
-        rng = rng_stream(seed, stream_id, chunk_idx)
-        x = model.sample(rng, count * n)
-        x_flat = np.asarray(x, dtype=float).reshape(-1)
-        log_phi = _numeric.log_weight_vec(weight, x_flat).reshape(count, n).sum(axis=1)
-        err = error_fn(x_flat, count)
+        t = stat.draw(i, rng_stream(seed, stream_id, chunk_idx), count)
+        log_phi = stat.log_weight(t)
+        err = error_fn(t)
         score = np.zeros(count)
         hit = err > 0.0
         try:
@@ -342,23 +462,22 @@ def optimal_loss_mc(problem, replicates, seed=0):
 
     Decision rule: declare H1 when q(x_1..n) >= p(x_1..n).  The loss is
     E_P[phi 1{decide H1}] + E_Q[phi 1{decide H0}], each term estimated by
-    direct sampling under its own hypothesis.
+    drawing the statistic of the n-sample under its own hypothesis.
     """
     if replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
-    p, q, w, n = problem.model_p, problem.model_q, problem.weight, problem.n
+    stat = _statistic((problem.model_p, problem.model_q), problem.weight, problem.n)
 
-    def llr_sum(x_flat, count):
-        return (_numeric.logpdf_vec(q, x_flat)
-                - _numeric.logpdf_vec(p, x_flat)).reshape(count, n).sum(axis=1)
+    def llr(t):
+        return stat.log_lik(1, t) - stat.log_lik(0, t)
 
-    mean_p, var_p = _mc_mean(p, w, n, replicates, seed, 0,
-                             lambda xf, c: (llr_sum(xf, c) >= 0.0).astype(float))
-    mean_q, var_q = _mc_mean(q, w, n, replicates, seed, 1,
-                             lambda xf, c: (llr_sum(xf, c) < 0.0).astype(float))
+    mean_p, var_p = _mc_mean(stat, 0, replicates, seed, 0,
+                             lambda t: (llr(t) >= 0.0).astype(float))
+    mean_q, var_q = _mc_mean(stat, 1, replicates, seed, 1,
+                             lambda t: (llr(t) < 0.0).astype(float))
     value = mean_p + mean_q
     std_error = math.sqrt(var_p / replicates + var_q / replicates)
-    exponent = math.inf if value <= 0.0 else -math.log(value) / n
+    exponent = math.inf if value <= 0.0 else -math.log(value) / problem.n
     return LossEstimate(value, std_error, MONTE_CARLO, replicates, exponent)
 
 
@@ -559,18 +678,12 @@ def tail_frequency(problem, beta, n, replicates, seed=0):
     """Empirical P_Q(L* >= beta n) with its binomial standard error."""
     if replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
-    q, p = problem.model_q, problem.model_p
+    stat = _statistic((problem.model_p, problem.model_q), ConstWeight(), n)
     shift = problem.shift
-    hits, done, chunk_idx = 0, 0, 0
-    while done < replicates:
-        count = min(MC_CHUNK, replicates - done)
-        rng = rng_stream(seed, 2, chunk_idx)
-        x = np.asarray(q.sample(rng, count * n), dtype=float)
-        llr = (_numeric.logpdf_vec(q, x)
-               - _numeric.logpdf_vec(p, x)).reshape(count, n).sum(axis=1)
-        lstar = llr + n * shift
-        hits += int(np.sum(lstar >= float(beta) * n))
-        done += count
-        chunk_idx += 1
-    freq = hits / replicates
+
+    def exceeds(t):
+        lstar = stat.log_lik(1, t) - stat.log_lik(0, t) + n * shift
+        return (lstar >= float(beta) * n).astype(float)
+
+    freq, _ = _mc_mean(stat, 1, replicates, seed, 2, exceeds)
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)

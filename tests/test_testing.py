@@ -93,9 +93,17 @@ class TestOptimalLossExact:
                        + np.sum(np.minimum(np.outer(mp, mp), np.outer(mq, mq))))
         assert est.value == pytest.approx(oracle, rel=1e-12)
 
-    def test_poisson_n_cap(self):
-        p = BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 6)
-        with pytest.raises(StateSpaceOverflowError):
+    def test_poisson_large_n(self):
+        # the sum runs over S = sum x_i, so n is limited only by the length
+        # of the S grid, not by a count of product-space states
+        est = optimal_loss_exact(BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 1000))
+        assert 0.0 < est.value < 1e-38
+        assert est.exponent_estimate == pytest.approx(-math.log(est.value) / 1000, rel=1e-12)
+
+    def test_poisson_tilted_mean_cap(self):
+        # S ~ Poi(2e6): the tilted mean is above MAX_SUM_TERMS
+        p = BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10**6)
+        with pytest.raises(ConvergenceError):
             optimal_loss_exact(p)
 
     def test_state_budget(self):
