@@ -37,6 +37,7 @@ from .models import (
     Poisson,
     TableWeight,
     poisson_truncation,
+    tilt_gamma,
 )
 
 QUAD_EPSABS = 1e-12
@@ -182,9 +183,7 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
             raise ConvergenceError("discrete weighted sum diverged")
         return total
 
-    if not isinstance(weight, (ConstWeight, ExpTiltWeight)):
-        raise UnsupportedCombinationError("continuous supports take const or exp_tilt weights")
-    g = 0.0 if isinstance(weight, ConstWeight) else weight.scalar
+    g = float(tilt_gamma(weight)[0])
     log_p, log_q = _log_density_fn(model_p), _log_density_fn(model_q)
     exp, inf = math.exp, math.inf
 

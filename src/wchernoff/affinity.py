@@ -8,9 +8,10 @@ which is convex on [0, 1] with F(1) = ln E_phi(p) and F(0) = ln E_phi(q).
 The weighted Chernoff information is -min F over [0, 1]; the minimiser is
 the optimal skewing parameter alpha*.  Closed forms are used for
 Gaussian/Poisson/Exponential pairs under constant or exponential-tilt
-weights.  Everything else goes to the generic solver: Brent's bracketed
-root-finder (scipy.optimize.brentq) on F', with the bracket and the
-boundary cases taken just inside the endpoints of [0, 1], where F' is
+weights, read off the exponential-family embedding where the pair has one
+(see `AffinityCurve`).  Everything else goes to the generic solver: Brent's
+bracketed root-finder (scipy.optimize.brentq) on F', with the bracket and
+the boundary cases taken just inside the endpoints of [0, 1], where F' is
 finite even when the tilted mean of ln p/q at an endpoint is not.
 """
 
@@ -29,15 +30,14 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .models import (
-    Categorical,
     Cauchy,
     ConstWeight,
     Exponential,
     ExpTiltWeight,
     Gaussian,
-    Poisson,
+    embed_pair,
+    tilt_gamma,
     validate_combination,
-    weighted_normaliser,
 )
 
 __all__ = [
@@ -127,27 +127,25 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
     return 4.0 * math.sqrt(s1 * s2) / (math.pi * math.sqrt(denom2)) * elliptic_k(m)
 
 
-def _pair_diagnostics(model_p, model_q, weight):
-    """Admissibility of the weight for the affinity of a model pair.
+def _diagnostics(models, weight):
+    """Admissibility of the weight for a list of models.
 
-    Mostly the per-model diagnostics of each hypothesis.  For an
-    exponential pair the affinity integral needs alpha*rate_p +
-    (1-alpha)*rate_q > gamma at the evaluated alpha only, so gamma equal
-    to the smaller rate is admitted here (one endpoint of the curve
-    diverges to +inf, which a minimiser over alpha tolerates) even though
-    the single-model normaliser E_phi diverges at that gamma.
+    The union of the per-model diagnostics, except for an exponential pair:
+    its affinity integral needs alpha*rate_p + (1-alpha)*rate_q > gamma at
+    the evaluated alpha only, so gamma equal to the smaller rate is
+    admitted here (one endpoint of the curve diverges to +inf, which a
+    minimiser over alpha tolerates) even though the single-model
+    normaliser E_phi diverges at that gamma.
     """
-    if (isinstance(model_p, Exponential) and isinstance(model_q, Exponential)
-            and isinstance(weight, ExpTiltWeight) and not weight.is_null()):
-        if weight.gamma.shape[0] != 1:
-            return ["exp_tilt gamma must be scalar for exponential models"]
-        if weight.scalar >= max(model_p.rate, model_q.rate):
+    if (len(models) == 2 and all(isinstance(m, Exponential) for m in models)
+            and isinstance(weight, ExpTiltWeight) and weight.gamma.shape[0] == 1):
+        if weight.scalar >= max(m.rate for m in models):
             return [
                 "weight not integrable under both hypotheses: requires gamma < max(rate)"
             ]
         return []
     diags = []
-    for m in (model_p, model_q):
+    for m in models:
         for d in validate_combination(m, weight):
             if d not in diags:
                 diags.append(d)
@@ -158,18 +156,6 @@ def _is_const(weight):
     return isinstance(weight, ConstWeight) or (
         isinstance(weight, ExpTiltWeight) and weight.is_null()
     )
-
-
-def _tilt_gamma(weight, dim=1):
-    """Exp-tilt vector of the weight (zeros for the constant weight)."""
-    if isinstance(weight, ConstWeight):
-        return np.zeros(dim)
-    if isinstance(weight, ExpTiltWeight):
-        g = weight.gamma
-        if g.shape[0] != dim:
-            raise PreconditionError("exp_tilt gamma dimension mismatch")
-        return g
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +174,27 @@ class AffinityCurve:
     Gaussian/Poisson/Exponential pairs under const/exp-tilt weights, exact
     summation for discrete pairs, adaptive quadrature otherwise.  Pass
     `mode` to force the generic path (used for cross-validation).
+
+    A pair inside one 1-D exponential family keeps its `embedding`
+    (family, theta1, theta2) and reads F(a) = Fhat(theta_a) - a F(theta1) -
+    (1-a) F(theta2) off it, +inf where theta_a = a theta1 + (1-a) theta2
+    leaves the weighted domain.  Other Gaussian pairs use the tilted Gaussian.
     """
 
     def __init__(self, model_p, model_q, weight, mode=None):
         _numeric.common_support(model_p, model_q)
-        diags = _pair_diagnostics(model_p, model_q, weight)
+        diags = _diagnostics((model_p, model_q), weight)
         if diags:
             raise PreconditionError("; ".join(diags))
         self.model_p = model_p
         self.model_q = model_q
         self.weight = weight
+        self.embedding = embed_pair(model_p, model_q, weight)
         self.mode = mode if mode is not None else self._auto_mode()
 
     def _auto_mode(self):
-        p, q, w = self.model_p, self.model_q, self.weight
-        tiltable = _is_const(w) or isinstance(w, ExpTiltWeight)
-        if isinstance(p, Gaussian) and isinstance(q, Gaussian) and tiltable:
-            return CLOSED_FORM
-        if isinstance(p, Poisson) and isinstance(q, Poisson) and tiltable:
-            return CLOSED_FORM
-        if isinstance(p, Exponential) and isinstance(q, Exponential) and tiltable:
+        p, q = self.model_p, self.model_q
+        if self.embedding is not None or (isinstance(p, Gaussian) and isinstance(q, Gaussian)):
             return CLOSED_FORM
         if p.support in ("finite", "nonneg_int"):
             return SUMMATION
@@ -249,24 +236,14 @@ class AffinityCurve:
     # -- closed forms -------------------------------------------------------
 
     def _closed_log_rho(self, alpha):
-        p, q, w = self.model_p, self.model_q, self.weight
-        if isinstance(p, Poisson):
-            g = _tilt_gamma(w)[0]
-            lam_a = p.lam ** alpha * q.lam ** (1.0 - alpha)
-            return -alpha * p.lam - (1.0 - alpha) * q.lam + math.exp(g) * lam_a
-        if isinstance(p, Exponential):
-            g = _tilt_gamma(w)[0]
-            lam_a = alpha * p.rate + (1.0 - alpha) * q.rate
-            if lam_a <= g:
-                return math.inf  # divergent endpoint when gamma = min(rate)
-            return (alpha * math.log(p.rate) + (1.0 - alpha) * math.log(q.rate)
-                    - math.log(lam_a - g))
-        # Gaussian pair, general covariances
-        g = _tilt_gamma(w, p.dim)
-        s1inv, s2inv = p.cov_inv(), q.cov_inv()
-        prec = alpha * s1inv + (1.0 - alpha) * s2inv
-        sigma_a = np.linalg.inv(prec)
-        mu_t = sigma_a @ (alpha * s1inv @ p.mean + (1.0 - alpha) * s2inv @ q.mean + g)
+        if self.embedding is not None:
+            fam, t1, t2 = self.embedding
+            t = alpha * t1 + (1.0 - alpha) * t2
+            if not fam.contains(t):
+                return math.inf
+            return fam.Fhat(t) - alpha * fam.F(t1) - (1.0 - alpha) * fam.F(t2)
+        p, q = self.model_p, self.model_q
+        s1inv, s2inv, prec, sigma_a, mu_t = self._tilted_gaussian(alpha)
         _, logdet_a = np.linalg.slogdet(sigma_a)
         quad = (alpha * p.mean @ s1inv @ p.mean
                 + (1.0 - alpha) * q.mean @ s2inv @ q.mean
@@ -275,29 +252,32 @@ class AffinityCurve:
                      - 0.5 * (1.0 - alpha) * q._log_det - 0.5 * quad)
 
     def _closed_derivative(self, alpha):
-        p, q, w = self.model_p, self.model_q, self.weight
-        if isinstance(p, Poisson):
-            g = _tilt_gamma(w)[0]
-            lam_a = p.lam ** alpha * q.lam ** (1.0 - alpha)
-            return math.exp(g) * lam_a * math.log(p.lam / q.lam) - (p.lam - q.lam)
-        if isinstance(p, Exponential):
-            g = _tilt_gamma(w)[0]
-            lam_a = alpha * p.rate + (1.0 - alpha) * q.rate
-            if lam_a <= g:
-                # F has a +inf pole at this endpoint; the slope sign points away
-                return -math.inf if p.rate > q.rate else math.inf
-            return math.log(p.rate / q.rate) - (p.rate - q.rate) / (lam_a - g)
-        # Gaussian: E[ln(p/q)] under the tilted gaussian N(mu_t, Sigma_a)
-        g = _tilt_gamma(w, p.dim)
-        s1inv, s2inv = p.cov_inv(), q.cov_inv()
-        prec = alpha * s1inv + (1.0 - alpha) * s2inv
-        sigma_a = np.linalg.inv(prec)
-        mu_t = sigma_a @ (alpha * s1inv @ p.mean + (1.0 - alpha) * s2inv @ q.mean + g)
+        if self.embedding is not None:
+            fam, t1, t2 = self.embedding
+            t = alpha * t1 + (1.0 - alpha) * t2
+            if not fam.contains(t):
+                # F has a +inf pole past the upper end of the domain (no family
+                # has a lower end): the slope takes the sign of d theta_alpha
+                return math.copysign(math.inf, t1 - t2)
+            return (t1 - t2) * fam.dFhat(t) - fam.F(t1) + fam.F(t2)
+        # E[ln(p/q)] under the tilted gaussian N(mu_t, Sigma_a)
+        p, q = self.model_p, self.model_q
+        s1inv, s2inv, _, sigma_a, mu_t = self._tilted_gaussian(alpha)
         d1 = mu_t - p.mean
         d2 = mu_t - q.mean
         return float(0.5 * (q._log_det - p._log_det)
                      - 0.5 * (np.trace(s1inv @ sigma_a) + d1 @ s1inv @ d1)
                      + 0.5 * (np.trace(s2inv @ sigma_a) + d2 @ s2inv @ d2))
+
+    def _tilted_gaussian(self, alpha):
+        """Inverse covariances of p and q; precision, covariance and mean of (pq)_alpha."""
+        p, q = self.model_p, self.model_q
+        s1inv, s2inv = p.cov_inv(), q.cov_inv()
+        prec = alpha * s1inv + (1.0 - alpha) * s2inv
+        sigma_a = np.linalg.inv(prec)
+        g = tilt_gamma(self.weight, p.dim)
+        mu_t = sigma_a @ (alpha * s1inv @ p.mean + (1.0 - alpha) * s2inv @ q.mean + g)
+        return s1inv, s2inv, prec, sigma_a, mu_t
 
 
 def _check_alpha(alpha):
@@ -340,34 +320,27 @@ class ChernoffResult:
         }
 
 
-def _closed_alpha_tilde(model_p, model_q, weight):
-    """Unconstrained critical point, when a closed form exists."""
-    p, q = model_p, model_q
-    if isinstance(p, Poisson) and isinstance(q, Poisson):
-        g = _tilt_gamma(weight)
-        if g is None:
+def _closed_alpha_tilde(curve):
+    """Unconstrained critical point of F, when a closed form exists.
+
+    In a 1-D family F' = 0 where Fhat'(theta_alpha) is the chord slope y of F.
+    """
+    if curve.embedding is not None:
+        fam, t1, t2 = curve.embedding
+        if t1 == t2:
             return None
-        if p.lam == q.lam:
-            return None
-        num = math.log(log_mean(p.lam, q.lam)) - g[0] - math.log(q.lam)
-        return num / (math.log(p.lam) - math.log(q.lam))
-    if isinstance(p, Exponential) and isinstance(q, Exponential):
-        g = _tilt_gamma(weight)
-        if g is None:
-            return None
-        if p.rate == q.rate:
-            return None
-        return (g[0] + log_mean(p.rate, q.rate) - q.rate) / (p.rate - q.rate)
+        y = (fam.F(t1) - fam.F(t2)) / (t1 - t2)
+        return (fam.Ghat(y) - t2) / (t1 - t2)
+    p, q, w = curve.model_p, curve.model_q, curve.weight
     if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        g = _tilt_gamma(weight, p.dim)
-        if g is None or not np.allclose(p.cov, q.cov, rtol=1e-12, atol=1e-14):
+        if not np.allclose(p.cov, q.cov, rtol=1e-12, atol=1e-14):
             return None
         delta = p.mean - q.mean
         norm2 = float(delta @ p.cov_inv() @ delta)
         if norm2 == 0.0:
             return None
-        return 0.5 - float(g @ delta) / norm2
-    if isinstance(p, Cauchy) and isinstance(q, Cauchy) and _is_const(weight):
+        return 0.5 - float(tilt_gamma(w, p.dim) @ delta) / norm2
+    if isinstance(p, Cauchy) and isinstance(q, Cauchy) and _is_const(w):
         if p == q:
             return None
         return 0.5
@@ -398,7 +371,7 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
         return ChernoffResult(0.5, -fh, FLAT, 0, 0.0)
 
     if solver == "auto":
-        tilde = _closed_alpha_tilde(model_p, model_q, weight)
+        tilde = _closed_alpha_tilde(curve)
         if tilde is not None:
             alpha = min(1.0, max(0.0, tilde))
             boundary = INTERIOR if 0.0 < alpha < 1.0 else (AT_ZERO if alpha == 0.0 else AT_ONE)

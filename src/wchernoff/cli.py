@@ -24,11 +24,8 @@ from .errors import ConvergenceError, PreconditionError, RateInfiniteError
 from .models import (
     Cauchy,
     ConstWeight,
-    Exponential,
-    ExpTiltWeight,
     model_from_json,
     model_to_json,
-    validate_combination,
     weight_from_json,
     weight_to_json,
 )
@@ -125,21 +122,7 @@ def _parse_weight(text):
 
 def validate_inputs(models, weight):
     """Admissibility diagnostics before any computation (spec `validate`)."""
-    pair_exp = len(models) == 2 and all(isinstance(m, Exponential) for m in models)
-    if pair_exp:
-        return affinity._pair_diagnostics(models[0], models[1], weight)
-    diags = []
-    for m in models:
-        if isinstance(m, Cauchy) and isinstance(weight, ExpTiltWeight) \
-                and not weight.is_null():
-            d = "exponential tilt is not integrable against Cauchy tails; only gamma=0 is admissible"
-            if d not in diags:
-                diags.append(d)
-            continue
-        for d in validate_combination(m, weight):
-            if d not in diags:
-                diags.append(d)
-    return diags
+    return affinity._diagnostics(models, weight)
 
 
 def _require_valid(models, weight):

@@ -7,15 +7,16 @@ Fhat = F + ln E_phi(theta), and the weighted Bregman divergence
     B^w(theta1, theta2) = E_phi(theta2) [F(theta1) - F(theta2)
                                          - (theta1 - theta2) Fhat'(theta2)]
 
-represents the weighted KL divergence inside the family.  The module also
-hosts the numeric identity suite tying the affinity curve, the weighted
-Bregman geometry and the Legendre dual together.
+represents the weighted KL divergence inside the family.  The families
+are defined in `models`, where the affinity curve reads its closed forms
+from them.  The module also hosts the numeric identity suite tying the
+affinity curve, the weighted Bregman geometry and the Legendre dual
+together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from . import _numeric
 from .affinity import (
     INTERIOR,
     AffinityCurve,
+    _is_const,
     cauchy_kl,
     chernoff,
 )
@@ -30,12 +32,15 @@ from .errors import PreconditionError, UnsupportedCombinationError
 from .models import (
     Categorical,
     Cauchy,
-    ConstWeight,
-    Exponential,
-    ExpTiltWeight,
+    ExpFamily1D,
     Gaussian,
-    Poisson,
     TableWeight,
+    check_table_length,
+    embed_pair,
+    exponential_family,
+    family_of_pair,
+    gaussian_mean_family,
+    poisson_family,
     weighted_normaliser,
 )
 
@@ -55,169 +60,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# One-parameter exponential families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpFamily1D:
-    """Natural 1-D exponential family with analytic weighted structure.
-
-    All members are scalar callables of the natural parameter theta except
-    `Ghat` (inverse of Fhat'), `Fstar`/`dFstar` (Legendre dual, functions
-    of the dual coordinate y = F'(theta)) and `dlnEstar` (derivative of
-    ln E_phi read in the dual coordinate).  `domain` is the open natural-
-    parameter interval on which everything is finite.
-    """
-
-    name: str
-    gamma: float
-    domain: tuple
-    F: callable = field(repr=False)
-    dF: callable = field(repr=False)
-    d2F: callable = field(repr=False)
-    lnE: callable = field(repr=False)
-    dlnE: callable = field(repr=False)
-    dFhat: callable = field(repr=False)
-    Ghat: callable = field(repr=False)
-    Fstar: callable = field(repr=False)
-    dFstar: callable = field(repr=False)
-    theta_of_model: callable = field(repr=False)
-    model_of_theta: callable = field(repr=False)
-
-    def check_theta(self, theta):
-        lo, hi = self.domain
-        if not (lo < theta < hi):
-            raise PreconditionError(
-                f"theta {theta} outside the open domain ({lo}, {hi}) of {self.name}"
-            )
-        return float(theta)
-
-    def Fhat(self, theta):
-        return self.F(theta) + self.lnE(theta)
-
-    def E_phi(self, theta):
-        return math.exp(self.lnE(theta))
-
-    def dlnEstar(self, theta_star):
-        """d/dtheta* of ln E_phi(grad F*(theta*)) = (ln E_phi)'(theta) / F''(theta)."""
-        theta = self.dFstar(theta_star)
-        return self.dlnE(theta) / self.d2F(theta)
-
-
-def poisson_family(gamma=0.0):
-    """Poisson in natural form: theta = ln lambda, F(theta) = e^theta."""
-    g = float(gamma)
-    c = math.expm1(g)
-    return ExpFamily1D(
-        name="poisson",
-        gamma=g,
-        domain=(-math.inf, math.inf),
-        F=lambda t: math.exp(t),
-        dF=lambda t: math.exp(t),
-        d2F=lambda t: math.exp(t),
-        lnE=lambda t: c * math.exp(t),
-        dlnE=lambda t: c * math.exp(t),
-        dFhat=lambda t: math.exp(t + g),
-        Ghat=lambda y: math.log(y) - g,
-        Fstar=lambda y: y * math.log(y) - y,
-        dFstar=lambda y: math.log(y),
-        theta_of_model=lambda m: math.log(m.lam),
-        model_of_theta=lambda t: Poisson(lam=math.exp(t)),
-    )
-
-
-def exponential_family(gamma=0.0):
-    """Exponential in natural form: theta = -rate, F(theta) = -ln(-theta).
-
-    The weighted domain is theta < min(0, -gamma): the rate must exceed
-    gamma for E_phi = rate/(rate - gamma) to be finite.
-    """
-    g = float(gamma)
-    hi = min(0.0, -g)
-    return ExpFamily1D(
-        name="exponential",
-        gamma=g,
-        domain=(-math.inf, hi),
-        F=lambda t: -math.log(-t),
-        dF=lambda t: -1.0 / t,
-        d2F=lambda t: 1.0 / (t * t),
-        lnE=lambda t: math.log(-t) - math.log(-t - g),
-        dlnE=lambda t: 1.0 / t - 1.0 / (t + g),
-        dFhat=lambda t: 1.0 / (-t - g),
-        Ghat=lambda y: -g - 1.0 / y,
-        Fstar=lambda y: -1.0 - math.log(y),
-        dFstar=lambda y: -1.0 / y,
-        theta_of_model=lambda m: -m.rate,
-        model_of_theta=lambda t: Exponential(rate=-t),
-    )
-
-
-def gaussian_mean_family(sigma2, gamma=0.0):
-    """Gaussian mean family with fixed variance: theta = mu/sigma^2."""
-    s2 = float(sigma2)
-    if not (s2 > 0.0):
-        raise PreconditionError("gaussian mean family needs a positive variance")
-    g = float(gamma)
-    return ExpFamily1D(
-        name="gaussian_mean",
-        gamma=g,
-        domain=(-math.inf, math.inf),
-        F=lambda t: 0.5 * s2 * t * t,
-        dF=lambda t: s2 * t,
-        d2F=lambda t: s2,
-        lnE=lambda t: g * s2 * t + 0.5 * g * g * s2,
-        dlnE=lambda t: g * s2,
-        dFhat=lambda t: s2 * (t + g),
-        Ghat=lambda y: y / s2 - g,
-        Fstar=lambda y: y * y / (2.0 * s2),
-        dFstar=lambda y: y / s2,
-        theta_of_model=lambda m: float(m.mean[0]) / s2,
-        model_of_theta=lambda t: Gaussian(mean=[s2 * t], cov=[[s2]]),
-    )
-
-
-def _weight_gamma(weight):
-    if isinstance(weight, ConstWeight):
-        return 0.0
-    if isinstance(weight, ExpTiltWeight):
-        if weight.gamma.shape[0] != 1:
-            raise UnsupportedCombinationError("exp-tilt gamma must be scalar here")
-        return weight.scalar
-    raise UnsupportedCombinationError(
-        f"{type(weight).__name__} has no exponential-family representation"
-    )
-
-
-def family_of_pair(model_p, model_q, weight):
-    """Embed a model pair in a built-in family: (family, theta1, theta2).
-
-    Raises when the pair is not two members of the same built-in
-    one-parameter family (Poisson, Exponential, or 1-D Gaussian with a
-    shared variance).
-    """
-    g = _weight_gamma(weight)
-    if isinstance(model_p, Poisson) and isinstance(model_q, Poisson):
-        fam = poisson_family(g)
-    elif isinstance(model_p, Exponential) and isinstance(model_q, Exponential):
-        fam = exponential_family(g)
-    elif isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian):
-        if model_p.dim != 1 or model_q.dim != 1:
-            raise UnsupportedCombinationError("only 1-D gaussians embed in the mean family")
-        v1, v2 = model_p.cov[0, 0], model_q.cov[0, 0]
-        if not math.isclose(v1, v2, rel_tol=1e-12):
-            raise UnsupportedCombinationError("gaussian mean family needs a shared variance")
-        fam = gaussian_mean_family(v1, g)
-    else:
-        raise UnsupportedCombinationError(
-            "model pair is not covered by a built-in one-parameter family"
-        )
-    t1 = fam.check_theta(fam.theta_of_model(model_p))
-    t2 = fam.check_theta(fam.theta_of_model(model_q))
-    return fam, t1, t2
-
-
-# ---------------------------------------------------------------------------
 # Weighted KL and weighted Bregman
 # ---------------------------------------------------------------------------
 
@@ -225,44 +67,15 @@ def family_of_pair(model_p, model_q, weight):
 def weighted_kl(model_p, model_q, weight):
     """D^w_KL(p || q) = integral phi p ln(p/q).
 
-    Closed forms for the built-in families; exact summation for
-    categorical models; quadrature otherwise.
+    For the closed-form pairs of `AffinityCurve` this is E_phi(p) F'(1):
+    F'(1) is the mean of ln(p/q) under the tilted p, so only p's tilt has
+    to be integrable.  Exact summation for categorical models, the Cauchy
+    closed form, quadrature otherwise.
     """
     _numeric.common_support(model_p, model_q)
-    if isinstance(model_p, Poisson) and isinstance(model_q, Poisson):
-        g = _weight_gamma(weight)
-        e_p = weighted_normaliser(model_p, weight)
-        l1, l2 = model_p.lam, model_q.lam
-        return e_p * (math.exp(g) * l1 * math.log(l1 / l2) - (l1 - l2))
-    if isinstance(model_p, Exponential) and isinstance(model_q, Exponential):
-        g = _weight_gamma(weight)
-        l1, l2 = model_p.rate, model_q.rate
-        if g >= l1:
-            raise PreconditionError("weighted KL diverges: gamma must stay below rate of p")
-        return l1 / (l1 - g) * (math.log(l1 / l2) + (l2 - l1) / (l1 - g))
-    if isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian):
-        if isinstance(weight, TableWeight):
-            raise UnsupportedCombinationError("table weights need a categorical support")
-        g = np.zeros(model_p.dim) if isinstance(weight, ConstWeight) else np.atleast_1d(
-            np.asarray(weight.gamma, dtype=float))
-        e_p = weighted_normaliser(model_p, weight)
-        # tilted p is N(mu1 + Sigma1 gamma, Sigma1); take E[ln(p/q)] under it
-        m = model_p.mean + model_p.cov @ g
-        s = model_p.cov
-        s1inv, s2inv = model_p.cov_inv(), model_q.cov_inv()
-        d1 = m - model_p.mean
-        d2 = m - model_q.mean
-        val = (0.5 * (model_q._log_det - model_p._log_det)
-               - 0.5 * (np.trace(s1inv @ s) + d1 @ s1inv @ d1)
-               + 0.5 * (np.trace(s2inv @ s) + d2 @ s2inv @ d2))
-        return float(e_p * val)
-    if isinstance(model_p, Cauchy) and isinstance(model_q, Cauchy):
-        if isinstance(weight, ConstWeight) or (
-                isinstance(weight, ExpTiltWeight) and weight.is_null()):
-            return cauchy_kl(model_p, model_q)
-        raise UnsupportedCombinationError("weighted KL for Cauchy requires the constant weight")
     if isinstance(model_p, Categorical):
-        k = np.arange(model_p.size)
+        check_table_length(weight, model_p)
+        k = _numeric.discrete_grid(model_p, model_q)
         phi = np.exp(_numeric.log_weight_vec(weight, k))
         p, q = model_p.probs, model_q.probs
         out = 0.0
@@ -273,6 +86,16 @@ def weighted_kl(model_p, model_q, weight):
                 return math.inf
             out += wk * pk * math.log(pk / qk)
         return out
+    if isinstance(weight, TableWeight):
+        raise UnsupportedCombinationError("table weights need a categorical support")
+    if isinstance(model_p, Cauchy) and isinstance(model_q, Cauchy):
+        if _is_const(weight):
+            return cauchy_kl(model_p, model_q)
+        raise UnsupportedCombinationError("weighted KL for Cauchy requires the constant weight")
+    if ((isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian))
+            or embed_pair(model_p, model_q, weight) is not None):
+        e_p = weighted_normaliser(model_p, weight)
+        return e_p * AffinityCurve(model_p, model_q, weight).derivative(1.0)
     return _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
                                             factor=lambda lp, lq: lp - lq)
 

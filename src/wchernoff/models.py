@@ -14,6 +14,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -369,6 +370,16 @@ def sample(model, rng, count):
     return model.sample(rng, int(count))
 
 
+_TABLE_LENGTH = "table weight length does not match categorical support size"
+
+
+def check_table_length(weight, *models):
+    """Raise unless a table weight has one entry per symbol of each categorical model."""
+    if isinstance(weight, TableWeight) and any(
+            isinstance(m, Categorical) and m.size != weight.values.size for m in models):
+        raise PreconditionError(_TABLE_LENGTH)
+
+
 def validate_combination(model, weight):
     """Admissibility diagnostics for a (model, weight) pair.
 
@@ -380,7 +391,7 @@ def validate_combination(model, weight):
         if not isinstance(model, Categorical):
             diags.append("table weights are only supported on categorical models")
         elif weight.values.size != model.size:
-            diags.append("table weight length does not match categorical support size")
+            diags.append(_TABLE_LENGTH)
     elif isinstance(weight, ExpTiltWeight):
         if isinstance(model, Cauchy):
             if not weight.is_null():
@@ -453,6 +464,183 @@ class TiltedDensity:
     def log_density(self, x):
         lphi = self.weight.log_value(x)
         return float(lphi) + self.base.log_density(x) - math.log(self.normaliser)
+
+
+# ---------------------------------------------------------------------------
+# One-parameter exponential families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExpFamily1D:
+    """Natural 1-D exponential family with analytic weighted structure.
+
+    All members are scalar callables of the natural parameter theta except
+    `Ghat` (inverse of Fhat'), `Fstar`/`dFstar` (Legendre dual, functions
+    of the dual coordinate y = F'(theta)) and `dlnEstar` (derivative of
+    ln E_phi read in the dual coordinate).  `domain` is the open natural-
+    parameter interval on which everything is finite; `F` and `dF` are
+    finite on the whole unweighted natural domain.
+    """
+
+    name: str
+    gamma: float
+    domain: tuple
+    F: callable = field(repr=False)
+    dF: callable = field(repr=False)
+    d2F: callable = field(repr=False)
+    lnE: callable = field(repr=False)
+    dlnE: callable = field(repr=False)
+    dFhat: callable = field(repr=False)
+    Ghat: callable = field(repr=False)
+    Fstar: callable = field(repr=False)
+    dFstar: callable = field(repr=False)
+    theta_of_model: callable = field(repr=False)
+
+    def contains(self, theta):
+        lo, hi = self.domain
+        return lo < theta < hi
+
+    def check_theta(self, theta):
+        if not self.contains(theta):
+            raise PreconditionError(
+                f"theta {theta} outside the open domain {self.domain} of {self.name}"
+            )
+        return float(theta)
+
+    def Fhat(self, theta):
+        return self.F(theta) + self.lnE(theta)
+
+    def E_phi(self, theta):
+        return math.exp(self.lnE(theta))
+
+    def dlnEstar(self, theta_star):
+        """d/dtheta* of ln E_phi(grad F*(theta*)) = (ln E_phi)'(theta) / F''(theta)."""
+        theta = self.dFstar(theta_star)
+        return self.dlnE(theta) / self.d2F(theta)
+
+
+@functools.lru_cache(maxsize=256)
+def poisson_family(gamma=0.0):
+    """Poisson in natural form: theta = ln lambda, F(theta) = e^theta."""
+    g = float(gamma)
+    c = math.expm1(g)
+    return ExpFamily1D(
+        name="poisson",
+        gamma=g,
+        domain=(-math.inf, math.inf),
+        F=lambda t: math.exp(t),
+        dF=lambda t: math.exp(t),
+        d2F=lambda t: math.exp(t),
+        lnE=lambda t: c * math.exp(t),
+        dlnE=lambda t: c * math.exp(t),
+        dFhat=lambda t: math.exp(t + g),
+        Ghat=lambda y: math.log(y) - g,
+        Fstar=lambda y: y * math.log(y) - y,
+        dFstar=lambda y: math.log(y),
+        theta_of_model=lambda m: math.log(m.lam),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def exponential_family(gamma=0.0):
+    """Exponential in natural form: theta = -rate, F(theta) = -ln(-theta).
+
+    The weighted domain is theta < min(0, -gamma): the rate must exceed
+    gamma for E_phi = rate/(rate - gamma) to be finite.
+    """
+    g = float(gamma)
+    hi = min(0.0, -g)
+    return ExpFamily1D(
+        name="exponential",
+        gamma=g,
+        domain=(-math.inf, hi),
+        F=lambda t: -math.log(-t),
+        dF=lambda t: -1.0 / t,
+        d2F=lambda t: 1.0 / (t * t),
+        lnE=lambda t: math.log(-t) - math.log(-t - g),
+        dlnE=lambda t: 1.0 / t - 1.0 / (t + g),
+        dFhat=lambda t: 1.0 / (-t - g),
+        Ghat=lambda y: -g - 1.0 / y,
+        Fstar=lambda y: -1.0 - math.log(y),
+        dFstar=lambda y: -1.0 / y,
+        theta_of_model=lambda m: -m.rate,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def gaussian_mean_family(sigma2, gamma=0.0):
+    """Gaussian mean family with fixed variance: theta = mu/sigma^2."""
+    s2 = float(sigma2)
+    if not (s2 > 0.0):
+        raise PreconditionError("gaussian mean family needs a positive variance")
+    g = float(gamma)
+    return ExpFamily1D(
+        name="gaussian_mean",
+        gamma=g,
+        domain=(-math.inf, math.inf),
+        F=lambda t: 0.5 * s2 * t * t,
+        dF=lambda t: s2 * t,
+        d2F=lambda t: s2,
+        lnE=lambda t: g * s2 * t + 0.5 * g * g * s2,
+        dlnE=lambda t: g * s2,
+        dFhat=lambda t: s2 * (t + g),
+        Ghat=lambda y: y / s2 - g,
+        Fstar=lambda y: y * y / (2.0 * s2),
+        dFstar=lambda y: y / s2,
+        theta_of_model=lambda m: float(m.mean[0]) / s2,
+    )
+
+
+def tilt_gamma(weight, dim=1):
+    """gamma of the weight phi(x) = exp(gamma.x) as a dim-vector.
+
+    The constant weight is the tilt gamma = 0; any other weight, or a tilt
+    of another dimension, has no such reading.
+    """
+    if isinstance(weight, ConstWeight):
+        return np.zeros(dim)
+    if isinstance(weight, ExpTiltWeight):
+        if weight.gamma.shape[0] != dim:
+            raise UnsupportedCombinationError(f"exp_tilt gamma must have dimension {dim} here")
+        return weight.gamma
+    raise UnsupportedCombinationError(
+        f"{type(weight).__name__} is not a constant or exponential-tilt weight"
+    )
+
+
+def embed_pair(model_p, model_q, weight):
+    """(family, theta1, theta2) for two members of one built-in family, else None.
+
+    The families are Poisson, Exponential and the 1-D Gaussian with a
+    shared variance; the weight must be a constant or a scalar exponential
+    tilt (anything else raises).  The thetas are not checked against the
+    weighted domain: an affinity curve only needs theta_alpha inside it,
+    and a weighted KL D(p || q) only theta1.
+    """
+    if isinstance(model_p, Poisson) and isinstance(model_q, Poisson):
+        fam = poisson_family(tilt_gamma(weight)[0])
+    elif isinstance(model_p, Exponential) and isinstance(model_q, Exponential):
+        fam = exponential_family(tilt_gamma(weight)[0])
+    elif (isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian)
+          and model_p.dim == model_q.dim == 1
+          and math.isclose(model_p.cov[0, 0], model_q.cov[0, 0], rel_tol=1e-12)):
+        fam = gaussian_mean_family(model_p.cov[0, 0], tilt_gamma(weight)[0])
+    else:
+        return None
+    return fam, fam.theta_of_model(model_p), fam.theta_of_model(model_q)
+
+
+def family_of_pair(model_p, model_q, weight):
+    """Checked `embed_pair`: raises for any other pair and for a theta outside the domain."""
+    embedded = embed_pair(model_p, model_q, weight)
+    if embedded is None:
+        raise UnsupportedCombinationError(
+            "model pair is not two members of one built-in family (Poisson,"
+            " Exponential, or 1-D Gaussian with a shared variance)"
+        )
+    fam, t1, t2 = embedded
+    return fam, fam.check_theta(t1), fam.check_theta(t2)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from scipy.special import gammaln, logsumexp
 
 from . import _numeric
 from .affinity import chernoff
-from .expfam import family_of_pair
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -44,6 +43,8 @@ from .models import (
     ConstWeight,
     Exponential,
     Poisson,
+    check_table_length,
+    family_of_pair,
     poisson_truncation,
     rng_stream,
     weighted_normaliser,
@@ -90,6 +91,7 @@ class BinaryTestProblem:
 
     def __post_init__(self):
         _numeric.common_support(self.model_p, self.model_q)
+        check_table_length(self.weight, self.model_p, self.model_q)
         if int(self.n) < 1:
             raise PreconditionError("sample size n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
@@ -130,6 +132,7 @@ class MAryProblem:
             raise PreconditionError("M-ary problem needs at least two models")
         for m in models[1:]:
             _numeric.common_support(models[0], m)
+        check_table_length(self.weight, *models)
         object.__setattr__(self, "models", models)
         if self.priors is not None:
             w = tuple(float(x) for x in self.priors)

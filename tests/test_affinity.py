@@ -207,6 +207,19 @@ class TestChernoff:
         assert res.alpha_star == 1.0
         assert res.d_c_w == pytest.approx(-math.log(2.0), abs=1e-12)
 
+    def test_exponential_pole_between_rates(self):
+        # gamma = 1.5 lies between the rates: theta_alpha leaves the weighted
+        # domain near alpha = 0, where F has a +inf pole with slope -inf
+        w = ExpTiltWeight([1.5])
+        curve = AffinityCurve(E2, E1, w)
+        assert curve.log_rho(0.0) == math.inf
+        assert curve.derivative(0.0) == -math.inf
+        assert curve.derivative(1.0) == pytest.approx(math.log(2.0) - 2.0, rel=1e-14)
+        res = chernoff(E2, E1, w)
+        assert res.boundary == "at_one"
+        assert res.alpha_star == 1.0
+        assert res.d_c_w == pytest.approx(-math.log(4.0), rel=1e-14)
+
     def test_poisson_boundary_at_zero(self):
         res = chernoff(P2, P1, ExpTiltWeight([math.log(2.0)]))
         assert res.boundary == "at_zero"

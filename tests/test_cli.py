@@ -120,6 +120,16 @@ class TestDivergenceCommand:
         assert rep["results"]["cauchy_d_c"] == pytest.approx(0.1807705, abs=1e-6)
         assert rep["results"]["cauchy_kl"] == pytest.approx(math.log(2.0), rel=1e-10)
 
+    def test_exponential_tilt_between_rates(self, runner):
+        # gamma = 1.5 is integrable against Exp(2) only: KL(Exp2 || Exp1) is finite
+        tilt = '{"kind": "exp_tilt", "gamma": [1.5]}'
+        rep = run_json(runner, ["divergence", "--model-p", EXP_P, "--model-q", EXP_Q,
+                                "--weight", tilt])
+        assert rep["results"]["weighted_kl"] == pytest.approx(-5.2274112777602, rel=1e-12)
+        result = runner.invoke(main, ["divergence", "--model-p", EXP_Q, "--model-q", EXP_P,
+                                      "--weight", tilt])
+        assert result.exit_code == 2
+
     def test_infinite_kl_serialises(self, runner):
         rep = run_json(runner, ["divergence",
                                 "--model-p", '{"family": "categorical", "probs": [1.0, 0.0]}',
@@ -176,6 +186,17 @@ class TestMaryCommand:
         result = runner.invoke(main, ["mary", "--models",
                                       '[{"family": "poisson", "lambda": 1.0}]'])
         assert result.exit_code == 2
+
+    def test_cauchy_tilt_rejected(self, runner):
+        models = ('[{"family": "cauchy", "location": 0.0, "scale": 1.0},'
+                  ' {"family": "cauchy", "location": 1.0, "scale": 1.0},'
+                  ' {"family": "cauchy", "location": 2.0, "scale": 2.0}]')
+        result = runner.invoke(main, ["mary", "--models", models,
+                                      "--weight", '{"kind": "exp_tilt", "gamma": [0.1]}'])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: exponential tilt is not integrable against"
+                                 " Cauchy tails; only gamma=0 is admissible\n")
 
     def test_bad_priors(self, runner):
         result = runner.invoke(main, ["mary", "--models", self.MODELS,

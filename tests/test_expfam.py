@@ -162,6 +162,33 @@ class TestWeightedKL:
         oracle, _ = integrate.quad(integrand, -np.inf, np.inf)
         assert val == pytest.approx(oracle, rel=1e-8)
 
+    def test_exponential_needs_only_p_tilt(self):
+        # gamma = 1.5 is integrable against Exp(2) but not against Exp(1)
+        w = ExpTiltWeight([1.5])
+        assert weighted_kl(E2, E1, w) == pytest.approx(-5.2274112777602, rel=1e-12)
+        with pytest.raises(PreconditionError):
+            weighted_kl(E1, E2, w)
+
+    def test_multivariate_gaussian_vs_quadrature_oracle(self):
+        # D^w_KL(p || q) for a product of 1-D laws is a sum over coordinates
+        # of E_phi(p) / E_phi(p_i) times each coordinate's weighted KL
+        p = Gaussian([0.5, -1.0], [[1.0, 0.0], [0.0, 2.0]])
+        q = Gaussian([0.0, 0.0], [[1.5, 0.0], [0.0, 1.0]])
+        g = np.array([0.3, -0.2])
+        marg = []
+        for i in range(2):
+            pi = Gaussian([p.mean[i]], [[p.cov[i, i]]])
+            qi = Gaussian([q.mean[i]], [[q.cov[i, i]]])
+
+            def integrand(x, pi=pi, qi=qi, gi=g[i]):
+                lp = pi.log_density([x])
+                return math.exp(gi * x + lp) * (lp - qi.log_density([x]))
+
+            kl_i, _ = integrate.quad(integrand, -np.inf, np.inf)
+            marg.append((kl_i, weighted_normaliser(pi, ExpTiltWeight([g[i]]))))
+        oracle = marg[0][0] * marg[1][1] + marg[1][0] * marg[0][1]
+        assert weighted_kl(p, q, ExpTiltWeight(g)) == pytest.approx(oracle, rel=1e-8)
+
     def test_cauchy_const(self):
         assert weighted_kl(Cauchy(0.0, 1.0), Cauchy(3.0, 2.0), CONST) == pytest.approx(
             math.log(18.0 / 8.0), rel=1e-12)
@@ -173,6 +200,10 @@ class TestWeightedKL:
         expected = (1.0 * 0.5 * math.log(0.5 / 0.25)
                     + 2.0 * 0.5 * math.log(0.5 / 0.75))
         assert weighted_kl(p, q, w) == pytest.approx(expected, rel=1e-12)
+
+    def test_categorical_supports_of_different_size_rejected(self):
+        with pytest.raises(UnsupportedCombinationError):
+            weighted_kl(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]), CONST)
 
     def test_categorical_infinite_when_q_vanishes(self):
         p = Categorical([0.5, 0.5])

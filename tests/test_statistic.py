@@ -23,6 +23,7 @@ from wchernoff import (
     Gaussian,
     MAryProblem,
     Poisson,
+    PreconditionError,
     StateSpaceOverflowError,
     TableWeight,
     UnsupportedCombinationError,
@@ -31,6 +32,8 @@ from wchernoff import (
     optimal_loss_exact,
     optimal_loss_mc,
     tail_frequency,
+    validate_combination,
+    weighted_kl,
     weighted_tv,
 )
 from wchernoff import _numeric, testing
@@ -217,6 +220,28 @@ class TestCategoricalCounts:
         prob = MAryProblem((Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])), CONST)
         with pytest.raises(UnsupportedCombinationError):
             mary_optimal_loss(prob, 2)
+
+
+class TestTableWeightLength:
+    """A table weight needs one entry per symbol at every entry point."""
+
+    MESSAGE = "table weight length does not match categorical support size"
+
+    @pytest.mark.parametrize("p,q,values", [
+        # an extra entry was silently ignored: loss 1.8125, that of [1, 2]
+        (Categorical([0.5, 0.5]), Categorical([0.25, 0.75]), [1.0, 2.0, 5.0]),
+        # a missing entry raised a bare IndexError
+        (Categorical([0.2, 0.3, 0.5]), Categorical([0.3, 0.3, 0.4]), [1.0, 2.0]),
+    ])
+    def test_rejected(self, p, q, values):
+        w = TableWeight(values)
+        assert validate_combination(p, w) == [self.MESSAGE]
+        with pytest.raises(PreconditionError, match=self.MESSAGE):
+            optimal_loss_exact(BinaryTestProblem(p, q, w, 2))
+        with pytest.raises(PreconditionError, match=self.MESSAGE):
+            weighted_kl(p, q, w)
+        with pytest.raises(PreconditionError, match=self.MESSAGE):
+            mary_optimal_loss(MAryProblem((p, q), w), 2)
 
 
 class TestCountMatrix:
