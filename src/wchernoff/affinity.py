@@ -31,10 +31,10 @@ from .errors import (
 )
 from .models import (
     Cauchy,
-    ConstWeight,
     Exponential,
     ExpTiltWeight,
     Gaussian,
+    _is_const,
     embed_pair,
     tilt_gamma,
     validate_combination,
@@ -75,7 +75,10 @@ def log_mean(a, b):
         raise PreconditionError("log_mean requires strictly positive arguments")
     if a == b:
         return a
-    return (a - b) / (math.log(a) - math.log(b))
+    d = math.log(a) - math.log(b)
+    if abs(d) < 0.5:  # a - b is exact here, and ln a - ln b may round to 0
+        d = math.log1p((a - b) / b)
+    return (a - b) / d
 
 
 def elliptic_k(m):
@@ -152,12 +155,6 @@ def _diagnostics(models, weight):
     return diags
 
 
-def _is_const(weight):
-    return isinstance(weight, ConstWeight) or (
-        isinstance(weight, ExpTiltWeight) and weight.is_null()
-    )
-
-
 # ---------------------------------------------------------------------------
 # The affinity curve
 # ---------------------------------------------------------------------------
@@ -179,6 +176,9 @@ class AffinityCurve:
     (family, theta1, theta2) and reads F(a) = Fhat(theta_a) - a F(theta1) -
     (1-a) F(theta2) off it, +inf where theta_a = a theta1 + (1-a) theta2
     leaves the weighted domain.  Other Gaussian pairs use the tilted Gaussian.
+
+    `rho` is the one place that exponentiates ln rho; `_log_rho` continues
+    the curve past [0, 1] for the cumulants, +inf where the integral diverges.
     """
 
     def __init__(self, model_p, model_q, weight, mode=None):
@@ -203,18 +203,27 @@ class AffinityCurve:
     # -- evaluation ---------------------------------------------------------
 
     def log_rho(self, alpha):
-        alpha = _check_alpha(alpha)
+        val = self._log_rho(_check_alpha(alpha))
+        if val == -math.inf:
+            raise ConvergenceError("affinity evaluated to a non-positive value")
+        return val
+
+    def _log_rho(self, alpha):
+        """ln rho at any real alpha: a log-domain sum on discrete supports."""
         if self.mode == CLOSED_FORM:
             return self._closed_log_rho(alpha)
-        val = _numeric.weighted_power_integral(
-            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha
-        )
-        if val <= 0.0:
-            raise ConvergenceError("affinity evaluated to a non-positive value")
-        return math.log(val)
+        args = (self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha)
+        if self.model_p.support in ("finite", "nonneg_int"):
+            return _numeric.log_sum_exp(_numeric.log_summands(*args)[2])
+        val = _numeric.weighted_power_integral(*args)
+        return math.log(val) if val > 0.0 else -math.inf
 
     def rho(self, alpha):
-        return math.exp(self.log_rho(alpha))
+        log_rho = self.log_rho(alpha)
+        try:
+            return math.exp(log_rho)
+        except OverflowError as exc:
+            raise ConvergenceError(f"rho = e^{log_rho:.6g} overflows a double") from exc
 
     def bhattacharyya(self, alpha):
         return -self.log_rho(alpha)
@@ -224,14 +233,11 @@ class AffinityCurve:
         alpha = _check_alpha(alpha)
         if self.mode == CLOSED_FORM:
             return self._closed_derivative(alpha)
-        z = _numeric.weighted_power_integral(
-            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha
-        )
         num = _numeric.weighted_power_integral(
             self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha,
             factor=lambda lp, lq: lp - lq,
         )
-        return num / z
+        return num / self.rho(alpha)
 
     # -- closed forms -------------------------------------------------------
 
@@ -243,6 +249,9 @@ class AffinityCurve:
                 return math.inf
             return fam.Fhat(t) - alpha * fam.F(t1) - (1.0 - alpha) * fam.F(t2)
         p, q = self.model_p, self.model_q
+        if not 0.0 <= alpha <= 1.0 and np.linalg.eigvalsh(
+                alpha * p.cov_inv() + (1.0 - alpha) * q.cov_inv())[0] <= 0.0:
+            return math.inf  # past [0, 1] the tilted precision can be indefinite
         s1inv, s2inv, prec, sigma_a, mu_t = self._tilted_gaussian(alpha)
         _, logdet_a = np.linalg.slogdet(sigma_a)
         quad = (alpha * p.mean @ s1inv @ p.mean

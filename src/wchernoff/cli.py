@@ -209,8 +209,8 @@ def cmd_curve(model_p, model_q, weight, grid, fmt, out):
         curve = affinity.AffinityCurve(p, q, w)
         rows = []
         for alpha in np.linspace(0.0, 1.0, grid):
-            log_rho = curve.log_rho(float(alpha))
-            rows.append((float(alpha), math.exp(log_rho), -log_rho))
+            a = float(alpha)
+            rows.append((a, curve.rho(a), curve.bhattacharyya(a)))
         if fmt == "csv":
             lines = ["alpha,rho_w,d_b_alpha"]
             lines += [",".join(_fmt_float(v) for v in row) for row in rows]
@@ -239,10 +239,10 @@ def cmd_divergence(model_p, model_q, weight, alpha, out):
         _require_valid([p, q], w)
         results = {"weighted_kl": expfam.weighted_kl(p, q, w)}
         if alpha is not None:
-            rho = affinity.rho_w(p, q, w, alpha)
+            curve = affinity.AffinityCurve(p, q, w)
             results["alpha"] = float(alpha)
-            results["rho_w"] = rho
-            results["d_b_alpha"] = -math.log(rho)
+            results["rho_w"] = curve.rho(alpha)
+            results["d_b_alpha"] = curve.bhattacharyya(alpha)
         if isinstance(p, Cauchy) and isinstance(q, Cauchy):
             rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
             results["cauchy_kl"] = affinity.cauchy_kl(p, q)

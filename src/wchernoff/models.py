@@ -2,10 +2,12 @@
 
 Each model family carries a fixed reference measure: Lebesgue on R^d for
 Gaussian, Lebesgue on [0, inf) for Exponential, Lebesgue on R for Cauchy,
-counting measure for Poisson and Categorical.  Densities, weighted
-normalisers E_phi and exact samplers are provided per family; the tilted
-density phi*p / E_phi(p) is again a probability density whenever E_phi is
-finite.
+counting measure for Poisson and Categorical.  Each family writes its
+log-density once, as the unchecked `logpdf(x)` for a float or an array,
+and `log_density` is that after a support check; each weight writes ln phi
+once, as `log_value(x)`.  ln E_phi is read off the exponential-family
+embedding where the model has one; the tilted density phi*p / E_phi(p) is
+again a probability density whenever E_phi is finite.
 
 All model and weight objects are immutable after construction and all
 operations are pure given an explicit rng stream, so they are safe to share
@@ -19,9 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .errors import (
+    ConvergenceError,
     NonIntegrableWeightError,
     OutsideSupportError,
     PreconditionError,
@@ -41,6 +44,7 @@ __all__ = [
     "log_density",
     "weight_value",
     "weighted_normaliser",
+    "log_weighted_normaliser",
     "sample",
     "rng_stream",
     "poisson_truncation",
@@ -85,9 +89,11 @@ class Gaussian:
 
     mean: np.ndarray
     cov: np.ndarray
-    # cached Cholesky factor and log-determinant, set in __post_init__
+    # cached Cholesky factor and log-determinant, set in __post_init__, and
+    # (mean, -1/(2 variance), -ln(2 pi variance)/2) as floats in dimension 1
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
     _log_det: float = field(init=False, repr=False, compare=False)
+    _scalar: tuple = field(init=False, repr=False, compare=False)
 
     support = "real"
 
@@ -111,6 +117,8 @@ class Gaussian:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_log_det", 2.0 * float(np.sum(np.log(np.diag(chol)))))
+        object.__setattr__(self, "_scalar", None if d > 1 else (
+            float(mean[0]), -0.5 / float(cov[0, 0]), -0.5 * math.log(2.0 * math.pi * cov[0, 0])))
 
     def __eq__(self, other):
         return (isinstance(other, Gaussian)
@@ -127,12 +135,20 @@ class Gaussian:
     def cov_inv(self):
         return np.linalg.inv(self.cov)
 
+    def logpdf(self, x):
+        """Unchecked ln density at float or array points (dim 1) or at one point."""
+        s = self._scalar  # one attribute read: this runs at every quadrature node
+        if s is None:
+            z = np.linalg.solve(self._chol, x - self.mean)
+            return -0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + z @ z)
+        m, h, c = s
+        return c + h * (x - m) * (x - m)
+
     def log_density(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != self.mean.shape:
             raise OutsideSupportError("gaussian sample point has wrong dimension")
-        z = np.linalg.solve(self._chol, x - self.mean)
-        return float(-0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + z @ z))
+        return float(self.logpdf(x[0] if self._scalar is not None else x))
 
     def sample(self, rng, count):
         z = rng.standard_normal((count, self.dim))
@@ -153,13 +169,16 @@ class Poisson:
             raise PreconditionError("poisson rate must be strictly positive")
         object.__setattr__(self, "lam", float(self.lam))
 
+    def logpdf(self, k):
+        """Unchecked ln mass at float or array points."""
+        return -self.lam + k * math.log(self.lam) - gammaln(k + 1.0)
+
     def log_density(self, k):
         kk = np.asarray(k)
         if np.any(kk < 0) or np.any(kk != np.floor(kk)):
             raise OutsideSupportError("poisson support is the non-negative integers")
-        kk = kk.astype(float)
-        out = -self.lam + kk * math.log(self.lam) - gammaln(kk + 1.0)
-        return float(out) if np.isscalar(k) or np.ndim(k) == 0 else out
+        out = self.logpdf(kk.astype(float))
+        return float(out) if np.ndim(k) == 0 else out
 
     def sample(self, rng, count):
         return rng.poisson(self.lam, size=count)
@@ -170,6 +189,7 @@ class Exponential:
     """Exponential(rate) on [0, inf) (Lebesgue reference)."""
 
     rate: float
+    _log_rate: float = field(init=False, repr=False, compare=False)
 
     support = "halfline"
 
@@ -177,12 +197,15 @@ class Exponential:
         if not (float(self.rate) > 0.0):
             raise PreconditionError("exponential rate must be strictly positive")
         object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "_log_rate", math.log(self.rate))
+
+    def logpdf(self, x):
+        """Unchecked ln density at float or array points, valid for x >= 0 only."""
+        return self._log_rate - self.rate * x
 
     def log_density(self, x):
         xf = float(x)
-        if xf < 0.0:
-            return -math.inf
-        return math.log(self.rate) - self.rate * xf
+        return self.logpdf(xf) if xf >= 0.0 else -math.inf
 
     def sample(self, rng, count):
         return rng.exponential(1.0 / self.rate, size=count)
@@ -194,6 +217,7 @@ class Cauchy:
 
     location: float
     scale: float
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     support = "real"
     dim = 1
@@ -203,10 +227,14 @@ class Cauchy:
             raise PreconditionError("cauchy scale must be strictly positive")
         object.__setattr__(self, "location", float(self.location))
         object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "_log_norm", -math.log(math.pi * self.scale))
+
+    def logpdf(self, x):
+        """Unchecked ln density at float or array points."""
+        return self._log_norm - np.log1p(np.square((x - self.location) / self.scale))
 
     def log_density(self, x):
-        z = (float(x) - self.location) / self.scale
-        return -math.log(math.pi * self.scale) - math.log1p(z * z)
+        return float(self.logpdf(float(x)))
 
     def sample(self, rng, count):
         return self.location + self.scale * rng.standard_cauchy(size=count)
@@ -240,12 +268,16 @@ class Categorical:
     def size(self):
         return self.probs.shape[0]
 
+    def logpdf(self, k):
+        """Unchecked ln mass at integer-valued float or array points."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.probs)[np.asarray(k).astype(int)]
+
     def log_density(self, k):
         kk = int(k)
         if kk != k or kk < 0 or kk >= self.size:
             raise OutsideSupportError("categorical index out of range")
-        p = self.probs[kk]
-        return math.log(p) if p > 0.0 else -math.inf
+        return float(self.logpdf(kk))
 
     def sample(self, rng, count):
         return rng.choice(self.size, size=count, p=self.probs)
@@ -256,8 +288,15 @@ class Categorical:
 # ---------------------------------------------------------------------------
 
 
+class _Weight:
+    """Each weight writes ln phi once, as `log_value(x)`; phi is its exponential."""
+
+    def value(self, x):
+        return np.exp(self.log_value(x))
+
+
 @dataclass(frozen=True)
-class ConstWeight:
+class ConstWeight(_Weight):
     """phi == 1: the unweighted baseline."""
 
     kind = "const"
@@ -265,12 +304,9 @@ class ConstWeight:
     def log_value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
-    def value(self, x):
-        return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
-
 
 @dataclass(frozen=True)
-class ExpTiltWeight:
+class ExpTiltWeight(_Weight):
     """Exponential tilt phi(x) = exp(gamma^T x)."""
 
     gamma: np.ndarray
@@ -304,12 +340,9 @@ class ExpTiltWeight:
         x = np.asarray(x, dtype=float)
         return x @ self.gamma
 
-    def value(self, x):
-        return np.exp(self.log_value(x))
-
 
 @dataclass(frozen=True)
-class TableWeight:
+class TableWeight(_Weight):
     """Tabulated weight on a categorical support."""
 
     values: np.ndarray
@@ -334,17 +367,10 @@ class TableWeight:
 
     def log_value(self, k):
         kk = np.asarray(k)
-        if np.any(kk < 0) or np.any(kk >= self.values.size):
+        if (kk < 0).any() or (kk >= self.values.size).any():
             raise PreconditionError("table weight index out of range")
         with np.errstate(divide="ignore"):
             out = np.log(self.values[kk.astype(int)])
-        return float(out) if np.ndim(k) == 0 else out
-
-    def value(self, k):
-        kk = np.asarray(k)
-        if np.any(kk < 0) or np.any(kk >= self.values.size):
-            raise PreconditionError("table weight index out of range")
-        out = self.values[kk.astype(int)]
         return float(out) if np.ndim(k) == 0 else out
 
 
@@ -370,14 +396,29 @@ def sample(model, rng, count):
     return model.sample(rng, int(count))
 
 
-_TABLE_LENGTH = "table weight length does not match categorical support size"
+def _unreadable(model, weight):
+    """Why `weight` cannot be evaluated at `model`'s sample points, or None."""
+    if isinstance(weight, TableWeight):
+        if not isinstance(model, Categorical):
+            return "table weights are only supported on categorical models"
+        if weight.values.size != model.size:
+            return "table weight length does not match categorical support size"
+    elif isinstance(weight, ExpTiltWeight) and weight.gamma.shape[0] != getattr(model, "dim", 1):
+        if isinstance(model, Gaussian):
+            return "exp_tilt gamma dimension does not match gaussian dimension"
+        if isinstance(model, Exponential):
+            return "exp_tilt gamma must be scalar for exponential models"
+        if isinstance(model, (Poisson, Categorical)):
+            return "exp_tilt gamma must be scalar for discrete models"
+    return None
 
 
 def check_table_length(weight, *models):
-    """Raise unless a table weight has one entry per symbol of each categorical model."""
-    if isinstance(weight, TableWeight) and any(
-            isinstance(m, Categorical) and m.size != weight.values.size for m in models):
-        raise PreconditionError(_TABLE_LENGTH)
+    """Raise unless the weight can be read at every model's points (`_unreadable`)."""
+    for m in models:
+        diag = _unreadable(m, weight)
+        if diag:
+            raise PreconditionError(diag)
 
 
 def validate_combination(model, weight):
@@ -386,65 +427,52 @@ def validate_combination(model, weight):
     Returns a list of human-readable diagnostic strings; empty means the
     combination is admissible (all weighted normalisers finite).
     """
-    diags = []
-    if isinstance(weight, TableWeight):
-        if not isinstance(model, Categorical):
-            diags.append("table weights are only supported on categorical models")
-        elif weight.values.size != model.size:
-            diags.append(_TABLE_LENGTH)
-    elif isinstance(weight, ExpTiltWeight):
-        if isinstance(model, Cauchy):
-            if not weight.is_null():
-                diags.append(
-                    "exponential tilt is not integrable against Cauchy tails; only gamma=0 is admissible"
-                )
-        elif isinstance(model, Exponential):
-            if weight.gamma.shape[0] != 1:
-                diags.append("exp_tilt gamma must be scalar for exponential models")
-            elif weight.scalar >= model.rate:
-                diags.append(
-                    f"weight not integrable under rate {model.rate}: requires gamma < rate"
-                )
-        elif isinstance(model, Gaussian):
-            if weight.gamma.shape[0] != model.dim:
-                diags.append("exp_tilt gamma dimension does not match gaussian dimension")
-        elif isinstance(model, (Poisson, Categorical)):
-            if weight.gamma.shape[0] != 1:
-                diags.append("exp_tilt gamma must be scalar for discrete models")
-    return diags
+    diag = _unreadable(model, weight)
+    if diag:
+        return [diag]
+    if isinstance(weight, ExpTiltWeight):
+        if isinstance(model, Cauchy) and not weight.is_null():
+            return ["exponential tilt is not integrable against Cauchy tails;"
+                    " only gamma=0 is admissible"]
+        if isinstance(model, Exponential) and weight.scalar >= model.rate:
+            return [f"weight not integrable under rate {model.rate}: requires gamma < rate"]
+    return []
 
 
-def weighted_normaliser(model, weight):
-    """E_phi(model) = integral of phi * density over the support.
+def _is_const(weight):
+    return isinstance(weight, ConstWeight) or (
+        isinstance(weight, ExpTiltWeight) and weight.is_null()
+    )
 
-    Closed forms: Gaussian exp_tilt exp(g'mu + g'Sigma g / 2), Poisson
-    exp_tilt exp(lam (e^g - 1)), Exponential exp_tilt rate/(rate - g);
-    discrete families are summed exactly.
+
+def log_weighted_normaliser(model, weight):
+    """ln E_phi(model): the family's lnE at the model's natural parameter for
+    Poisson, Exponential and 1-D Gaussian models, g'mu + g'Sigma g / 2 for
+    other Gaussians, a log-domain sum over the categories.
     """
     diags = validate_combination(model, weight)
     if diags:
         raise NonIntegrableWeightError("; ".join(diags))
-    if isinstance(weight, ConstWeight):
-        return 1.0
-    if isinstance(weight, ExpTiltWeight) and weight.is_null():
-        return 1.0
-    if isinstance(weight, TableWeight):
-        return float(model.probs @ weight.values)
-    # exp_tilt on the remaining families
-    if isinstance(model, Gaussian):
-        g = weight.gamma
-        return float(np.exp(g @ model.mean + 0.5 * g @ model.cov @ g))
-    if isinstance(model, Poisson):
-        return math.exp(model.lam * math.expm1(weight.scalar))
-    if isinstance(model, Exponential):
-        return model.rate / (model.rate - weight.scalar)
+    if _is_const(weight):
+        return 0.0
     if isinstance(model, Categorical):
         k = np.arange(model.size)
-        return float(np.sum(model.probs * np.exp(weight.scalar * k)))
-    if isinstance(model, Cauchy):
-        # only gamma=0 passes validation, handled above
-        return 1.0
-    raise UnsupportedCombinationError(f"no weighted normaliser for {type(model).__name__}")
+        return float(logsumexp(model.logpdf(k) + weight.log_value(k)))
+    embedded = embed_pair(model, model, weight)
+    if embedded is not None:
+        fam, theta, _ = embedded
+        return fam.lnE(theta)
+    g = weight.gamma  # a multivariate Gaussian: Cauchy admits only gamma = 0
+    return float(g @ model.mean + 0.5 * g @ model.cov @ g)
+
+
+def weighted_normaliser(model, weight):
+    """E_phi(model) = exp(ln E_phi); ConvergenceError where it overflows a double."""
+    log_e = log_weighted_normaliser(model, weight)
+    try:
+        return math.exp(log_e)
+    except OverflowError as exc:
+        raise ConvergenceError(f"E_phi = e^{log_e:.6g} overflows a double") from exc
 
 
 @dataclass(frozen=True)

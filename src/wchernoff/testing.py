@@ -17,6 +17,11 @@ implements the cumulants psi_P/psi_Q, their Legendre transforms, and the
 Bennett-type martingale tail bound, all for the shifted statistic
 
     L* = sum ln(q/p) + n (ln E_phi(p) - ln E_phi(q)).
+
+The cumulants are the phi == 1 log-affinity curve F(a) = ln int p^a q^(1-a)
+of `AffinityCurve`, continued past [0, 1]: psi_P(alpha) = F(1 - alpha) +
+alpha shift and psi_Q(alpha) = F(-alpha) + alpha shift, so closed-form
+pairs need no integral and the value is +inf where F diverges.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from scipy import optimize
 from scipy.special import gammaln, logsumexp
 
 from . import _numeric
-from .affinity import chernoff
+from .affinity import AffinityCurve, chernoff
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -45,9 +50,9 @@ from .models import (
     Poisson,
     check_table_length,
     family_of_pair,
+    log_weighted_normaliser,
     poisson_truncation,
     rng_stream,
-    weighted_normaliser,
 )
 
 __all__ = [
@@ -99,8 +104,8 @@ class BinaryTestProblem:
     @property
     def shift(self):
         """ln E_phi(p) - ln E_phi(q); the per-coordinate tilt of L*."""
-        return (math.log(weighted_normaliser(self.model_p, self.weight))
-                - math.log(weighted_normaliser(self.model_q, self.weight)))
+        return (log_weighted_normaliser(self.model_p, self.weight)
+                - log_weighted_normaliser(self.model_q, self.weight))
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,7 @@ class _SampleStatistic:
     """T = the n-sample itself, for pairs without a smaller statistic."""
 
     def __init__(self, models, weight, n):
-        if any(getattr(m, "dim", 1) != 1 for m in models):
-            raise UnsupportedCombinationError("vectorised log-density needs dim 1")
+        _numeric.check_scalar(*models)
         self.models, self.weight, self.n = models, weight, n
 
     def draw(self, i, rng, count):
@@ -232,7 +236,7 @@ class _SampleStatistic:
         return np.asarray(x, dtype=float).reshape(count, self.n)
 
     def log_weight(self, t):
-        return _numeric.log_weight_vec(self.weight, t).sum(axis=1)
+        return self.weight.log_value(t).sum(axis=1)
 
     def log_lik(self, i, t):
         return _numeric.logpdf_vec(self.models[i], t).sum(axis=1)
@@ -288,7 +292,7 @@ class _CountStatistic:
         if any(m.size != symbols.size for m in models):
             raise UnsupportedCombinationError("categorical supports differ in size")
         self.models, self.n = models, n
-        self.log_phi = _numeric.log_weight_vec(weight, symbols)
+        self.log_phi = weight.log_value(symbols)
         self.log_probs = [_numeric.logpdf_vec(m, symbols) for m in models]
 
     def draw(self, i, rng, count):
@@ -538,17 +542,14 @@ def tilted_stats(problem):
     """
     p, q = problem.model_p, problem.model_q
     if isinstance(q, Categorical):
-        lr = np.full(q.size, np.nan)
         mask = q.probs > 0.0
-        if np.any(mask & (p.probs == 0.0)):
-            kl = math.inf
-            d = math.inf
-            sigma2 = math.inf
-        else:
-            lr[mask] = np.log(q.probs[mask]) - np.log(p.probs[mask])
-            kl = float(np.sum(q.probs[mask] * lr[mask]))
-            sigma2 = float(np.sum(q.probs[mask] * (lr[mask] - kl) ** 2))
-            d = float(np.max(np.abs(lr[mask] - kl)))
+        kl = d = sigma2 = math.inf
+        if not np.any(mask & (p.probs == 0.0)):
+            k = np.flatnonzero(mask)
+            lr = q.logpdf(k) - p.logpdf(k)
+            kl = float(np.sum(q.probs[mask] * lr))
+            sigma2 = float(np.sum(q.probs[mask] * (lr - kl) ** 2))
+            d = float(np.max(np.abs(lr - kl)))
         return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
 
     # unweighted KL(Q||P) and Var_Q(ln(q/p)) numerically; d is infinite
@@ -559,14 +560,16 @@ def tilted_stats(problem):
     return TiltedLikelihoodStats(kl, math.inf, sigma2, problem.shift)
 
 
-def _psi(problem, a, b, tilt):
-    """ln int p^a q^b + tilt under the constant weight; +inf unless finite."""
-    try:
-        val = _numeric.log_power_integral(problem.model_p, problem.model_q,
-                                          ConstWeight(), a, b)
-    except (ConvergenceError, FloatingPointError, OverflowError) as exc:
-        raise ConvergenceError(f"cumulant integral int p^{a} q^{b} diverged") from exc
-    return val + tilt if math.isfinite(val) else math.inf
+def _cumulant_fns(problem):
+    """(psi_P, psi_Q), read off the phi == 1 curve as in the module docstring."""
+    curve = AffinityCurve(problem.model_p, problem.model_q, ConstWeight())
+    shift = problem.shift
+
+    def psi(at, alpha):
+        val = curve._log_rho(at)
+        return val + alpha * shift if math.isfinite(val) else math.inf
+
+    return (lambda a: psi(1.0 - a, a)), (lambda a: psi(-a, a))
 
 
 def cumulants(problem, alpha):
@@ -578,9 +581,8 @@ def cumulants(problem, alpha):
     finite.
     """
     alpha = float(alpha)
-    tilt = alpha * problem.shift
-    return (_psi(problem, 1.0 - alpha, alpha, tilt),
-            _psi(problem, -alpha, 1.0 + alpha, tilt))
+    psi_p, psi_q = _cumulant_fns(problem)
+    return psi_p(alpha), psi_q(alpha)
 
 
 _LEGENDRE_SPAN = 20.0
@@ -626,11 +628,8 @@ def rate_function(problem, r):
     cumulant; they are linked by I_Q(r) = I_P(r) - r + shift, and I_P(0)
     is the tilted-likelihood Chernoff exponent.
     """
-    r = float(r)
-    shift = problem.shift
-    i_p = _legendre(lambda a: _psi(problem, 1.0 - a, a, a * shift), r)
-    i_q = _legendre(lambda a: _psi(problem, -a, 1.0 + a, a * shift), r)
-    return i_p, i_q
+    psi_p, psi_q = _cumulant_fns(problem)
+    return _legendre(psi_p, float(r)), _legendre(psi_q, float(r))
 
 
 def bernoulli_kl(a, b):

@@ -287,6 +287,48 @@ class TestErrorPaths:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        # rho(1) = E_phi(p) = e^349859 overflows a double
+        ["curve", "--model-p", '{"family": "poisson", "lambda": 1e6}',
+         "--model-q", '{"family": "poisson", "lambda": 1e-300}',
+         "--weight", '{"kind": "exp_tilt", "gamma": [0.3]}'],
+        # the weighted KL needs E_phi(p) = e^(2.35e23)
+        ["divergence", "--model-p", '{"family": "poisson", "lambda": 1e6}',
+         "--model-q", '{"family": "poisson", "lambda": 0.3}',
+         "--weight", '{"kind": "exp_tilt", "gamma": [40]}'],
+        ["identities", "--model-p", '{"family": "poisson", "lambda": 1e4}',
+         "--model-q", '{"family": "poisson", "lambda": 2e4}',
+         "--weight", '{"kind": "exp_tilt", "gamma": [0.1]}'],
+        # the arc KL of identity (iii) divides by rho(alpha*) = e^-6395
+        ["identities", "--model-p", '{"family": "poisson", "lambda": 1.0}',
+         "--model-q", '{"family": "poisson", "lambda": 1e4}',
+         "--weight", '{"kind": "exp_tilt", "gamma": [0.1]}'],
+        # E_phi(N(0, 1)) = e^800
+        ["divergence", "--model-p", '{"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}',
+         "--model-q", '{"family": "gaussian", "mean": [1.0], "cov": [[1.0]]}',
+         "--weight", '{"kind": "exp_tilt", "gamma": [40]}'],
+    ])
+    def test_normaliser_overflow_exits_3(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_underflowing_rho_is_reported(self, runner):
+        # ln rho(1/2) = -499968.4: rho_w underflows to 0, D_B stays exact
+        rep = run_json(runner, ["divergence", "--model-p", '{"family": "poisson", "lambda": 1e6}',
+                                "--model-q", '{"family": "poisson", "lambda": 1e-3}',
+                                "--alpha", "0.5"])
+        assert rep["results"]["rho_w"] == 0.0
+        assert rep["results"]["d_b_alpha"] == pytest.approx(
+            0.5 * (1e6 + 1e-3) - math.sqrt(1e3), rel=1e-12)
+
+    def test_tailbound_large_tilt_shift(self, runner):
+        rep = run_json(runner, ["tailbound", "--model-p", BERN_P, "--model-q", BERN_Q,
+                                "--weight", '{"kind": "exp_tilt", "gamma": [800]}',
+                                "--beta", "0.23", "--n", "200", "--replicates", "1000"])
+        assert rep["results"]["shift"] == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
+
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0

@@ -1,5 +1,6 @@
 """Exponential-family structure, weighted Bregman geometry, identity suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from wchernoff import (
     Cauchy,
     ChernoffArc,
     ConstWeight,
+    ConvergenceError,
     Exponential,
     ExpTiltWeight,
     Gaussian,
@@ -31,6 +33,7 @@ from wchernoff import (
     weighted_kl,
     weighted_normaliser,
 )
+from wchernoff import models
 from wchernoff.models import poisson_truncation
 
 P2, P1 = Poisson(2.0), Poisson(1.0)
@@ -193,6 +196,11 @@ class TestWeightedKL:
         assert weighted_kl(Cauchy(0.0, 1.0), Cauchy(3.0, 2.0), CONST) == pytest.approx(
             math.log(18.0 / 8.0), rel=1e-12)
 
+    def test_normaliser_overflow_raises(self):
+        # E_phi(p) = e^14795: no double holds the weighted KL
+        with pytest.raises(ConvergenceError):
+            weighted_kl(Poisson(42283.65), Poisson(1.77e-7), ExpTiltWeight([0.3]))
+
     def test_categorical_with_table(self):
         p = Categorical([0.5, 0.5])
         q = Categorical([0.25, 0.75])
@@ -324,6 +332,22 @@ class TestVerifyIdentities:
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedCombinationError):
             verify_identities(Cauchy(0.0, 1.0), Cauchy(1.0, 1.0), CONST)
+
+    def test_wrong_closed_forms_show(self, monkeypatch):
+        # (v) and (vii) are checked against the summed curve, so an error in
+        # the family's Ghat or lnE cannot cancel against itself
+        real = models.poisson_family
+
+        def broken(gamma=0.0):
+            fam = real(gamma)
+            return dataclasses.replace(fam, Ghat=lambda y: fam.Ghat(y) + 0.01,
+                                       lnE=lambda t: fam.lnE(t) + 0.01)
+
+        monkeypatch.setattr(models, "poisson_family", broken)
+        report = verify_identities(P2, P1, ExpTiltWeight([0.3]))
+        assert report["boundary"] == "interior"
+        assert report["identities"]["one_parameter_alpha"]["residual"] > 1e-8
+        assert report["identities"]["jensen_decomposition"]["residual"] > 1e-8
 
 
 class TestChernoffEfficiency:

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from wchernoff import (
     Categorical,
     Cauchy,
     ConstWeight,
+    ConvergenceError,
     Exponential,
     ExpTiltWeight,
     Gaussian,
@@ -20,6 +21,7 @@ from wchernoff import (
     TableWeight,
     TiltedDensity,
     log_density,
+    log_weighted_normaliser,
     model_from_json,
     model_to_json,
     rng_stream,
@@ -34,6 +36,21 @@ from wchernoff.models import poisson_truncation
 
 
 class TestLogDensity:
+    @pytest.mark.parametrize("model, points, oracle", [
+        (Gaussian([0.5], [[2.0]]), [-3.0, 0.0, 0.5, 4.25],
+         stats.norm(0.5, math.sqrt(2.0)).logpdf),
+        (Poisson(3.5), [0, 1, 7, 40], stats.poisson(3.5).logpmf),
+        (Exponential(1.5), [0.0, 0.25, 9.0], stats.expon(scale=1.0 / 1.5).logpdf),
+        (Cauchy(1.0, 0.5), [-10.0, 1.0, 3.0], stats.cauchy(1.0, 0.5).logpdf),
+        (Categorical([0.2, 0.0, 0.8]), [0, 1, 2],
+         lambda k: np.array([math.log(0.2), -np.inf, math.log(0.8)])[k]),
+    ])
+    def test_logpdf_on_arrays_and_points(self, model, points, oracle):
+        vec = model.logpdf(np.asarray(points, dtype=float))
+        np.testing.assert_allclose(vec, oracle(np.asarray(points)), rtol=1e-12)
+        for x, v in zip(points, vec):
+            assert log_density(model, x) == pytest.approx(v, rel=1e-15, abs=0.0)
+
     def test_standard_normal_mode(self):
         m = Gaussian(mean=[0.0], cov=[[1.0]])
         assert log_density(m, 0.0) == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-12)
@@ -155,6 +172,21 @@ class TestWeightedNormaliser:
     def test_table_on_categorical(self):
         val = weighted_normaliser(Categorical([0.25, 0.75]), TableWeight([1.0, 2.0]))
         assert val == pytest.approx(0.25 + 1.5)
+
+    def test_log_normaliser_past_overflow(self):
+        # ln E_phi stays finite where E_phi itself does not fit a double
+        g = Gaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 2.0]])
+        gamma = np.array([30.0, -20.0])
+        assert log_weighted_normaliser(g, ExpTiltWeight(gamma)) == pytest.approx(
+            float(gamma @ g.mean + 0.5 * gamma @ g.cov @ gamma), rel=1e-14)
+        assert log_weighted_normaliser(Poisson(1e6), ExpTiltWeight([40.0])) == pytest.approx(
+            1e6 * math.expm1(40.0), rel=1e-14)
+        cat = Categorical([0.25, 0.75])
+        assert log_weighted_normaliser(cat, ExpTiltWeight([800.0])) == pytest.approx(
+            800.0 + math.log(0.75), rel=1e-15)
+        for m, w in ((Poisson(1e6), ExpTiltWeight([40.0])), (cat, ExpTiltWeight([800.0]))):
+            with pytest.raises(ConvergenceError):
+                weighted_normaliser(m, w)
 
     def test_divergent_weight_rejected(self):
         with pytest.raises(NonIntegrableWeightError):

@@ -45,7 +45,7 @@ TILT = ExpTiltWeight([0.3])
 
 def product_space(models, weight, n, ks):
     """phi^n and p_i^n on the full n-fold product of the points `ks`."""
-    phi = np.exp(_numeric.log_weight_vec(weight, ks))
+    phi = np.exp(weight.log_value(ks))
     dens = [np.exp(_numeric.logpdf_vec(m, ks)) for m in models]
 
     def power(v):

@@ -374,6 +374,30 @@ class TestCumulants:
         assert psi_p == pytest.approx(2.0 ** 10 - 11.0, rel=1e-13)
         assert psi_q == pytest.approx(2.0 ** 11 - 12.0, rel=1e-13)
 
+    def test_poisson_closed_form_far_outside_unit_interval(self):
+        # the sum over S needs a tilted mean of 2^21 here; the family's F does not
+        psi_p, psi_q = cumulants(BinaryTestProblem(Poisson(1.0), Poisson(2.0), CONST, 1), 20.0)
+        assert psi_p == pytest.approx(2.0 ** 20 - 21.0, rel=1e-13)
+        assert psi_q == pytest.approx(2.0 ** 21 - 22.0, rel=1e-13)
+
+    def test_gaussian_unequal_variance_continuation(self):
+        # psi_P(3/2) = ln int p^(-1/2) q^(3/2) for N(0, 1), N(1, 2): a Gaussian
+        # integral of precision 1/4; psi_Q(3/2) has precision -1/4 and diverges
+        prob = BinaryTestProblem(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), CONST, 1)
+        psi_p, psi_q = cumulants(prob, 1.5)
+        expected = (0.25 * math.log(2.0 * math.pi) - 0.75 * math.log(4.0 * math.pi)
+                    + 0.5 * math.log(8.0 * math.pi) + 0.75)
+        assert psi_p == pytest.approx(expected, rel=1e-13)
+        assert psi_q == math.inf
+
+    def test_exponential_divergent_cumulant_is_infinite(self):
+        # p = Exponential(2), q = Exponential(1): int q^a p^(1-a) = 2^(1-a)/(2-a)
+        # for a < 2, and int q^(1+a) p^-a diverges for a >= 1
+        prob = BinaryTestProblem(Exponential(2.0), Exponential(1.0), CONST, 1)
+        psi_p, psi_q = cumulants(prob, 1.5)
+        assert psi_p == pytest.approx(0.5 * math.log(2.0), rel=1e-13)
+        assert psi_q == math.inf
+
     def test_grid_unchanged_inside_unit_interval(self):
         w = ExpTiltWeight([0.25])
         grid = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w)
@@ -381,6 +405,36 @@ class TestCumulants:
             same = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w, a, 1.0 - a)
             assert np.array_equal(same, grid)
         assert _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), CONST).size == 50
+
+
+class TestWeightReadability:
+    """Loss problems reject weights the statistics cannot evaluate."""
+
+    @pytest.mark.parametrize("weight, message", [
+        (TableWeight([1.0, 2.0]), "only supported on categorical"),
+        # long enough for every sampled count: the parent returned a number
+        (TableWeight(np.linspace(1.0, 2.0, 40)), "only supported on categorical"),
+        (ExpTiltWeight([0.1, 0.2]), "must be scalar for discrete"),
+    ])
+    def test_binary_problem(self, weight, message):
+        with pytest.raises(PreconditionError, match=message):
+            BinaryTestProblem(Poisson(2.0), Poisson(1.0), weight, 3)
+
+    def test_mary_problem(self):
+        gaussians = (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[1.0]]))
+        with pytest.raises(PreconditionError, match="gaussian dimension"):
+            MAryProblem(gaussians, ExpTiltWeight([0.1, 0.2]))
+
+
+class TestShift:
+    def test_large_poisson_tilt_stays_in_log_domain(self):
+        prob = BinaryTestProblem(Poisson(1e6), Poisson(0.3), ExpTiltWeight([40.0]), 1)
+        assert prob.shift == pytest.approx(math.expm1(40.0) * (1e6 - 0.3), rel=1e-12)
+
+    def test_large_categorical_tilt(self):
+        # E_phi = e^800 (p_1 + p_0 e^-800) overflows, its log does not
+        assert bern_problem(1, ExpTiltWeight([800.0])).shift == pytest.approx(
+            math.log(0.5 / 0.75), abs=1e-12)
 
 
 class TestRateFunction:
