@@ -41,19 +41,6 @@ from .models import (
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
-# largest Poisson tilted mean summed term by term (bounds the grid's memory)
-MAX_SUM_TERMS = 1_000_000
-
-
-def common_support(model_p, model_q):
-    sp, sq = model_p.support, model_q.support
-    if sp != sq:
-        raise UnsupportedCombinationError(
-            f"models live on different sample spaces ({sp} vs {sq})"
-        )
-    if isinstance(model_p, Gaussian) and model_p.dim != getattr(model_q, "dim", 1):
-        raise UnsupportedCombinationError("gaussian models have different dimensions")
-    return sp
 
 
 def check_scalar(*models):
@@ -76,14 +63,10 @@ def discrete_grid(model_p, model_q, weight=None, a=1.0, b=0.0):
     mean e^g lam_p^a lam_q^b, at most e^max(g,0) max(lam) for a, b in [0, 1].
     """
     if isinstance(model_p, Categorical):
-        if model_p.size != model_q.size:
-            raise UnsupportedCombinationError("categorical supports differ in size")
         return np.arange(model_p.size)
     gamma = weight.scalar if isinstance(weight, ExpTiltWeight) else 0.0
     size = max(math.exp(max(gamma, 0.0)) * max(model_p.lam, model_q.lam),
                math.exp(gamma) * model_p.lam ** a * model_q.lam ** b)
-    if size > MAX_SUM_TERMS:
-        raise ConvergenceError(f"Poisson sum over a tilted mean of {size:.3e} is too long")
     return np.arange(poisson_truncation(size) + 1)
 
 
@@ -108,14 +91,6 @@ def log_summands(model_p, model_q, weight, a, b):
     return lp, lq, np.where(np.isnan(logs), -np.inf, logs)  # 0 * ln 0 style corners
 
 
-def log_sum_exp(logs):
-    """ln sum exp(logs), shifted by the largest term (scipy's takes ~100 us per call)."""
-    top = float(np.max(logs))
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.sum(np.exp(logs - top))))
-
-
 def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
     """integral phi * p^a * q^b * factor(ln p, ln q) over the common support.
 
@@ -123,9 +98,10 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
     Discrete supports are summed exactly; continuous supports use adaptive
     quadrature with absolute tolerance 1e-12 and relative tolerance 1e-10,
     and raise ConvergenceError when QUADPACK reports a failure (a divergent
-    integral can come back finite with a small error estimate).
+    integral can come back finite with a small error estimate).  The pair
+    must have passed `models.check_models`.
     """
-    support = common_support(model_p, model_q)
+    support = model_p.support
 
     if support in ("nonneg_int", "finite"):
         lp, lq, logs = log_summands(model_p, model_q, weight, a, b)

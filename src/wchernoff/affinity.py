@@ -31,13 +31,13 @@ from .errors import (
 )
 from .models import (
     Cauchy,
-    Exponential,
-    ExpTiltWeight,
     Gaussian,
     _is_const,
+    check_models,
     embed_pair,
+    exp_or_raise,
+    log_sum_exp,
     tilt_gamma,
-    validate_combination,
 )
 
 __all__ = [
@@ -130,31 +130,6 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
     return 4.0 * math.sqrt(s1 * s2) / (math.pi * math.sqrt(denom2)) * elliptic_k(m)
 
 
-def _diagnostics(models, weight):
-    """Admissibility of the weight for a list of models.
-
-    The union of the per-model diagnostics, except for an exponential pair:
-    its affinity integral needs alpha*rate_p + (1-alpha)*rate_q > gamma at
-    the evaluated alpha only, so gamma equal to the smaller rate is
-    admitted here (one endpoint of the curve diverges to +inf, which a
-    minimiser over alpha tolerates) even though the single-model
-    normaliser E_phi diverges at that gamma.
-    """
-    if (len(models) == 2 and all(isinstance(m, Exponential) for m in models)
-            and isinstance(weight, ExpTiltWeight) and weight.gamma.shape[0] == 1):
-        if weight.scalar >= max(m.rate for m in models):
-            return [
-                "weight not integrable under both hypotheses: requires gamma < max(rate)"
-            ]
-        return []
-    diags = []
-    for m in models:
-        for d in validate_combination(m, weight):
-            if d not in diags:
-                diags.append(d)
-    return diags
-
-
 # ---------------------------------------------------------------------------
 # The affinity curve
 # ---------------------------------------------------------------------------
@@ -170,7 +145,8 @@ class AffinityCurve:
     The evaluation mode is chosen automatically: closed form for
     Gaussian/Poisson/Exponential pairs under const/exp-tilt weights, exact
     summation for discrete pairs, adaptive quadrature otherwise.  Pass
-    `mode` to force the generic path (used for cross-validation).
+    `mode` to force the generic path (used for cross-validation).  The
+    constructor rejects an inadmissible pair and weight (`check_models`).
 
     A pair inside one 1-D exponential family keeps its `embedding`
     (family, theta1, theta2) and reads F(a) = Fhat(theta_a) - a F(theta1) -
@@ -182,10 +158,7 @@ class AffinityCurve:
     """
 
     def __init__(self, model_p, model_q, weight, mode=None):
-        _numeric.common_support(model_p, model_q)
-        diags = _diagnostics((model_p, model_q), weight)
-        if diags:
-            raise PreconditionError("; ".join(diags))
+        check_models((model_p, model_q), weight)
         self.model_p = model_p
         self.model_q = model_q
         self.weight = weight
@@ -214,16 +187,12 @@ class AffinityCurve:
             return self._closed_log_rho(alpha)
         args = (self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha)
         if self.model_p.support in ("finite", "nonneg_int"):
-            return _numeric.log_sum_exp(_numeric.log_summands(*args)[2])
+            return log_sum_exp(_numeric.log_summands(*args)[2])
         val = _numeric.weighted_power_integral(*args)
         return math.log(val) if val > 0.0 else -math.inf
 
     def rho(self, alpha):
-        log_rho = self.log_rho(alpha)
-        try:
-            return math.exp(log_rho)
-        except OverflowError as exc:
-            raise ConvergenceError(f"rho = e^{log_rho:.6g} overflows a double") from exc
+        return exp_or_raise(self.log_rho(alpha), "rho")
 
     def bhattacharyya(self, alpha):
         return -self.log_rho(alpha)

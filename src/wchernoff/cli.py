@@ -1,9 +1,11 @@
 """Command-line front-end.
 
-Each command parses model/weight JSON (inline or by file path), validates
-weight admissibility before computing, and emits a machine-readable report.
-Floats are printed with 17 significant digits so every value reparses
-exactly and repeated runs with the same inputs are byte-identical.
+Each command parses model/weight JSON (inline or by file path) and emits a
+machine-readable report.  The library rejects an inadmissible model/weight
+combination when the problem or curve is built (`models.check_models`),
+before anything is computed.  Floats are printed with 17 significant
+digits so every value reparses exactly and repeated runs with the same
+inputs are byte-identical.
 
 Exit status: 0 success, 2 precondition/validation errors, 3 numerical
 non-convergence.
@@ -11,6 +13,7 @@ non-convergence.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -92,7 +95,7 @@ def _report(command, inputs, results):
 
 
 # ---------------------------------------------------------------------------
-# Input parsing and validation
+# Input parsing and error reporting
 # ---------------------------------------------------------------------------
 
 
@@ -110,36 +113,34 @@ def _load_json(text, what):
                                 f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _parse_model(text, what):
-    return model_from_json(_load_json(text, what))
-
-
 def _parse_weight(text):
     if text is None:
         return ConstWeight()
     return weight_from_json(_load_json(text, "--weight"))
 
 
-def validate_inputs(models, weight):
-    """Admissibility diagnostics before any computation (spec `validate`)."""
-    return affinity._diagnostics(models, weight)
+def _parse_pair(model_p, model_q, weight):
+    """(p, q, weight) from the --model-p, --model-q and --weight texts."""
+    return (model_from_json(_load_json(model_p, "--model-p")),
+            model_from_json(_load_json(model_q, "--model-q")),
+            _parse_weight(weight))
 
 
-def _require_valid(models, weight):
-    diags = validate_inputs(models, weight)
-    if diags:
-        raise PreconditionError("; ".join(diags))
+def _guarded(command):
+    """Report a package error as one stderr line and exit 2 or 3."""
 
+    @functools.wraps(command)
+    def run(**kwargs):
+        try:
+            command(**kwargs)
+        except PreconditionError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_PRECONDITION)
+        except (ConvergenceError, RateInfiniteError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_NONCONVERGENCE)
 
-def _guarded(fn):
-    try:
-        fn()
-    except PreconditionError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
-    except (ConvergenceError, RateInfiniteError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NONCONVERGENCE)
+    return run
 
 
 def _inputs_digest(weight, **models):
@@ -174,19 +175,12 @@ _out = click.option("--out", default=None, help="output path (default stdout)")
 @_weight
 @click.option("--solver", default="auto", type=click.Choice(["auto", "generic"]))
 @_out
+@_guarded
 def cmd_chernoff(model_p, model_q, weight, solver, out):
     """Optimal Chernoff parameter and weighted Chernoff information."""
-
-    def run():
-        p = _parse_model(model_p, "--model-p")
-        q = _parse_model(model_q, "--model-q")
-        w = _parse_weight(weight)
-        _require_valid([p, q], w)
-        res = affinity.chernoff(p, q, w, solver=solver)
-        _emit(_report("chernoff", _inputs_digest(w, model_p=p, model_q=q),
-                      res.to_dict()), out)
-
-    _guarded(run)
+    p, q, w = _parse_pair(model_p, model_q, weight)
+    res = affinity.chernoff(p, q, w, solver=solver)
+    _emit(_report("chernoff", _inputs_digest(w, model_p=p, model_q=q), res.to_dict()), out)
 
 
 @main.command("curve")
@@ -196,30 +190,24 @@ def cmd_chernoff(model_p, model_q, weight, solver, out):
 @click.option("--grid", default=101, type=int, help="number of alpha points (>= 3)")
 @click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
 @_out
+@_guarded
 def cmd_curve(model_p, model_q, weight, grid, fmt, out):
     """Tabulate (alpha, rho_w, D_B_alpha) over [0, 1]."""
-
-    def run():
-        if grid < 3:
-            raise PreconditionError("--grid must be at least 3")
-        p = _parse_model(model_p, "--model-p")
-        q = _parse_model(model_q, "--model-q")
-        w = _parse_weight(weight)
-        _require_valid([p, q], w)
-        curve = affinity.AffinityCurve(p, q, w)
-        rows = []
-        for alpha in np.linspace(0.0, 1.0, grid):
-            a = float(alpha)
-            rows.append((a, curve.rho(a), curve.bhattacharyya(a)))
-        if fmt == "csv":
-            lines = ["alpha,rho_w,d_b_alpha"]
-            lines += [",".join(_fmt_float(v) for v in row) for row in rows]
-            _emit("\n".join(lines) + "\n", out)
-        else:
-            _emit(_report("curve", _inputs_digest(w, model_p=p, model_q=q),
-                          {"rows": [list(r) for r in rows]}), out)
-
-    _guarded(run)
+    if grid < 3:
+        raise PreconditionError("--grid must be at least 3")
+    p, q, w = _parse_pair(model_p, model_q, weight)
+    curve = affinity.AffinityCurve(p, q, w)
+    rows = []
+    for alpha in np.linspace(0.0, 1.0, grid):
+        a = float(alpha)
+        rows.append((a, curve.rho(a), curve.bhattacharyya(a)))
+    if fmt == "csv":
+        lines = ["alpha,rho_w,d_b_alpha"]
+        lines += [",".join(_fmt_float(v) for v in row) for row in rows]
+        _emit("\n".join(lines) + "\n", out)
+    else:
+        _emit(_report("curve", _inputs_digest(w, model_p=p, model_q=q),
+                      {"rows": [list(r) for r in rows]}), out)
 
 
 @main.command("divergence")
@@ -229,29 +217,23 @@ def cmd_curve(model_p, model_q, weight, grid, fmt, out):
 @click.option("--alpha", default=None, type=float,
               help="also report rho_w and D_B at this alpha")
 @_out
+@_guarded
 def cmd_divergence(model_p, model_q, weight, alpha, out):
     """Weighted KL divergence (plus affinities and Cauchy closed forms)."""
-
-    def run():
-        p = _parse_model(model_p, "--model-p")
-        q = _parse_model(model_q, "--model-q")
-        w = _parse_weight(weight)
-        _require_valid([p, q], w)
-        results = {"weighted_kl": expfam.weighted_kl(p, q, w)}
-        if alpha is not None:
-            curve = affinity.AffinityCurve(p, q, w)
-            results["alpha"] = float(alpha)
-            results["rho_w"] = curve.rho(alpha)
-            results["d_b_alpha"] = curve.bhattacharyya(alpha)
-        if isinstance(p, Cauchy) and isinstance(q, Cauchy):
-            rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
-            results["cauchy_kl"] = affinity.cauchy_kl(p, q)
-            results["cauchy_rho_half"] = rho_half
-            results["cauchy_d_c"] = -math.log(rho_half)
-        _emit(_report("divergence", _inputs_digest(w, model_p=p, model_q=q),
-                      results), out)
-
-    _guarded(run)
+    p, q, w = _parse_pair(model_p, model_q, weight)
+    # the curve checks the weight against both models; the KL needs p's only
+    curve = affinity.AffinityCurve(p, q, w)
+    results = {"weighted_kl": expfam.weighted_kl(p, q, w)}
+    if alpha is not None:
+        results["alpha"] = float(alpha)
+        results["rho_w"] = curve.rho(alpha)
+        results["d_b_alpha"] = curve.bhattacharyya(alpha)
+    if isinstance(p, Cauchy) and isinstance(q, Cauchy):
+        rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
+        results["cauchy_kl"] = affinity.cauchy_kl(p, q)
+        results["cauchy_rho_half"] = rho_half
+        results["cauchy_d_c"] = -math.log(rho_half)
+    _emit(_report("divergence", _inputs_digest(w, model_p=p, model_q=q), results), out)
 
 
 @main.command("simulate")
@@ -264,30 +246,23 @@ def cmd_divergence(model_p, model_q, weight, alpha, out):
 @click.option("--seed", default=0, type=int)
 @click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"]))
 @_out
+@_guarded
 def cmd_simulate(model_p, model_q, weight, ns, replicates, seed, fmt, out):
     """Monte Carlo optimal-loss estimate against the Chernoff reference."""
-
-    def run():
-        p = _parse_model(model_p, "--model-p")
-        q = _parse_model(model_q, "--model-q")
-        w = _parse_weight(weight)
-        _require_valid([p, q], w)
-        reports = [
-            testing.simulate(testing.BinaryTestProblem(p, q, w, n), replicates, seed)
-            for n in ns
-        ]
-        if fmt == "csv":
-            lines = ["n,exponent_estimate,d_c_w"]
-            lines += [f"{r.n},{_fmt_float(r.exponent_estimate)},{_fmt_float(r.d_c_w_reference)}"
-                      for r in reports]
-            _emit("\n".join(lines) + "\n", out)
-        else:
-            payload = [r.to_dict() for r in reports]
-            results = payload[0] if len(payload) == 1 else {"reports": payload}
-            _emit(_report("simulate", _inputs_digest(w, model_p=p, model_q=q),
-                          results), out)
-
-    _guarded(run)
+    p, q, w = _parse_pair(model_p, model_q, weight)
+    reports = [
+        testing.simulate(testing.BinaryTestProblem(p, q, w, n), replicates, seed)
+        for n in ns
+    ]
+    if fmt == "csv":
+        lines = ["n,exponent_estimate,d_c_w"]
+        lines += [f"{r.n},{_fmt_float(r.exponent_estimate)},{_fmt_float(r.d_c_w_reference)}"
+                  for r in reports]
+        _emit("\n".join(lines) + "\n", out)
+    else:
+        payload = [r.to_dict() for r in reports]
+        results = payload[0] if len(payload) == 1 else {"reports": payload}
+        _emit(_report("simulate", _inputs_digest(w, model_p=p, model_q=q), results), out)
 
 
 @main.command("mary")
@@ -297,31 +272,26 @@ def cmd_simulate(model_p, model_q, weight, ns, replicates, seed, fmt, out):
 @click.option("--priors", default=None,
               help="comma-separated positive priors summing to 1")
 @_out
+@_guarded
 def cmd_mary(models_spec, weight, priors, out):
     """Pairwise weighted Chernoff matrix and its minimum C_M^w."""
-
-    def run():
-        raw = _load_json(models_spec, "--models")
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise PreconditionError("--models must be a JSON list of at least two models")
-        models = [model_from_json(m) for m in raw]
-        w = _parse_weight(weight)
-        _require_valid(models, w)
-        pr = None
-        if priors is not None:
-            try:
-                pr = tuple(float(t) for t in priors.split(","))
-            except ValueError as exc:
-                raise PreconditionError(f"--priors: {exc}") from exc
-        problem = testing.MAryProblem(tuple(models), w, pr)
-        results = testing.mary_exponent(problem)
-        inputs = {"models": [model_to_json(m) for m in models],
-                  "weight": weight_to_json(w)}
-        if pr is not None:
-            inputs["priors"] = list(pr)
-        _emit(_report("mary", inputs, results), out)
-
-    _guarded(run)
+    raw = _load_json(models_spec, "--models")
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise PreconditionError("--models must be a JSON list of at least two models")
+    models = [model_from_json(m) for m in raw]
+    w = _parse_weight(weight)
+    pr = None
+    if priors is not None:
+        try:
+            pr = tuple(float(t) for t in priors.split(","))
+        except ValueError as exc:
+            raise PreconditionError(f"--priors: {exc}") from exc
+    problem = testing.MAryProblem(tuple(models), w, pr)
+    results = testing.mary_exponent(problem)
+    inputs = {"models": [model_to_json(m) for m in models], "weight": weight_to_json(w)}
+    if pr is not None:
+        inputs["priors"] = list(pr)
+    _emit(_report("mary", inputs, results), out)
 
 
 @main.command("tailbound")
@@ -333,33 +303,27 @@ def cmd_mary(models_spec, weight, priors, out):
 @click.option("--replicates", default=100000, type=int)
 @click.option("--seed", default=0, type=int)
 @_out
+@_guarded
 def cmd_tailbound(model_p, model_q, weight, beta, n, replicates, seed, out):
     """Martingale tail bound for L* versus its empirical frequency under Q."""
-
-    def run():
-        p = _parse_model(model_p, "--model-p")
-        q = _parse_model(model_q, "--model-q")
-        w = _parse_weight(weight)
-        _require_valid([p, q], w)
-        problem = testing.BinaryTestProblem(p, q, w, n)
-        stats = testing.tilted_stats(problem)
-        bound = testing.tail_bound(problem, beta, n)
-        freq, se = testing.tail_frequency(problem, beta, n, replicates, seed)
-        _emit(_report("tailbound", _inputs_digest(w, model_p=p, model_q=q), {
-            "beta": float(beta),
-            "n": n,
-            "bound": bound,
-            "empirical_frequency": freq,
-            "std_error": se,
-            "kl_qp": stats.kl_qp,
-            "d_bound": stats.d_bound,
-            "sigma2": stats.sigma2,
-            "shift": stats.shift,
-            "replicates": replicates,
-            "seed": seed,
-        }), out)
-
-    _guarded(run)
+    p, q, w = _parse_pair(model_p, model_q, weight)
+    problem = testing.BinaryTestProblem(p, q, w, n)
+    stats = testing.tilted_stats(problem)
+    bound = testing.tail_bound(problem, beta, n)
+    freq, se = testing.tail_frequency(problem, beta, n, replicates, seed)
+    _emit(_report("tailbound", _inputs_digest(w, model_p=p, model_q=q), {
+        "beta": float(beta),
+        "n": n,
+        "bound": bound,
+        "empirical_frequency": freq,
+        "std_error": se,
+        "kl_qp": stats.kl_qp,
+        "d_bound": stats.d_bound,
+        "sigma2": stats.sigma2,
+        "shift": stats.shift,
+        "replicates": replicates,
+        "seed": seed,
+    }), out)
 
 
 @main.command("identities")
@@ -367,19 +331,12 @@ def cmd_tailbound(model_p, model_q, weight, beta, n, replicates, seed, out):
 @_model_q
 @_weight
 @_out
+@_guarded
 def cmd_identities(model_p, model_q, weight, out):
     """Residuals of the exponential-family divergence identity suite."""
-
-    def run():
-        p = _parse_model(model_p, "--model-p")
-        q = _parse_model(model_q, "--model-q")
-        w = _parse_weight(weight)
-        _require_valid([p, q], w)
-        results = expfam.verify_identities(p, q, w)
-        _emit(_report("identities", _inputs_digest(w, model_p=p, model_q=q),
-                      results), out)
-
-    _guarded(run)
+    p, q, w = _parse_pair(model_p, model_q, weight)
+    results = expfam.verify_identities(p, q, w)
+    _emit(_report("identities", _inputs_digest(w, model_p=p, model_q=q), results), out)
 
 
 if __name__ == "__main__":

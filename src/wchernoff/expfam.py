@@ -29,15 +29,14 @@ from .affinity import (
     cauchy_kl,
     chernoff,
 )
-from .errors import ConvergenceError, PreconditionError, UnsupportedCombinationError
+from .errors import ConvergenceError, PreconditionError
 from .models import (
     Categorical,
     Cauchy,
+    ConstWeight,
     ExpFamily1D,
     Gaussian,
-    TableWeight,
-    _is_const,
-    check_table_length,
+    check_models,
     embed_pair,
     exponential_family,
     family_of_pair,
@@ -72,12 +71,13 @@ def weighted_kl(model_p, model_q, weight):
 
     For the closed-form pairs of `AffinityCurve` this is E_phi(p) F'(1):
     F'(1) is the mean of ln(p/q) under the tilted p, so only p's tilt has
-    to be integrable.  Exact summation for categorical models, the Cauchy
-    closed form, quadrature otherwise.
+    to be integrable, and the weight is checked against p alone.  Exact
+    summation for categorical models, the Cauchy closed form (a Cauchy
+    model admits only the constant weight), quadrature otherwise.
     """
-    _numeric.common_support(model_p, model_q)
+    check_models((model_p,), weight)
+    check_models((model_p, model_q), ConstWeight())
     if isinstance(model_p, Categorical):
-        check_table_length(weight, model_p)
         k = _numeric.discrete_grid(model_p, model_q)
         phi = weight.value(k)
         live = (model_p.probs > 0.0) & (phi > 0.0)
@@ -85,12 +85,8 @@ def weighted_kl(model_p, model_q, weight):
             return math.inf
         return float(np.sum(phi[live] * model_p.probs[live]
                             * (model_p.logpdf(k[live]) - model_q.logpdf(k[live]))))
-    if isinstance(weight, TableWeight):
-        raise UnsupportedCombinationError("table weights need a categorical support")
     if isinstance(model_p, Cauchy) and isinstance(model_q, Cauchy):
-        if _is_const(weight):
-            return cauchy_kl(model_p, model_q)
-        raise UnsupportedCombinationError("weighted KL for Cauchy requires the constant weight")
+        return cauchy_kl(model_p, model_q)
     if ((isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian))
             or embed_pair(model_p, model_q, weight) is not None):
         e_p = weighted_normaliser(model_p, weight)
@@ -195,8 +191,8 @@ def verify_identities(model_p, model_q, weight):
     optimal alpha are reported as not applicable when the optimum sits on
     the boundary or the curve is flat.
     """
-    fam, t1, t2 = family_of_pair(model_p, model_q, weight)
     curve = AffinityCurve(model_p, model_q, weight)
+    fam, t1, t2 = family_of_pair(model_p, model_q, weight)
     # (v) and (vii) test the closed forms against the generic integrals
     numeric = AffinityCurve(model_p, model_q, weight,
                             mode=SUMMATION if model_p.support == "nonneg_int" else QUADRATURE)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import (
     ConvergenceError,
@@ -48,6 +48,7 @@ __all__ = [
     "sample",
     "rng_stream",
     "poisson_truncation",
+    "check_models",
     "model_from_json",
     "weight_from_json",
     "model_to_json",
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 _MAX_GAUSSIAN_DIM = 64
+# largest Poisson tilted mean summed term by term (bounds the grid's memory)
+MAX_SUM_TERMS = 1_000_000
 
 
 def rng_stream(seed, *key):
@@ -72,10 +75,29 @@ def poisson_truncation(max_mean):
     """Summation cutoff K for Poisson-type tails.
 
     sum_{k>K} Poi(m, k) < 1e-16 for every mean m <= max_mean with this
-    choice, so truncated sums are exact at double precision.
+    choice, so truncated sums are exact at double precision.  A mean above
+    MAX_SUM_TERMS raises ConvergenceError.
     """
+    if max_mean > MAX_SUM_TERMS:
+        raise ConvergenceError(f"Poisson sum over a tilted mean of {max_mean:.3e} is too long")
     m = max(float(max_mean), 1.0)
     return int(math.ceil(m + 12.0 * math.sqrt(m) + 30.0))
+
+
+def log_sum_exp(logs):
+    """ln sum exp(logs), shifted by the largest term (scipy's takes ~100 us per call)."""
+    top = float(np.max(logs))
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.sum(np.exp(logs - top))))
+
+
+def exp_or_raise(log_x, name):
+    """e^log_x, or ConvergenceError naming `name` where that overflows a double."""
+    try:
+        return math.exp(log_x)
+    except OverflowError as exc:
+        raise ConvergenceError(f"{name} = e^{log_x:.6g} overflows a double") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -396,47 +418,65 @@ def sample(model, rng, count):
     return model.sample(rng, int(count))
 
 
-def _unreadable(model, weight):
-    """Why `weight` cannot be evaluated at `model`'s sample points, or None."""
+def validate_combination(model, weight):
+    """Why `weight` is inadmissible for `model`, as a list of diagnostics.
+
+    Empty means every weighted normaliser of the model is finite and the
+    weight can be read at its sample points.  `check_models` applies it to
+    every model of a problem; nothing else decides admissibility.
+    """
     if isinstance(weight, TableWeight):
         if not isinstance(model, Categorical):
-            return "table weights are only supported on categorical models"
+            return ["table weights are only supported on categorical models"]
         if weight.values.size != model.size:
-            return "table weight length does not match categorical support size"
-    elif isinstance(weight, ExpTiltWeight) and weight.gamma.shape[0] != getattr(model, "dim", 1):
-        if isinstance(model, Gaussian):
-            return "exp_tilt gamma dimension does not match gaussian dimension"
-        if isinstance(model, Exponential):
-            return "exp_tilt gamma must be scalar for exponential models"
-        if isinstance(model, (Poisson, Categorical)):
-            return "exp_tilt gamma must be scalar for discrete models"
-    return None
-
-
-def check_table_length(weight, *models):
-    """Raise unless the weight can be read at every model's points (`_unreadable`)."""
-    for m in models:
-        diag = _unreadable(m, weight)
-        if diag:
-            raise PreconditionError(diag)
-
-
-def validate_combination(model, weight):
-    """Admissibility diagnostics for a (model, weight) pair.
-
-    Returns a list of human-readable diagnostic strings; empty means the
-    combination is admissible (all weighted normalisers finite).
-    """
-    diag = _unreadable(model, weight)
-    if diag:
-        return [diag]
-    if isinstance(weight, ExpTiltWeight):
+            return ["table weight length does not match categorical support size"]
+    elif isinstance(weight, ExpTiltWeight):
+        if weight.gamma.shape[0] != getattr(model, "dim", 1):
+            if isinstance(model, Gaussian):
+                return ["exp_tilt gamma dimension does not match gaussian dimension"]
+            if isinstance(model, Exponential):
+                return ["exp_tilt gamma must be scalar for exponential models"]
+            if isinstance(model, (Poisson, Categorical)):
+                return ["exp_tilt gamma must be scalar for discrete models"]
         if isinstance(model, Cauchy) and not weight.is_null():
             return ["exponential tilt is not integrable against Cauchy tails;"
                     " only gamma=0 is admissible"]
         if isinstance(model, Exponential) and weight.scalar >= model.rate:
             return [f"weight not integrable under rate {model.rate}: requires gamma < rate"]
     return []
+
+
+def check_models(models, weight):
+    """Raise unless (models, weight) is an admissible problem.
+
+    The weight rules come first (NonIntegrableWeightError): the union of
+    each model's `validate_combination`, except for an exponential pair,
+    whose affinity integral needs alpha*rate_p + (1-alpha)*rate_q > gamma
+    at the evaluated alpha only.  So gamma below the larger rate is
+    admitted there (one endpoint of the curve diverges to +inf, which a
+    minimiser over alpha tolerates) even though the single-model
+    normaliser E_phi of the other model diverges.  Then the models must
+    share one sample space, one dimension and one categorical size
+    (UnsupportedCombinationError).
+    """
+    if (len(models) == 2 and all(isinstance(m, Exponential) for m in models)
+            and isinstance(weight, ExpTiltWeight) and weight.gamma.shape[0] == 1):
+        diags = [] if weight.scalar < max(m.rate for m in models) else [
+            "weight not integrable under both hypotheses: requires gamma < max(rate)"]
+    else:
+        diags = list(dict.fromkeys(d for m in models for d in validate_combination(m, weight)))
+    if diags:
+        raise NonIntegrableWeightError("; ".join(diags))
+    first = models[0]
+    for m in models[1:]:
+        if m.support != first.support:
+            raise UnsupportedCombinationError(
+                f"models live on different sample spaces ({first.support} vs {m.support})"
+            )
+        if getattr(m, "dim", 1) != getattr(first, "dim", 1):
+            raise UnsupportedCombinationError("gaussian models have different dimensions")
+        if getattr(m, "size", None) != getattr(first, "size", None):
+            raise UnsupportedCombinationError("categorical supports differ in size")
 
 
 def _is_const(weight):
@@ -450,14 +490,12 @@ def log_weighted_normaliser(model, weight):
     Poisson, Exponential and 1-D Gaussian models, g'mu + g'Sigma g / 2 for
     other Gaussians, a log-domain sum over the categories.
     """
-    diags = validate_combination(model, weight)
-    if diags:
-        raise NonIntegrableWeightError("; ".join(diags))
+    check_models((model,), weight)
     if _is_const(weight):
         return 0.0
     if isinstance(model, Categorical):
         k = np.arange(model.size)
-        return float(logsumexp(model.logpdf(k) + weight.log_value(k)))
+        return log_sum_exp(model.logpdf(k) + weight.log_value(k))
     embedded = embed_pair(model, model, weight)
     if embedded is not None:
         fam, theta, _ = embedded
@@ -468,11 +506,7 @@ def log_weighted_normaliser(model, weight):
 
 def weighted_normaliser(model, weight):
     """E_phi(model) = exp(ln E_phi); ConvergenceError where it overflows a double."""
-    log_e = log_weighted_normaliser(model, weight)
-    try:
-        return math.exp(log_e)
-    except OverflowError as exc:
-        raise ConvergenceError(f"E_phi = e^{log_e:.6g} overflows a double") from exc
+    return exp_or_raise(log_weighted_normaliser(model, weight), "E_phi")
 
 
 @dataclass(frozen=True)
@@ -540,7 +574,7 @@ class ExpFamily1D:
         return self.F(theta) + self.lnE(theta)
 
     def E_phi(self, theta):
-        return math.exp(self.lnE(theta))
+        return exp_or_raise(self.lnE(theta), "E_phi")
 
     def dlnEstar(self, theta_star):
         """d/dtheta* of ln E_phi(grad F*(theta*)) = (ln E_phi)'(theta) / F''(theta)."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import _numeric
 from .affinity import AffinityCurve, chernoff
@@ -48,8 +48,10 @@ from .models import (
     ConstWeight,
     Exponential,
     Poisson,
-    check_table_length,
-    family_of_pair,
+    check_models,
+    embed_pair,
+    exp_or_raise,
+    log_sum_exp,
     log_weighted_normaliser,
     poisson_truncation,
     rng_stream,
@@ -95,8 +97,7 @@ class BinaryTestProblem:
     n: int
 
     def __post_init__(self):
-        _numeric.common_support(self.model_p, self.model_q)
-        check_table_length(self.weight, self.model_p, self.model_q)
+        check_models((self.model_p, self.model_q), self.weight)
         if int(self.n) < 1:
             raise PreconditionError("sample size n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
@@ -135,9 +136,7 @@ class MAryProblem:
         models = tuple(self.models)
         if len(models) < 2:
             raise PreconditionError("M-ary problem needs at least two models")
-        for m in models[1:]:
-            _numeric.common_support(models[0], m)
-        check_table_length(self.weight, *models)
+        check_models(models, self.weight)
         object.__setattr__(self, "models", models)
         if self.priors is not None:
             w = tuple(float(x) for x in self.priors)
@@ -277,8 +276,6 @@ class _SumStatistic:
         if self.family.name != "poisson":
             raise _no_exact_sum()
         top = self.n * math.exp(max(self.family.gamma, 0.0)) * max(m.lam for m in self.models)
-        if top > _numeric.MAX_SUM_TERMS:
-            raise ConvergenceError(f"Poisson sum over a tilted mean of {top:.3e} is too long")
         s = np.arange(poisson_truncation(top) + 1, dtype=float)
         return self.log_weight(s), [_numeric.logpdf_vec(Poisson(self.n * m.lam), s)
                                     for m in self.models]
@@ -289,8 +286,6 @@ class _CountStatistic:
 
     def __init__(self, models, weight, n):
         symbols = np.arange(models[0].size)
-        if any(m.size != symbols.size for m in models):
-            raise UnsupportedCombinationError("categorical supports differ in size")
         self.models, self.n = models, n
         self.log_phi = weight.log_value(symbols)
         self.log_probs = [_numeric.logpdf_vec(m, symbols) for m in models]
@@ -318,14 +313,15 @@ def _statistic(models, weight, n):
     Each statistic T offers draw(i, rng, count) under models[i],
     log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n up to a term shared
     by all models, and state_logs() -> (base, logs) over the states of T.
+    The models and weight have passed `check_models`, so every pair either
+    embeds in one family or has no such reading.
     """
     if isinstance(models[0], Categorical):
         return _CountStatistic(models, weight, n)
-    try:
-        families = [family_of_pair(models[0], m, weight)[0] for m in models[1:]]
-    except (UnsupportedCombinationError, PreconditionError):
+    embeddings = [embed_pair(models[0], m, weight) for m in models[1:]]
+    if None in embeddings:
         return _SampleStatistic(models, weight, n)
-    return _SumStatistic(models, families[0], n)
+    return _SumStatistic(models, embeddings[0][0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +347,9 @@ def _exact_estimate(log_terms, n):
     The sum is taken in the log domain, so the exponent stays exact where
     the loss itself underflows a double (Poisson pairs at n = 1e4).
     """
-    log_value = float(logsumexp(log_terms))
-    try:
-        value = math.exp(log_value)
-    except OverflowError as exc:
-        raise ConvergenceError(f"exact loss e^{log_value:.6g} overflows a double") from exc
-    return LossEstimate(value, 0.0, EXACT_ENUMERATION, 0, -log_value / n)
+    log_value = log_sum_exp(log_terms)
+    return LossEstimate(exp_or_raise(log_value, "exact loss"), 0.0, EXACT_ENUMERATION, 0,
+                        -log_value / n)
 
 
 def optimal_loss_exact(problem):

@@ -238,6 +238,58 @@ class TestIdentitiesCommand:
         assert result.exit_code == 2
 
 
+GAUSS_1 = '{"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}'
+GAUSS_2 = '{"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}'
+TILT_01 = '{"kind": "exp_tilt", "gamma": [0.1]}'
+CAUCHY_TAILS = ("exponential tilt is not integrable against Cauchy tails;"
+                " only gamma=0 is admissible")
+# inputs breaking a weight rule, every command rejects them before computing
+WEIGHT_ERRORS = {
+    "cauchy_tilt": (CAUCHY_P, CAUCHY_Q, TILT_01, CAUCHY_TAILS),
+    "exponential_gamma_2.5": (EXP_P, EXP_Q, '{"kind": "exp_tilt", "gamma": [2.5]}',
+                              "weight not integrable under both hypotheses:"
+                              " requires gamma < max(rate)"),
+    "table_on_poisson": (POISSON_P, POISSON_Q, '{"kind": "table", "values": [1.0, 2.0]}',
+                         "table weights are only supported on categorical models"),
+    # a sample-space rule is broken too; the weight rule is reported first
+    "poisson_vs_cauchy_tilt": (POISSON_P, CAUCHY_P, TILT_01, CAUCHY_TAILS),
+    # the weighted KL needs only p's weight, the command checks both models
+    "gaussian_vs_cauchy_tilt": (GAUSS_1, CAUCHY_P, TILT_01, CAUCHY_TAILS),
+}
+# inputs breaking a sample-space rule, for the commands that build a curve
+# or a problem of the pair first
+SPACE_ERRORS = {
+    "categorical_sizes": (BERN_P, '{"family": "categorical", "probs": [0.2, 0.3, 0.5]}',
+                          None, "categorical supports differ in size"),
+    "gaussian_dimensions": (GAUSS_1, GAUSS_2, None, "gaussian models have different dimensions"),
+    "poisson_vs_gaussian": (POISSON_P, GAUSS_1, None,
+                            "models live on different sample spaces (nonneg_int vs real)"),
+}
+COMMAND_ARGS = {
+    "chernoff": [], "curve": [], "divergence": [],
+    "simulate": ["--n", "5", "--replicates", "1000"],
+    "mary": [],
+    "tailbound": ["--beta", "0.2", "--n", "5", "--replicates", "1000"],
+    "identities": [],
+}
+REJECTIONS = ([(name, cmd) for name in WEIGHT_ERRORS for cmd in COMMAND_ARGS]
+              + [(name, cmd) for name in SPACE_ERRORS
+                 for cmd in ("chernoff", "curve", "divergence", "simulate", "mary")])
+
+
+@pytest.mark.parametrize("name, command", REJECTIONS)
+def test_validation_error_output(runner, name, command):
+    p, q, weight, message = {**WEIGHT_ERRORS, **SPACE_ERRORS}[name]
+    if command == "mary":
+        args = ["mary", "--models", f"[{p}, {q}]"]
+    else:
+        args = [command, "--model-p", p, "--model-q", q] + COMMAND_ARGS[command]
+    result = runner.invoke(main, args + (["--weight", weight] if weight else []))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 class TestErrorPaths:
     def test_malformed_json_points_at_location(self, runner):
         result = runner.invoke(main, ["chernoff", "--model-p", '{"family": ',

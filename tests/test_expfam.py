@@ -248,6 +248,11 @@ class TestWeightedBregman:
         with pytest.raises(PreconditionError):
             weighted_bregman(fam, -2.0, -0.3)
 
+    def test_normaliser_overflow_raises(self):
+        # E_phi(7) = e^1884 under the Poisson family tilted by gamma = 1
+        with pytest.raises(ConvergenceError):
+            weighted_bregman(poisson_family(1.0), 0.0, 7.0)
+
 
 class TestChernoffArc:
     CASES = [

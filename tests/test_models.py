@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from wchernoff import (
+    AffinityCurve,
+    BinaryTestProblem,
     Categorical,
     Cauchy,
     ConstWeight,
@@ -14,12 +16,14 @@ from wchernoff import (
     Exponential,
     ExpTiltWeight,
     Gaussian,
+    MAryProblem,
     NonIntegrableWeightError,
     OutsideSupportError,
     Poisson,
     PreconditionError,
     TableWeight,
     TiltedDensity,
+    UnsupportedCombinationError,
     log_density,
     log_weighted_normaliser,
     model_from_json,
@@ -30,9 +34,12 @@ from wchernoff import (
     weight_from_json,
     weight_to_json,
     weight_value,
+    mary_optimal_loss,
+    optimal_loss_mc,
+    weighted_kl,
     weighted_normaliser,
 )
-from wchernoff.models import poisson_truncation
+from wchernoff.models import check_models, log_sum_exp, poisson_truncation
 
 
 class TestLogDensity:
@@ -220,6 +227,63 @@ class TestValidateCombination:
     def test_table_only_on_categorical(self):
         diags = validate_combination(Poisson(1.0), TableWeight([1.0, 2.0]))
         assert diags
+
+
+@pytest.mark.parametrize("logs", [
+    np.array([-1e4, -1e4 + 3.0, -1e4 - 700.0]),
+    np.array([[0.5, -np.inf], [2.0, -3.0]]),  # 2-D, as the M-ary exact sum passes it
+    np.array([-np.inf, -np.inf]),
+])
+def test_log_sum_exp_matches_scipy(logs):
+    expected = special.logsumexp(logs) if np.isfinite(logs).any() else -np.inf
+    assert log_sum_exp(logs) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+class TestCheckModels:
+    """One admissibility check behind every entry point."""
+
+    @pytest.mark.parametrize("models, weight", [
+        # both losses diverge; Monte Carlo returned 3.0e41 +- 3.0e41 and 3.1e5 +- 1.5e5
+        ((Cauchy(0.0, 1.0), Cauchy(1.0, 1.0)), ExpTiltWeight([0.1])),
+        ((Exponential(2.0), Exponential(1.0)), ExpTiltWeight([2.5])),
+    ])
+    def test_monte_carlo_rejects_divergent_losses(self, models, weight):
+        with pytest.raises(NonIntegrableWeightError):
+            optimal_loss_mc(BinaryTestProblem(*models, weight, 5), 2000)
+        with pytest.raises(NonIntegrableWeightError):
+            mary_optimal_loss(MAryProblem(models, weight), 5, method="monte_carlo",
+                              replicates=2000)
+
+    def test_categorical_sizes_rejected_at_construction(self):
+        with pytest.raises(UnsupportedCombinationError, match="differ in size"):
+            BinaryTestProblem(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]),
+                              ConstWeight(), 2)
+
+    def test_dimensions_compared_both_ways(self):
+        g2 = Gaussian([0.0, 0.0], np.eye(2))
+        for pair in ((g2, Cauchy(0.0, 1.0)), (Cauchy(0.0, 1.0), g2)):
+            with pytest.raises(UnsupportedCombinationError, match="different dimensions"):
+                check_models(pair, ConstWeight())
+
+    def test_weight_rule_reported_first(self):
+        # Poisson against Cauchy breaks the sample-space rule as well
+        with pytest.raises(NonIntegrableWeightError, match="Cauchy tails"):
+            AffinityCurve(Poisson(1.0), Cauchy(0.0, 1.0), ExpTiltWeight([0.1]))
+
+    def test_exponential_pair_needs_gamma_below_larger_rate(self):
+        pair = (Exponential(2.0), Exponential(1.0))
+        check_models(pair, ExpTiltWeight([1.5]))
+        with pytest.raises(NonIntegrableWeightError, match="gamma < max"):
+            check_models(pair, ExpTiltWeight([2.0]))
+        # three models: gamma must lie below every rate
+        with pytest.raises(NonIntegrableWeightError, match="rate 1.0"):
+            check_models(pair + (Exponential(3.0),), ExpTiltWeight([1.5]))
+
+    def test_weighted_kl_checks_p_weight_only(self):
+        assert math.isfinite(weighted_kl(Exponential(2.0), Exponential(1.0),
+                                         ExpTiltWeight([1.5])))
+        with pytest.raises(NonIntegrableWeightError, match="Cauchy tails"):
+            weighted_kl(Cauchy(0.0, 1.0), Cauchy(1.0, 1.0), ExpTiltWeight([0.1]))
 
 
 class TestSampling:

@@ -217,8 +217,8 @@ class TestCategoricalCounts:
         assert abs(freq - exact) <= 4.0 * se
 
     def test_supports_of_different_size_rejected(self):
-        prob = MAryProblem((Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])), CONST)
         with pytest.raises(UnsupportedCombinationError):
+            prob = MAryProblem((Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])), CONST)
             mary_optimal_loss(prob, 2)
 
 
