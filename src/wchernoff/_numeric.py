@@ -19,6 +19,12 @@ the package has this form: ln p/q is `lp - lq`, a centred square
 `(lq - lp - kl) ** 2`, the log-ratio of two points of the Chernoff arc
 `(alpha - beta) * (lp - lq) + shift`.  Where the weighted density vanishes
 or the factor is not finite, the integrand is 0.
+
+`shift` is a constant subtracted from ln(phi p^a q^b) before it is
+exponentiated, so the integral comes back divided by e^shift.  With
+shift = ln rho(alpha) the integrand is the normalised tilted density
+(pq)_alpha, and a mean under it stays O(1) where rho itself leaves the
+range of a double; the default 0 is the plain integral.
 """
 
 from __future__ import annotations
@@ -91,10 +97,11 @@ def log_summands(model_p, model_q, weight, a, b):
     return lp, lq, np.where(np.isnan(logs), -np.inf, logs)  # 0 * ln 0 style corners
 
 
-def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
-    """integral phi * p^a * q^b * factor(ln p, ln q) over the common support.
+def weighted_power_integral(model_p, model_q, weight, a, b, factor=None, shift=0.0):
+    """integral phi * p^a * q^b * factor(ln p, ln q) / e^shift over the common support.
 
-    `factor` defaults to 1 (see the module docstring for its contract).
+    `factor` defaults to 1 and `shift` to 0 (see the module docstring for
+    their contracts).
     Discrete supports are summed exactly; continuous supports use adaptive
     quadrature with absolute tolerance 1e-12 and relative tolerance 1e-10,
     and raise ConvergenceError when QUADPACK reports a failure (a divergent
@@ -106,7 +113,7 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
     if support in ("nonneg_int", "finite"):
         lp, lq, logs = log_summands(model_p, model_q, weight, a, b)
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(logs)
+            terms = np.exp(logs - shift)
             if factor is not None:
                 f = factor(lp, lq)
                 terms = np.where(terms == 0.0, 0.0, terms * np.where(np.isfinite(f), f, 0.0))
@@ -122,7 +129,7 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
 
     def integrand(x):
         lp, lq = log_p(x), log_q(x)
-        v = exp(g * x + a * lp + b * lq)
+        v = exp(g * x + a * lp + b * lq - shift)
         if not v > 0.0:  # underflow, or nan from 0 * inf at an extreme node
             return 0.0
         if factor is None:

@@ -198,15 +198,18 @@ class AffinityCurve:
         return -self.log_rho(alpha)
 
     def derivative(self, alpha):
-        """F'(alpha): the mean of ln(p/q) under the tilted density (pq)_alpha."""
+        """F'(alpha): the mean of ln(p/q) under the tilted density (pq)_alpha.
+
+        The generic modes integrate against phi p^alpha q^(1-alpha) / rho(alpha)
+        directly, so F' stays finite where rho(alpha) leaves the range of a double.
+        """
         alpha = _check_alpha(alpha)
         if self.mode == CLOSED_FORM:
             return self._closed_derivative(alpha)
-        num = _numeric.weighted_power_integral(
+        return _numeric.weighted_power_integral(
             self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha,
-            factor=lambda lp, lq: lp - lq,
+            factor=lambda lp, lq: lp - lq, shift=self.log_rho(alpha),
         )
-        return num / self.rho(alpha)
 
     # -- closed forms -------------------------------------------------------
 

@@ -1,20 +1,22 @@
 """Hypothesis-testing engine: optimal weighted losses and concentration.
 
-Binary losses use the pointwise form of the optimal total loss,
+One engine computes every optimal loss: the M-ary
 
-    L_n* = integral phi(x_1..n) min{p(x_1..n), q(x_1..n)},
+    L_{n,M}* = integral phi (sum_i w_i p_i - max_j w_j p_j) over n-samples,
 
-computed on a statistic T of the n-sample that carries phi and every
-likelihood: S = sum x_i for Poisson, Exponential and shared-variance
-Gaussian models under a constant or exponential-tilt weight, the symbol
-counts for categorical models, and the sample itself otherwise.  Exact
-sums run over the states of T (S = 0..K for Poisson, every count vector
-for categorical models); Monte Carlo draws T from its law under each
-hypothesis (Poi(n lam), Gamma(n, 1/rate), N(n mu, n sigma^2), or
-Multinomial(n, probs)).  The M-ary analogue sums
-phi (sum_i w_i p_i - max_j w_j p_j).  The tilted log-likelihood section
-implements the cumulants psi_P/psi_Q, their Legendre transforms, and the
-Bennett-type martingale tail bound, all for the shifted statistic
+of which the binary L_n* = integral phi min{p, q} is the two-model case
+without priors.  The decision is the largest w_j p_j, the later model
+winning a tie (so H1 when q >= p).  Losses are computed on a statistic T
+of the n-sample that carries phi and every likelihood: S = sum x_i for
+Poisson, Exponential and shared-variance Gaussian models under a constant
+or exponential-tilt weight, the symbol counts for categorical models, and
+the sample itself otherwise.  Exact sums run over the states of T
+(S = 0..K for Poisson, every count vector for categorical models); Monte
+Carlo draws T from its law under each hypothesis (Poi(n lam), Gamma(n,
+1/rate), N(n mu, n sigma^2), or Multinomial(n, probs)).  The tilted
+log-likelihood section implements the cumulants psi_P/psi_Q, their
+Legendre transforms, and the Bennett-type martingale tail bound, all for
+the shifted statistic
 
     L* = sum ln(q/p) + n (ln E_phi(p) - ln E_phi(q)).
 
@@ -26,6 +28,7 @@ pairs need no integral and the value is +inf where F diverges.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -272,13 +275,28 @@ class _SumStatistic:
         return theta * t - self.n * self.family.F(theta)
 
     def state_logs(self):
-        """S = 0..K with base gamma S and logs ln Poi(S; n lam_i)."""
+        """S = 0..K, where base + log_lik(i, S) = gamma S + ln Poi(S; n lam_i)."""
         if self.family.name != "poisson":
             raise _no_exact_sum()
         top = self.n * math.exp(max(self.family.gamma, 0.0)) * max(m.lam for m in self.models)
         s = np.arange(poisson_truncation(top) + 1, dtype=float)
-        return self.log_weight(s), [_numeric.logpdf_vec(Poisson(self.n * m.lam), s)
-                                    for m in self.models]
+        return (self.log_weight(s) + s * math.log(self.n) - gammaln(s + 1.0),
+                [self.log_lik(i, s) for i in range(len(self.models))])
+
+    def check_second_moments(self):
+        """Raise where a Monte Carlo score phi 1{error} has infinite variance.
+
+        Under model i, E e^(2 gamma S) = exp n(F(theta_i + 2 gamma) - F(theta_i))
+        is finite where theta_i + gamma lies in the weighted domain (whose
+        members keep theta + gamma natural).  The model that wins for large S
+        (largest theta, the last on a tie) errs only on bounded S and is exempt.
+        """
+        fam, thetas = self.family, self.thetas
+        top = max(range(len(thetas)), key=lambda i: (thetas[i], i))
+        for i, theta in enumerate(thetas):
+            if i != top and not fam.contains(theta + fam.gamma):
+                raise ConvergenceError(f"monte carlo loss has infinite variance under model {i}:"
+                                       " e^(2 gamma S) is not integrable against it")
 
 
 class _CountStatistic:
@@ -315,6 +333,12 @@ def _statistic(models, weight, n):
     by all models, and state_logs() -> (base, logs) over the states of T.
     The models and weight have passed `check_models`, so every pair either
     embeds in one family or has no such reading.
+
+    exp(base + logs_i) is the sum of phi^n p_i^n over the sample points of
+    a state, on which phi^n and every ratio p_i^n / p_j^n are constant.  So
+    for any f with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the
+    product-space sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states
+    of f(exp(base + logs_1), ..., exp(base + logs_M)).
     """
     if isinstance(models[0], Categorical):
         return _CountStatistic(models, weight, n)
@@ -325,44 +349,20 @@ def _statistic(models, weight, n):
 
 
 # ---------------------------------------------------------------------------
-# Exact sums over the states of the statistic
+# The loss engine: exact sums over the states of the statistic, Monte Carlo
 # ---------------------------------------------------------------------------
-
-
-def _enumeration_logs(models, weight, n):
-    """(base, [log p_i^n for each model]) per state of the statistic.
-
-    exp(base + logs_i) is the sum of phi^n p_i^n over the sample points of
-    a state, on which phi^n and every ratio p_i^n / p_j^n are constant.  So
-    for any f with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the
-    product-space sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states
-    of f(exp(base + logs_1), ..., exp(base + logs_M)).
-    """
-    return _statistic(models, weight, n).state_logs()
-
-
-def _exact_estimate(log_terms, n):
-    """LossEstimate of an exact sum, from the logs of its terms.
-
-    The sum is taken in the log domain, so the exponent stays exact where
-    the loss itself underflows a double (Poisson pairs at n = 1e4).
-    """
-    log_value = log_sum_exp(log_terms)
-    return LossEstimate(exp_or_raise(log_value, "exact loss"), 0.0, EXACT_ENUMERATION, 0,
-                        -log_value / n)
 
 
 def optimal_loss_exact(problem):
     """L_n* by an exact sum of phi min{p, q} over the states of the statistic."""
-    base, (lp, lq) = _enumeration_logs(
-        (problem.model_p, problem.model_q), problem.weight, problem.n)
-    return _exact_estimate(base + np.minimum(lp, lq), problem.n)
+    return _loss((problem.model_p, problem.model_q), problem.weight, problem.n, None,
+                 EXACT_ENUMERATION)
 
 
 def weighted_tv(problem):
     """TV_phi = half the phi-weighted L1 distance on the product space."""
-    base, (lp, lq) = _enumeration_logs(
-        (problem.model_p, problem.model_q), problem.weight, problem.n)
+    base, (lp, lq) = _statistic(
+        (problem.model_p, problem.model_q), problem.weight, problem.n).state_logs()
     with np.errstate(over="ignore", invalid="ignore"):
         tv = float(0.5 * np.sum(np.abs(np.exp(base + lp) - np.exp(base + lq))))
     if not math.isfinite(tv):
@@ -372,33 +372,46 @@ def weighted_tv(problem):
 
 def mary_optimal_loss(problem, n, method=EXACT_ENUMERATION, replicates=None, seed=0):
     """L_{n,M}* (or its priors-weighted version) exactly or by Monte Carlo."""
-    models = problem.models
-    w = problem.priors if problem.priors is not None else (1.0,) * len(models)
+    return _loss(problem.models, problem.weight, n, problem.priors, method, replicates, seed)
+
+
+def _loss(models, weight, n, priors, method, replicates=None, seed=0):
+    """L_{n,M}* of the module docstring, exactly or by Monte Carlo."""
+    w = priors if priors is not None else (1.0,) * len(models)
+    log_w = [math.log(wi) for wi in w]
     if method == EXACT_ENUMERATION:
-        base, logs = _enumeration_logs(models, problem.weight, n)
-        # sum_i w_i p_i - max_i w_i p_i: every term of a state but its largest
-        terms = np.sort([math.log(wi) + base + li for wi, li in zip(w, logs)], axis=0)
-        return _exact_estimate(terms[:-1], n)
+        base, logs = _statistic(models, weight, n).state_logs()
+        terms = [lw + base + li for lw, li in zip(log_w, logs)]
+        top, rest = terms[0], []  # every term of a state but its largest
+        for term in terms[1:]:
+            rest.append(np.minimum(top, term))
+            top = np.maximum(top, term)
+        # a log-domain sum keeps the exponent exact where the loss underflows
+        log_value = log_sum_exp(np.concatenate(rest))
+        return LossEstimate(exp_or_raise(log_value, "exact loss"), 0.0, EXACT_ENUMERATION, 0,
+                            -log_value / n)
     if method != MONTE_CARLO:
         raise PreconditionError(f"unknown method '{method}'")
     if replicates is None or replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
-    stat = _statistic(models, problem.weight, n)
-    log_w = [math.log(wi) for wi in w]
+    stat = _statistic(models, weight, n)
+    if isinstance(stat, _SumStatistic):
+        stat.check_second_moments()
     total, var = 0.0, 0.0
     for i in range(len(models)):
         mean_i, var_i = _mc_mean(stat, i, replicates, seed, i,
-                                 lambda t, i=i: _mary_error_indicator(stat, log_w, i, t))
+                                 lambda t, i=i: _decision_errors(stat, log_w, i, t))
         total += w[i] * mean_i
         var += (w[i] ** 2) * var_i / replicates
     exponent = math.inf if total <= 0.0 else -math.log(total) / n
     return LossEstimate(total, math.sqrt(var), MONTE_CARLO, replicates, exponent)
 
 
-def _mary_error_indicator(stat, log_w, i, t):
-    scores = np.stack([lw + stat.log_lik(j, t) for j, lw in enumerate(log_w)])
-    decided = np.argmax(scores, axis=0)  # first index wins ties
-    return (decided != i).astype(float)
+def _decision_errors(stat, log_w, i, t):
+    """Where model i is not decided: some ln w_j p_j^n is higher, or equal with j > i."""
+    s = [lw + stat.log_lik(j, t) for j, lw in enumerate(log_w)]
+    beaten = [s[j] > s[i] for j in range(i)] + [s[j] >= s[i] for j in range(i + 1, len(s))]
+    return functools.reduce(np.logical_or, beaten)
 
 
 def mary_exponent(problem):
@@ -430,7 +443,7 @@ def mary_exponent(problem):
 
 
 def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
-    """Mean and variance of phi(x_1..n) * error(T) over draws of T under model i.
+    """Mean and variance of phi(x_1..n) 1{error_fn(T)} over draws of T under model i.
 
     Chunked with a fixed chunk size so results are deterministic in
     (seed, stream_id) regardless of the replicate total.
@@ -440,12 +453,11 @@ def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
         count = min(MC_CHUNK, replicates - done)
         t = stat.draw(i, rng_stream(seed, stream_id, chunk_idx), count)
         log_phi = stat.log_weight(t)
-        err = error_fn(t)
+        hit = error_fn(t)
         score = np.zeros(count)
-        hit = err > 0.0
         try:
             with np.errstate(over="raise"):
-                score[hit] = np.exp(log_phi[hit]) * err[hit]
+                score[hit] = np.exp(log_phi[hit])
         except FloatingPointError as exc:
             raise ConvergenceError("weight phi(x_1..n) overflows on a sampled replicate") from exc
         total += float(score.sum())
@@ -464,21 +476,8 @@ def optimal_loss_mc(problem, replicates, seed=0):
     E_P[phi 1{decide H1}] + E_Q[phi 1{decide H0}], each term estimated by
     drawing the statistic of the n-sample under its own hypothesis.
     """
-    if replicates < 1000:
-        raise PreconditionError("monte carlo needs replicates >= 1000")
-    stat = _statistic((problem.model_p, problem.model_q), problem.weight, problem.n)
-
-    def llr(t):
-        return stat.log_lik(1, t) - stat.log_lik(0, t)
-
-    mean_p, var_p = _mc_mean(stat, 0, replicates, seed, 0,
-                             lambda t: (llr(t) >= 0.0).astype(float))
-    mean_q, var_q = _mc_mean(stat, 1, replicates, seed, 1,
-                             lambda t: (llr(t) < 0.0).astype(float))
-    value = mean_p + mean_q
-    std_error = math.sqrt(var_p / replicates + var_q / replicates)
-    exponent = math.inf if value <= 0.0 else -math.log(value) / problem.n
-    return LossEstimate(value, std_error, MONTE_CARLO, replicates, exponent)
+    return _loss((problem.model_p, problem.model_q), problem.weight, problem.n, None,
+                 MONTE_CARLO, replicates, seed)
 
 
 def simulate(problem, replicates, seed=0):
@@ -678,7 +677,7 @@ def tail_frequency(problem, beta, n, replicates, seed=0):
 
     def exceeds(t):
         lstar = stat.log_lik(1, t) - stat.log_lik(0, t) + n * shift
-        return (lstar >= float(beta) * n).astype(float)
+        return lstar >= float(beta) * n
 
     freq, _ = _mc_mean(stat, 1, replicates, seed, 2, exceeds)
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)

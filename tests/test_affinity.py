@@ -328,6 +328,34 @@ class TestQuadratureSolver:
         assert res.d_c_w == pytest.approx(0.1490201425703, abs=1e-9)
 
 
+class TestDerivativeOutOfRange:
+    """F' is O(1) even where rho leaves the range of a double."""
+
+    def test_constant_table_weight_keeps_alpha_star(self):
+        p, q = Categorical([0.5, 0.5]), Categorical([0.25, 0.75])
+        tiny = chernoff(p, q, TableWeight([1e-320, 1e-320]))
+        ref = chernoff(p, q, CONST)
+        assert tiny.alpha_star == pytest.approx(ref.alpha_star, rel=1e-12)
+        assert ref.alpha_star == pytest.approx(0.5119228679061, rel=1e-12)
+        assert tiny.d_c_w == pytest.approx(ref.d_c_w - math.log(1e-320), rel=1e-12)
+
+    def test_summation_derivative_past_underflow(self):
+        p, q, w = Poisson(1.0), Poisson(1e4), ExpTiltWeight([0.1])
+        generic = AffinityCurve(p, q, w, mode="summation").derivative(0.25)
+        assert generic == pytest.approx(AffinityCurve(p, q, w).derivative(0.25), rel=1e-12)
+        assert generic == pytest.approx(-180.0003246861, rel=1e-12)
+
+    def test_generic_summation_solve_past_underflow(self):
+        p, q, w = Poisson(1.0), Poisson(1e4), ExpTiltWeight([0.1])
+        generic = chernoff(p, q, w, solver="generic", mode="summation")
+        closed = chernoff(p, q, w)
+        assert generic.boundary == closed.boundary == "interior"
+        assert generic.alpha_star == pytest.approx(closed.alpha_star, rel=1e-12)
+        assert generic.d_c_w == pytest.approx(closed.d_c_w, rel=1e-12)
+        assert closed.alpha_star == pytest.approx(0.25193713996, rel=1e-10)
+        assert closed.d_c_w == pytest.approx(6395.25290641, rel=1e-10)
+
+
 class TestCauchy:
     def test_kl_identical(self):
         assert cauchy_kl(Cauchy(0.0, 1.0), Cauchy(0.0, 1.0)) == 0.0

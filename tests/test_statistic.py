@@ -176,6 +176,61 @@ class TestMonteCarloOnTheStatistic:
         assert a == optimal_loss_mc(prob, 5000, seed=1)
 
 
+class TestOneEngine:
+    """The binary loss is the two-model M-ary loss without priors."""
+
+    @pytest.mark.parametrize("p,q,w,n", [
+        (Poisson(2.0), Poisson(1.0), TILT, 4),
+        (Exponential(2.0), Exponential(1.0), ExpTiltWeight([0.5]), 5),
+        (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), CONST, 3),
+        (Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]),
+         TableWeight([1.0, 2.0, 0.5]), 6),
+        # every draw ties: the later model (H1) wins, as in the binary rule
+        (Exponential(2.0), Exponential(2.0), ExpTiltWeight([0.5]), 5),
+    ])
+    def test_monte_carlo(self, p, q, w, n):
+        binary = optimal_loss_mc(BinaryTestProblem(p, q, w, n), 3000, seed=4)
+        assert mary_optimal_loss(MAryProblem((p, q), w), n, "monte_carlo", 3000, 4) == binary
+
+    @pytest.mark.parametrize("p,q,w", [
+        (Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]), TableWeight([1.0, 2.0, 0.5])),
+        (Categorical([0.5, 0.5]), Categorical([0.25, 0.75]), CONST),
+        (Categorical([0.5, 0.5, 0.0]), Categorical([0.2, 0.3, 0.5]), CONST),
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    def test_exact(self, p, q, w, n):
+        binary = optimal_loss_exact(BinaryTestProblem(p, q, w, n))
+        assert mary_optimal_loss(MAryProblem((p, q), w), n) == binary
+
+
+class TestInfiniteVarianceGuard:
+    """Monte Carlo refuses a score e^(gamma S) 1{error} with no second moment."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    def test_binary_raises(self, gamma):
+        prob = BinaryTestProblem(Exponential(2.0), Exponential(1.0), ExpTiltWeight([gamma]), 5)
+        with pytest.raises(ConvergenceError, match="infinite variance"):
+            optimal_loss_mc(prob, 20_000, seed=1)
+
+    def test_mary_raises(self):
+        models = (Exponential(4.0), Exponential(3.0), Exponential(2.0))
+        with pytest.raises(ConvergenceError, match="infinite variance"):
+            mary_optimal_loss(MAryProblem(models, ExpTiltWeight([1.5])), 5, "monte_carlo", 2000)
+        assert mary_optimal_loss(MAryProblem(models, ExpTiltWeight([1.4])), 5,
+                                 "monte_carlo", 2000).std_error > 0.0
+
+    def test_model_winning_large_s_is_exempt(self):
+        # 2 gamma exceeds the rate of Q = Exponential(2), but Q errs only below the crossing
+        rp, rq, g, n = 4.0, 2.0, 1.5, 5
+        oracle = _loss_over_law_of_s(
+            lambda s: stats.gamma.logpdf(s, n, scale=1.0 / rp),
+            lambda s: stats.gamma.logpdf(s, n, scale=1.0 / rq),
+            g, 0.0, n * math.log(rp / rq) / (rp - rq))
+        est = optimal_loss_mc(BinaryTestProblem(Exponential(rp), Exponential(rq),
+                                                ExpTiltWeight([g]), n), 20_000, seed=1)
+        assert abs(est.value - oracle) <= 4.0 * est.std_error
+
+
 def _categorical_oracle(p, q, weight, n):
     """(L_n*, TV_phi) by direct enumeration of the k^n product space."""
     k = p.size
