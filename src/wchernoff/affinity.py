@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import _numeric
 from .errors import (
@@ -36,9 +35,12 @@ from .models import (
     check_models,
     embed_pair,
     exp_or_raise,
+    lazy_module,
     log_sum_exp,
     tilt_gamma,
 )
+
+optimize = lazy_module("scipy.optimize")
 
 __all__ = [
     "AffinityCurve",

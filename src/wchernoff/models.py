@@ -17,11 +17,11 @@ across threads.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ConvergenceError,
@@ -59,6 +59,28 @@ __all__ = [
 _MAX_GAUSSIAN_DIM = 64
 # largest Poisson tilted mean summed term by term (bounds the grid's memory)
 MAX_SUM_TERMS = 1_000_000
+
+
+class lazy_module:
+    """Stands in for the module `name`; imports it at the first attribute read.
+
+    Module top levels bind scipy submodules through this, so that importing
+    wchernoff loads none that the caller never uses.
+    `importlib.import_module` holds the module's import lock, so threads
+    that reach the first use together all wait for one complete import;
+    the module is kept only once that import has returned.
+    """
+
+    def __init__(self, name):
+        self._name, self._module = name, None
+
+    def __getattr__(self, attr):
+        if self._module is None:
+            self._module = importlib.import_module(self._name)
+        return getattr(self._module, attr)
+
+
+special = lazy_module("scipy.special")
 
 
 def rng_stream(seed, *key):
@@ -193,7 +215,7 @@ class Poisson:
 
     def logpdf(self, k):
         """Unchecked ln mass at float or array points."""
-        return -self.lam + k * math.log(self.lam) - gammaln(k + 1.0)
+        return -self.lam + k * math.log(self.lam) - special.gammaln(k + 1.0)
 
     def log_density(self, k):
         kk = np.asarray(k)

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gammaln
 
 from . import _numeric
 from .affinity import AffinityCurve, chernoff
@@ -54,11 +52,15 @@ from .models import (
     check_models,
     embed_pair,
     exp_or_raise,
+    lazy_module,
     log_sum_exp,
     log_weighted_normaliser,
     poisson_truncation,
     rng_stream,
 )
+
+optimize = lazy_module("scipy.optimize")
+special = lazy_module("scipy.special")
 
 __all__ = [
     "BinaryTestProblem",
@@ -280,7 +282,7 @@ class _SumStatistic:
             raise _no_exact_sum()
         top = self.n * math.exp(max(self.family.gamma, 0.0)) * max(m.lam for m in self.models)
         s = np.arange(poisson_truncation(top) + 1, dtype=float)
-        return (self.log_weight(s) + s * math.log(self.n) - gammaln(s + 1.0),
+        return (self.log_weight(s) + s * math.log(self.n) - special.gammaln(s + 1.0),
                 [self.log_lik(i, s) for i in range(len(self.models))])
 
     def check_second_moments(self):
@@ -320,7 +322,7 @@ class _CountStatistic:
     def state_logs(self):
         """Every count vector, with base ln(multinomial coefficient phi^n)."""
         counts = _count_matrix(self.n, self.log_phi.size)
-        log_mult = gammaln(self.n + 1.0) - np.sum(gammaln(counts + 1.0), axis=1)
+        log_mult = special.gammaln(self.n + 1.0) - np.sum(special.gammaln(counts + 1.0), axis=1)
         return (log_mult + self.log_weight(counts),
                 [self.log_lik(i, counts) for i in range(len(self.models))])
 
