@@ -6,16 +6,17 @@ All weighted integrals are of the form
 
 with the exponents combined in the log domain before exponentiation, which
 avoids spurious overflow when phi grows while the densities decay.
-Continuous 1-D families go through adaptive quadrature on the (possibly
-infinite) support, split at the density location parameters; discrete
-families are summed exactly (Poisson tails truncated below 1e-16).  The
-log-densities are the models' own `logpdf` and the log-weights the
+Discrete families are summed exactly (Poisson tails truncated below
+1e-16).  Continuous 1-D families are integrated by the package's own
+adaptive 21-point Gauss-Kronrod rule (`_quadrature.quad`) on the (possibly
+infinite) support, split into pieces at the density location parameters.
+The log-densities are the models' own `logpdf` and the log-weights the
 weights' `log_value`; nothing here dispatches on the family to evaluate
 them.
 
 `factor(lp, lq)` is an optional callable of the two log-densities, not of
-x: floats at quadrature nodes, arrays on summation grids.  Every factor in
-the package has this form: ln p/q is `lp - lq`, a centred square
+x, evaluated on arrays: the quadrature nodes or the summation grid.  Every
+factor in the package has this form: ln p/q is `lp - lq`, a centred square
 `(lq - lp - kl) ** 2`, the log-ratio of two points of the Chernoff arc
 `(alpha - beta) * (lp - lq) + shift`.  Where the weighted density vanishes
 or the factor is not finite, the integrand is 0.
@@ -26,10 +27,23 @@ shift = ln rho(alpha) the integrand is the normalised tilted density
 (pq)_alpha, and a mean under it stays O(1) where rho itself leaves the
 range of a double; the default 0 is the plain integral.
 
-scipy.integrate is bound at module level through `models.lazy_module`, so
-it loads at the first quadrature, and `quad` is read off the module
-attribute `integrate` at every call: `bench/tracer.py` counts quadrature
-calls by swapping that attribute, so keep it one.
+Quadrature layout.  Each piece starts as 8 intervals of 21 Kronrod nodes.
+A finite piece is cut into 8 equal intervals.  An infinite piece [c, inf)
+is integrated in t in [0, 1) through x = c + t/(1 - t) ((-inf, c] through
+x = c - t/(1 - t)), with the log-Jacobian -2 ln(1 - t) added to the
+log-integrand, and starts with breaks at t = 1 - 2^-k, which put x at
+0, 1, 3, 7, ..., 127 from c.  One pass evaluates the integrand at every
+node of every open interval of every piece in one numpy call; the
+intervals that carry the error are then bisected together, until the
+summed error estimate is at most max(QUAD_EPSABS, QUAD_EPSREL * |total|)
+(1e-12 and 1e-10, over the whole integral).  Most integrals finish in one
+pass.  More than 200 intervals on one piece raises ConvergenceError, as
+does a non-finite total or an error estimate above 1e-6 * max(1, |total|).
+
+The integrator is bound to the module attribute `integrate` and read off
+it at every call, `integrate.quad(...)`, one call per continuous integral:
+`bench/tracer.py` counts those calls (its `numeric.quad_calls`; QUADPACK
+was called once per piece) by swapping that attribute, so keep it one.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ import math
 
 import numpy as np
 
+from . import _quadrature as integrate
 from .errors import ConvergenceError, UnsupportedCombinationError
 from .models import (
     Categorical,
@@ -45,12 +60,9 @@ from .models import (
     Exponential,
     ExpTiltWeight,
     Gaussian,
-    lazy_module,
     poisson_truncation,
     tilt_gamma,
 )
-
-integrate = lazy_module("scipy.integrate")
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
@@ -108,12 +120,12 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None, shift=0
     """integral phi * p^a * q^b * factor(ln p, ln q) / e^shift over the common support.
 
     `factor` defaults to 1 and `shift` to 0 (see the module docstring for
-    their contracts).
-    Discrete supports are summed exactly; continuous supports use adaptive
-    quadrature with absolute tolerance 1e-12 and relative tolerance 1e-10,
-    and raise ConvergenceError when QUADPACK reports a failure (a divergent
-    integral can come back finite with a small error estimate).  The pair
-    must have passed `models.check_models`.
+    their contracts).  Discrete supports are summed exactly.  Continuous
+    supports take one `integrate.quad` call over all pieces, with absolute
+    tolerance 1e-12 and relative tolerance 1e-10 on the summed error
+    estimate; a divergent integral, a piece that needs more than 200
+    intervals, or an error estimate above 1e-6 * max(1, |total|) raises
+    ConvergenceError.  The pair must have passed `models.check_models`.
     """
     support = model_p.support
 
@@ -132,36 +144,20 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None, shift=0
     check_scalar(model_p, model_q)
     g = float(tilt_gamma(weight)[0])
     log_p, log_q = model_p.logpdf, model_q.logpdf
-    exp, inf = math.exp, math.inf
 
-    def integrand(x):
+    def integrand(x, log_jac):
         lp, lq = log_p(x), log_q(x)
-        v = exp(g * x + a * lp + b * lq - shift)
-        if not v > 0.0:  # underflow, or nan from 0 * inf at an extreme node
-            return 0.0
+        v = np.exp(g * x + a * lp + b * lq + (log_jac - shift))
+        v = np.where(v > 0.0, v, 0.0)  # a nan from 0 * inf at an extreme node is 0
         if factor is None:
             return v
         f = factor(lp, lq)
-        return v * f if -inf < f < inf else 0.0
+        return np.where(np.isfinite(f), v * f, 0.0)
 
-    lo = 0.0 if support == "halfline" else -np.inf
+    lo = 0.0 if support == "halfline" else -math.inf
     cuts = [p for p in _quad_points(model_p, model_q) if p > lo]
-    edges = [lo] + cuts + [np.inf]
-    total, err = 0.0, 0.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for left, right in zip(edges[:-1], edges[1:]):
-                out = integrate.quad(integrand, left, right, full_output=1,
-                                     epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-                if len(out) > 3:
-                    # QUADPACK's message (divergence, subdivision limit,
-                    # roundoff) comes with an error estimate that can look small
-                    reason = out[3].strip().splitlines()[0]
-                    raise ConvergenceError(f"quadrature did not converge: {reason}")
-                total += out[0]
-                err += out[1]
-    except OverflowError:
-        total = math.inf
+    total, err = integrate.quad(integrand, [lo] + cuts + [math.inf],
+                                epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
     if not math.isfinite(total):
         raise ConvergenceError("weighted quadrature diverged")
     if err > 1e-6 * max(1.0, abs(total)):

@@ -181,7 +181,7 @@ class Gaussian:
 
     def logpdf(self, x):
         """Unchecked ln density at float or array points (dim 1) or at one point."""
-        s = self._scalar  # one attribute read: this runs at every quadrature node
+        s = self._scalar  # one attribute read: this runs at every quadrature pass
         if s is None:
             z = np.linalg.solve(self._chol, x - self.mean)
             return -0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + z @ z)

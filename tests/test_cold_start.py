@@ -1,14 +1,19 @@
 """Cold start: scipy submodules load on first use, not on import.
 
+No README command, and no quadrature, loads scipy at all.
+
 Each check runs in a fresh interpreter, because the pytest process has
 long since imported scipy and would never take the deferred path.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import wchernoff
 from wchernoff import (
@@ -31,6 +36,26 @@ SCIPY_MARKERS = ("scipy.special._ufuncs", "scipy.linalg", "scipy.optimize._optim
 
 README_CHERNOFF = ["chernoff", "--model-p", '{"family": "poisson", "lambda": 2.0}',
                    "--model-q", '{"family": "poisson", "lambda": 1.0}']
+POIS_2 = ["--model-p", '{"family": "poisson", "lambda": 2.0}',
+          "--model-q", '{"family": "poisson", "lambda": 1.0}']
+EXP_TILT = ["--model-p", '{"family": "exponential", "rate": 2.0}',
+            "--model-q", '{"family": "exponential", "rate": 1.0}',
+            "--weight", '{"kind": "exp_tilt", "gamma": [0.5]}']
+# the seven README commands, Monte Carlo replicates cut from 1e5 to 1e3
+README_COMMANDS = [
+    README_CHERNOFF,
+    ["curve", *EXP_TILT, "--grid", "101"],
+    ["divergence", "--model-p", '{"family": "cauchy", "location": 0.0, "scale": 1.0}',
+     "--model-q", '{"family": "cauchy", "location": 2.0, "scale": 1.0}'],
+    ["simulate", *POIS_2, "--n", "10", "--n", "50", "--replicates", "1000", "--seed", "3",
+     "--format", "csv"],
+    ["mary", "--models", '[{"family": "poisson", "lambda": 1.0}, '
+     '{"family": "poisson", "lambda": 2.0}, {"family": "poisson", "lambda": 4.0}]'],
+    ["tailbound", "--model-p", '{"family": "categorical", "probs": [0.5, 0.5]}',
+     "--model-q", '{"family": "categorical", "probs": [0.25, 0.75]}',
+     "--beta", "0.23", "--n", "200", "--replicates", "1000"],
+    ["identities", *EXP_TILT],
+]
 
 
 def run_fresh(code):
@@ -71,6 +96,32 @@ def test_closed_form_command_loads_no_scipy_submodule():
     """)
     *report, loaded = out.splitlines()
     assert json.loads("\n".join(report))["results"]["alpha_star"] > 0.5
+    assert json.loads(loaded) == []
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_loads_no_scipy_submodule(argv):
+    out = run_fresh(f"""
+        import contextlib, io, json, sys
+        import wchernoff.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            wchernoff.cli.main({argv!r}, standalone_mode=False)
+        print(json.dumps([m for m in {SCIPY_MARKERS!r} if m in sys.modules]))
+    """)
+    assert json.loads(out) == []
+
+
+def test_quadrature_loads_no_scipy_integrate():
+    out = run_fresh("""
+        import json, sys
+        from wchernoff import AffinityCurve, ExpTiltWeight, Gaussian
+        curve = AffinityCurve(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]),
+                              ExpTiltWeight([0.3]), mode="quadrature")
+        print(curve.log_rho(0.4))
+        print(json.dumps([m for m in sys.modules if m.split(".")[:2] == ["scipy", "integrate"]]))
+    """)
+    log_rho, loaded = out.splitlines()
+    assert math.isfinite(float(log_rho))
     assert json.loads(loaded) == []
 
 

@@ -5,14 +5,23 @@ variances) under random exponential tilts.  The closed forms are read off
 the exponential-family embedding, or the tilted Gaussian; the oracle is
 the same quantity summed (Poisson) or integrated (the rest) by
 `_numeric.weighted_power_integral`, and the generic root-finder on it.
+
+Mixed (Gaussian against Cauchy) and heavy-tailed (Cauchy pairs with
+unequal scales) pairs have no closed form; there the generic quadrature
+solve is checked against scipy's QUADPACK and Brent root-finder, driven by
+log-densities written out in this file.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 
 from wchernoff import (
     AffinityCurve,
+    Cauchy,
     ConstWeight,
     Exponential,
     ExpTiltWeight,
@@ -81,3 +90,69 @@ def test_weighted_kl_matches_numeric_integral(pair):
     oracle = _numeric.weighted_power_integral(p, q, w, 1.0, 0.0,
                                               factor=lambda lp, lq: lp - lq)
     assert _close(weighted_kl(p, q, w), oracle, 1e-8)
+
+
+def _log_density(m):
+    """(location, ln density) of a 1-D Gaussian or Cauchy, from its parameters alone."""
+    if isinstance(m, Cauchy):
+        loc, scale = m.location, m.scale
+        return loc, lambda x: -math.log(math.pi * scale) - math.log1p(((x - loc) / scale) ** 2)
+    loc, var = float(m.mean[0]), float(m.cov[0, 0])
+    return loc, lambda x: -0.5 * math.log(2.0 * math.pi * var) - (x - loc) ** 2 / (2.0 * var)
+
+
+def scipy_chernoff(p, q):
+    """(alpha*, D) by QUADPACK integrals of ln rho and F', and brentq on F'."""
+    (loc_p, lp), (loc_q, lq) = _log_density(p), _log_density(q)
+    cuts = sorted({loc_p, loc_q})
+    edges = list(zip([-math.inf] + cuts, cuts + [math.inf]))
+
+    def integral(f):
+        total = 0.0
+        for left, right in edges:
+            out = integrate.quad(f, left, right, epsabs=1e-12, epsrel=1e-11, limit=400,
+                                 full_output=1)
+            assert len(out) == 3, out[3]
+            total += out[0]
+        return total
+
+    def log_rho(a):
+        return math.log(integral(lambda x: math.exp(a * lp(x) + (1.0 - a) * lq(x))))
+
+    def slope(a):
+        shift = log_rho(a)
+        return integral(lambda x: (lp(x) - lq(x)) * math.exp(a * lp(x) + (1.0 - a) * lq(x) - shift))
+
+    assert slope(0.01) < 0.0 < slope(0.99)
+    alpha = optimize.brentq(slope, 0.01, 0.99, xtol=1e-13)
+    return alpha, -log_rho(alpha)
+
+
+locations, scales = st.floats(-2.0, 2.0), st.floats(0.5, 2.0)
+
+
+@st.composite
+def gauss_cauchy_pairs(draw):
+    gauss = Gaussian([draw(locations)], [[draw(scales)]])
+    cauchy = Cauchy(draw(locations), draw(scales))
+    return (gauss, cauchy) if draw(st.booleans()) else (cauchy, gauss)
+
+
+@st.composite
+def cauchy_unequal_scales(draw):
+    scale = draw(scales)
+    return (Cauchy(draw(locations), scale),
+            Cauchy(draw(locations), scale * draw(st.floats(1.5, 4.0))))
+
+
+@pytest.mark.parametrize("pairs", [gauss_cauchy_pairs, cauchy_unequal_scales])
+def test_heavy_tailed_chernoff_matches_scipy(pairs):
+    @settings(max_examples=10, deadline=None)
+    @given(pairs())
+    def check(pair):
+        generic = chernoff(*pair, ConstWeight(), solver="generic", mode="quadrature")
+        alpha, d = scipy_chernoff(*pair)
+        assert abs(generic.alpha_star - alpha) <= 1e-6
+        assert abs(generic.d_c_w - d) <= 1e-9
+
+    check()
