@@ -36,7 +36,6 @@ from .models import (
     embed_pair,
     exp_or_raise,
     lazy_module,
-    log_sum_exp,
     tilt_gamma,
 )
 
@@ -184,14 +183,11 @@ class AffinityCurve:
         return val
 
     def _log_rho(self, alpha):
-        """ln rho at any real alpha: a log-domain sum on discrete supports."""
+        """ln rho at any real alpha, +inf where a sum diverges."""
         if self.mode == CLOSED_FORM:
             return self._closed_log_rho(alpha)
-        args = (self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha)
-        if self.model_p.support in ("finite", "nonneg_int"):
-            return log_sum_exp(_numeric.log_summands(*args)[2])
-        val = _numeric.weighted_power_integral(*args)
-        return math.log(val) if val > 0.0 else -math.inf
+        return _numeric.weighted_power_integral(
+            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha)[0]
 
     def rho(self, alpha):
         return exp_or_raise(self.log_rho(alpha), "rho")
@@ -202,16 +198,15 @@ class AffinityCurve:
     def derivative(self, alpha):
         """F'(alpha): the mean of ln(p/q) under the tilted density (pq)_alpha.
 
-        The generic modes integrate against phi p^alpha q^(1-alpha) / rho(alpha)
-        directly, so F' stays finite where rho(alpha) leaves the range of a double.
+        The generic modes take it as a mean of the log-domain integral, which
+        stays finite where rho(alpha) leaves the range of a double.
         """
         alpha = _check_alpha(alpha)
         if self.mode == CLOSED_FORM:
             return self._closed_derivative(alpha)
         return _numeric.weighted_power_integral(
             self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha,
-            factor=lambda lp, lq: lp - lq, shift=self.log_rho(alpha),
-        )
+            factor=lambda lp, lq: lp - lq)[1]
 
     # -- closed forms -------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .affinity import (
     cauchy_kl,
     chernoff,
 )
-from .errors import ConvergenceError, PreconditionError
+from .errors import PreconditionError
 from .models import (
     Categorical,
     Cauchy,
@@ -38,6 +38,7 @@ from .models import (
     Gaussian,
     check_models,
     embed_pair,
+    exp_or_raise,
     exponential_family,
     family_of_pair,
     gaussian_mean_family,
@@ -91,16 +92,21 @@ def weighted_kl(model_p, model_q, weight):
             or embed_pair(model_p, model_q, weight) is not None):
         e_p = weighted_normaliser(model_p, weight)
         return e_p * AffinityCurve(model_p, model_q, weight).derivative(1.0)
-    return _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
-                                            factor=lambda lp, lq: lp - lq)
+    log_e, mean = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
+                                                   factor=lambda lp, lq: lp - lq)
+    return exp_or_raise(log_e, "E_phi") * mean
 
 
 def weighted_bregman(family, theta1, theta2):
     """B^w(theta1, theta2) = E_phi(theta2) [F(t1) - F(t2) - (t1-t2) Fhat'(t2)]."""
     t1 = family.check_theta(theta1)
     t2 = family.check_theta(theta2)
-    gap = family.F(t1) - family.F(t2) - (t1 - t2) * family.dFhat(t2)
-    return family.E_phi(t2) * gap
+    return family.E_phi(t2) * _bregman_gap(family, t1, t2)
+
+
+def _bregman_gap(family, t1, t2):
+    """F(t1) - F(t2) - (t1 - t2) Fhat'(t2): B^w(t1, t2) without its factor E_phi(t2)."""
+    return family.F(t1) - family.F(t2) - (t1 - t2) * family.dFhat(t2)
 
 
 def chernoff_arc_derivative(curve, alpha):
@@ -136,26 +142,22 @@ class ChernoffArc:
     def total_mass(self, alpha):
         """Integral of (pq)_alpha; equals 1 by construction, recomputed numerically."""
         c = self.curve
-        z = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight,
-                                             alpha, 1.0 - alpha)
-        return z / c.rho(alpha)
+        log_z = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight,
+                                                 alpha, 1.0 - alpha)[0]
+        return math.exp(log_z - c.log_rho(alpha))
 
     def kl(self, alpha, beta):
         """Unweighted D_KL((pq)_alpha || (pq)_beta) by direct integration.
 
         ln (pq)_alpha - ln (pq)_beta = (alpha - beta) ln(p/q) + F(beta) - F(alpha),
-        integrated against phi p^alpha q^(1-alpha) and divided by rho(alpha).
+        as a mean of the log-domain integral, finite where rho(alpha) underflows.
         """
         c = self.curve
         shift = c.log_rho(beta) - c.log_rho(alpha)
         step = alpha - beta
-        num = _numeric.weighted_power_integral(
+        return _numeric.weighted_power_integral(
             c.model_p, c.model_q, c.weight, alpha, 1.0 - alpha,
-            factor=lambda lp, lq: step * (lp - lq) + shift)
-        rho = c.rho(alpha)
-        if rho == 0.0:
-            raise ConvergenceError(f"rho({alpha}) underflows a double; the arc KL needs it")
-        return num / rho
+            factor=lambda lp, lq: step * (lp - lq) + shift)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +215,10 @@ def verify_identities(model_p, model_q, weight):
     else:
         theta_star = alpha_star * t1 + (1.0 - alpha_star) * t2
 
-        # (ii) Bregman bisector at theta_{alpha*}
+        # (ii) Bregman bisector at theta_{alpha*}, on the gaps: both B^w carry E_phi(theta*)
         if interior:
-            b1 = weighted_bregman(fam, t1, theta_star)
-            b2 = weighted_bregman(fam, t2, theta_star)
-            report["bisector"] = _entry(abs(b1 - b2))
+            report["bisector"] = _entry(abs(_bregman_gap(fam, t1, theta_star)
+                                            - _bregman_gap(fam, t2, theta_star)))
         else:
             report["bisector"] = _na()
 
@@ -254,7 +255,7 @@ def verify_identities(model_p, model_q, weight):
     # with b_F(a,b) = F(a)-F(b)-(a-b)Fhat'(b) and the star analogue built
     # from Fhat* = F* + lnE read in the dual coordinate.
     t1s, t2s = fam.dF(t1), fam.dF(t2)
-    lhs_pd = fam.F(t1) - fam.F(t2) - (t1 - t2) * fam.dFhat(t2)
+    lhs_pd = _bregman_gap(fam, t1, t2)
     b_star = (fam.Fstar(t2s) - fam.Fstar(t1s)
               - (t2s - t1s) * (fam.dFstar(t1s) + fam.dlnEstar(t1s)))
     rhs_pd = b_star - (t1 - t2) * fam.dlnE(t2) + (t2s - t1s) * fam.dlnEstar(t1s)

@@ -548,9 +548,9 @@ def tilted_stats(problem):
 
     # unweighted KL(Q||P) and Var_Q(ln(q/p)) numerically; d is infinite
     kl = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                          factor=lambda lp, lq: lq - lp)
+                                          factor=lambda lp, lq: lq - lp)[1]
     sigma2 = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                              factor=lambda lp, lq: (lq - lp - kl) ** 2)
+                                              factor=lambda lp, lq: (lq - lp - kl) ** 2)[1]
     return TiltedLikelihoodStats(kl, math.inf, sigma2, problem.shift)
 
 
@@ -636,7 +636,7 @@ def bernoulli_kl(a, b):
         out += a * math.log(a / b)
     if a < 1.0:
         out += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
-    return out
+    return max(out, 0.0)  # the two terms nearly cancel for a near b, and may round below 0
 
 
 def tail_bound(problem, beta, n):

@@ -232,6 +232,16 @@ class TestIdentitiesCommand:
             assert abs(entry["residual"]) < 1e-8, name
         assert res["max_applicable_residual"] < 1e-8
 
+    def test_underflowing_arc_affinity(self, runner):
+        # rho(alpha*) = e^-6395: the arc KL of identity (iii) is a log-domain mean
+        rep = run_json(runner, ["identities", "--model-p", '{"family": "poisson", "lambda": 1.0}',
+                                "--model-q", '{"family": "poisson", "lambda": 1e4}',
+                                "--weight", '{"kind": "exp_tilt", "gamma": [0.1]}'])
+        res = rep["results"]
+        assert res["boundary"] == "interior"
+        assert all(entry["applicable"] for entry in res["identities"].values())
+        assert res["max_applicable_residual"] <= 1e-10
+
     def test_unsupported_family_exits_2(self, runner):
         result = runner.invoke(main, ["identities", "--model-p", CAUCHY_P,
                                       "--model-q", CAUCHY_Q])
@@ -350,10 +360,6 @@ class TestErrorPaths:
          "--weight", '{"kind": "exp_tilt", "gamma": [40]}'],
         ["identities", "--model-p", '{"family": "poisson", "lambda": 1e4}',
          "--model-q", '{"family": "poisson", "lambda": 2e4}',
-         "--weight", '{"kind": "exp_tilt", "gamma": [0.1]}'],
-        # the arc KL of identity (iii) divides by rho(alpha*) = e^-6395
-        ["identities", "--model-p", '{"family": "poisson", "lambda": 1.0}',
-         "--model-q", '{"family": "poisson", "lambda": 1e4}',
          "--weight", '{"kind": "exp_tilt", "gamma": [0.1]}'],
         # E_phi(N(0, 1)) = e^800
         ["divergence", "--model-p", '{"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}',

@@ -27,6 +27,7 @@ from wchernoff import (
     ExpTiltWeight,
     Gaussian,
     Poisson,
+    WChernoffError,
     chernoff,
     weighted_kl,
 )
@@ -87,9 +88,39 @@ def test_chernoff_matches_generic_solver(pair):
 @given(pairs())
 def test_weighted_kl_matches_numeric_integral(pair):
     p, q, w, _ = pair
-    oracle = _numeric.weighted_power_integral(p, q, w, 1.0, 0.0,
-                                              factor=lambda lp, lq: lp - lq)
-    assert _close(weighted_kl(p, q, w), oracle, 1e-8)
+    log_e, mean = _numeric.weighted_power_integral(p, q, w, 1.0, 0.0,
+                                                   factor=lambda lp, lq: lp - lq)
+    assert _close(weighted_kl(p, q, w), math.exp(log_e) * mean, 1e-8)
+
+
+@st.composite
+def far_pairs(draw):
+    """(p, q, weight): 1-D Gaussians far apart and up to 1e5 apart in variance, or
+    Exponentials, under a constant weight (40%) or a tilt of magnitude up to 31.6."""
+    if draw(st.booleans()):
+        p, q = (Gaussian([draw(st.floats(-50.0, 50.0))], [[10.0 ** draw(st.floats(-3.0, 2.0))]])
+                for _ in range(2))
+        gamma = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 1.5))
+    else:
+        rp, rq = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+        p, q = Exponential(rp), Exponential(rq)
+        gamma = draw(st.floats(-1.0, 0.95)) * min(rp, rq)
+    weight = ConstWeight() if draw(st.integers(0, 4)) < 2 else ExpTiltWeight([gamma])
+    return p, q, weight
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(far_pairs())
+def test_generic_solve_far_out_matches_closed_form(pair):
+    # rho leaves the range of a double on many of these pairs; the generic
+    # solve either agrees with the closed form or raises a typed error
+    p, q, w = pair
+    closed = chernoff(p, q, w)
+    try:
+        generic = chernoff(p, q, w, solver="generic", mode="quadrature")
+    except WChernoffError:
+        return
+    assert generic.d_c_w == pytest.approx(closed.d_c_w, rel=1e-6)
 
 
 def _log_density(m):

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wchernoff import (
@@ -30,6 +30,7 @@ def test_log_mean_between_geometric_and_arithmetic(a, b):
 
 @settings(max_examples=50, deadline=None)
 @given(prob_interior, prob_interior)
+@example(1e-6, 1.0000000000000002e-06)  # the two terms cancel to -2.2e-22 before clamping
 def test_bernoulli_kl_nonnegative_and_zero_iff_equal(a, b):
     assert bernoulli_kl(a, b) >= 0.0
     assert bernoulli_kl(a, a) <= 1e-12

@@ -3,9 +3,12 @@
 `scipy.integrate.quad`, one call per piece on a scalar integrand, is the
 oracle here: the same pieces, integrand and tolerances as
 `_numeric.weighted_power_integral`, and the same reading of a failure as a
-ConvergenceError.  Cases are seeded random draws over every continuous pair
-the quadrature branch serves, every factor the package passes and both
-shifts it uses.
+ConvergenceError.  The oracle integrates in the linear domain, so the
+package's log-domain pair (ln I, mean) is compared through `linear`.
+Cases are seeded random draws over every continuous pair the quadrature
+branch serves, every factor the package passes, and a shift of 0 or
+ln rho(a).  Cases far out of the oracle's reach (rho below 1e-300 or above
+1e300, narrow peaks) are pinned against the closed forms.
 """
 
 import math
@@ -17,11 +20,15 @@ from scipy import integrate
 from wchernoff import (
     AffinityCurve,
     Cauchy,
+    ChernoffArc,
     ConstWeight,
     ConvergenceError,
     Exponential,
     ExpTiltWeight,
     Gaussian,
+    Poisson,
+    chernoff,
+    log_weighted_normaliser,
 )
 from wchernoff import _numeric, _quadrature
 
@@ -64,6 +71,13 @@ def quadpack(p, q, weight, a, b, factor=None, shift=0.0):
     if not math.isfinite(total) or err > 1e-6 * max(1.0, abs(total)):
         raise ConvergenceError("diverged")
     return total
+
+
+def linear(p, q, weight, a, b, factor=None, shift=0.0):
+    """integral phi p^a q^b factor / e^shift, read off the package's (ln I, mean)."""
+    log_i, mean = _numeric.weighted_power_integral(p, q, weight, a, b, factor)
+    scale = math.exp(log_i - shift)
+    return scale if factor is None else scale * mean
 
 
 def _pair(rng):
@@ -116,7 +130,7 @@ def test_agrees_with_quadpack_on_random_cases():
     for p, q, weight, a, factor, shift in cases(200):
         args = (p, q, weight, a, 1.0 - a)
         kwargs = {"factor": factor, "shift": shift}
-        ours, our_exc = _outcome(_numeric.weighted_power_integral, *args, **kwargs)
+        ours, our_exc = _outcome(linear, *args, **kwargs)
         oracle, oracle_exc = _outcome(quadpack, *args, **kwargs)
         if our_exc is not oracle_exc:
             mismatches.append((args, shift, our_exc, oracle_exc))
@@ -144,3 +158,48 @@ def test_far_apart_gaussians_match_closed_form():
     numeric = AffinityCurve(p, q, ConstWeight(), mode="quadrature")
     assert numeric.log_rho(0.1) == pytest.approx(closed.log_rho(0.1), rel=1e-9)
     assert numeric.derivative(0.1) == pytest.approx(closed.derivative(0.1), rel=1e-9)
+
+
+G0 = Gaussian([0.0], [[1.0]])
+
+
+@pytest.mark.parametrize("p,q,weight,alpha", [
+    # rho = e^-833 underflows a double
+    (G0, Gaussian([100.0], [[2.0]]), ConstWeight(), 0.5),
+    # the tilted densities are narrow against the starting intervals
+    (G0, Gaussian([60.0], [[0.001]]), ConstWeight(), 0.3),
+    (Gaussian([0.0], [[4.0]]), Gaussian([40.0], [[4e-4]]), ConstWeight(), 0.5),
+    # rho = e^820 overflows a double
+    (G0, Gaussian([1.0], [[1.0]]), ExpTiltWeight([40.0]), 0.5),
+    # a bump of sd 0.03 at 70, between the means; and tilts that put it
+    # hundreds of units past both means, beyond the tail's starting breaks
+    (Gaussian([0.0], [[1e-3]]), Gaussian([100.0], [[1e-3]]), ConstWeight(), 0.3),
+    (Gaussian([0.0], [[30.0]]), Gaussian([0.0], [[20.0]]), ExpTiltWeight([30.0]), 0.5),
+    (Gaussian([-22.6], [[35.0]]), Gaussian([-30.7], [[27.5]]), ExpTiltWeight([28.6]), 0.0),
+])
+def test_log_domain_matches_closed_form_beyond_double_range(p, q, weight, alpha):
+    closed = AffinityCurve(p, q, weight)
+    numeric = AffinityCurve(p, q, weight, mode="quadrature")
+    assert numeric.log_rho(alpha) == pytest.approx(closed.log_rho(alpha), rel=1e-9)
+    assert numeric.derivative(alpha) == pytest.approx(closed.derivative(alpha), rel=1e-9)
+
+
+def test_generic_solve_at_tilt_40_matches_closed_form():
+    # E_phi(p) = e^800: the minimum of F sits at alpha = 1, D = -800
+    args = (G0, Gaussian([1.0], [[1.0]]), ExpTiltWeight([40.0]))
+    closed = chernoff(*args)
+    generic = chernoff(*args, solver="generic", mode="quadrature")
+    assert closed.d_c_w == -800.0
+    assert generic.d_c_w == pytest.approx(closed.d_c_w, rel=1e-9)
+    assert generic.alpha_star == pytest.approx(closed.alpha_star, abs=1e-6)
+
+
+def test_arc_kl_where_rho_underflows():
+    # rho(alpha*) = e^-6395 for Poisson(1) vs Poisson(1e4) under exp_tilt 0.1;
+    # the arc KL to each end is D + ln E_phi of that end (identity iii)
+    p, q, weight = Poisson(1.0), Poisson(1e4), ExpTiltWeight([0.1])
+    result = chernoff(p, q, weight)
+    arc = ChernoffArc(AffinityCurve(p, q, weight))
+    for end, model in ((1.0, p), (0.0, q)):
+        expected = result.d_c_w + log_weighted_normaliser(model, weight)
+        assert arc.kl(result.alpha_star, end) == pytest.approx(expected, rel=1e-9)
