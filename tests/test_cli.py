@@ -365,6 +365,10 @@ class TestErrorPaths:
         ["divergence", "--model-p", '{"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}',
          "--model-q", '{"family": "gaussian", "mean": [1.0], "cov": [[1.0]]}',
          "--weight", '{"kind": "exp_tilt", "gamma": [40]}'],
+        # the same pair on the curve: rho reaches E_phi(N(1, 1)) = e^840
+        ["curve", "--model-p", '{"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}',
+         "--model-q", '{"family": "gaussian", "mean": [1.0], "cov": [[1.0]]}',
+         "--weight", '{"kind": "exp_tilt", "gamma": [40]}'],
     ])
     def test_normaliser_overflow_exits_3(self, runner, args):
         result = runner.invoke(main, args)
