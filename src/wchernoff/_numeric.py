@@ -2,7 +2,7 @@
 
 All weighted integrals are of the form
 
-    integral of  phi(x) * p(x)^a * q(x)^b * factor(ln p(x), ln q(x))  d(reference)
+    integral of  phi(x) * p(x)^a * q(x)^b  d(reference)
 
 with the exponents combined in the log domain, where phi may grow while
 the densities decay.  Discrete families are summed exactly (Poisson tails
@@ -13,32 +13,33 @@ peak (`_edges`).  The log-densities are the models' own `logpdf` and the
 log-weights the weights' `log_value`; nothing here dispatches on the
 family to evaluate them.
 
-`weighted_power_integral` returns the log-domain pair (ln I, mean): ln I
-of I = integral phi p^a q^b, which is F(alpha) at a = alpha, b = 1 - alpha,
-and the mean of `factor` under the normalised density phi p^a q^b / I,
-which stays O(1) where I leaves the range of a double.  `factor(lp, lq)`
-is an optional callable of the two log-densities, not of x, evaluated on
-arrays: the quadrature nodes or the summation grid.  Every factor in the
-package has this form: ln p/q is `lp - lq`, a centred square
-`(lq - lp - kl) ** 2`, the log-ratio of two points of the Chernoff arc
-`(alpha - beta) * (lp - lq) + shift`.  Where the weighted density vanishes
-or the factor is not finite, the integrand is 0.
+`weighted_power_integral` returns ln I of I = integral phi p^a q^b, which
+is F(alpha) at a = alpha, b = 1 - alpha.  With `moments=True` it also
+returns the mean and the variance of d = ln p - ln q under the normalised
+density phi p^a q^b / I, which stay O(1) where I leaves the range of a
+double.  At a = alpha these are F'(alpha) and F''(alpha); every other
+integral the package needs is read off them (the arc KL, the weighted KL
+at (1, 0), and KL(Q||P) with the variance of ln q/p at (0, 1)).  Where
+the weighted density vanishes or d is not finite, the integrand is 0.
+The moments come from the same pass as the mass: the stacked integrand
+[v, v (d - d0), v (d - d0)^2], d0 the value of d at the peak node, so the
+centred sums do not cancel.
 
-A sum gives ln I by `log_sum_exp`, and the mean over its terms scaled by
-the largest.  Quadrature (layout in `_quadrature`) scales the integrand by
-e^-m, m the largest log-integrand over the first pass's starting nodes, so
-that the tolerance max(QUAD_EPSABS, QUAD_EPSREL * |total|) applies to a
-peak-1 integrand; ln I = m + ln total.  The mean is a second integral, of
-the integrand over that total, with absolute tolerance QUAD_EPSREL, which
-is relative to the unit mass: a signed mean is 0 at the root of F', where
-no tolerance relative to the mean itself can be met.  More than 200
-intervals on one piece raises ConvergenceError, as does a non-finite
-total or an error estimate above 1e-6 * max(1, |total|).
+A sum gives ln I by `log_sum_exp`, and the moments over its terms scaled
+by the largest.  Quadrature (layout in `_quadrature`) scales the integrand
+by e^-m, m the largest log-integrand over the first pass's starting nodes,
+so that the tolerance max(QUAD_EPSABS, QUAD_EPSREL * |I_0|) applies to a
+peak-1 integrand; ln I = m + ln I_0.  Moment k has the tolerance
+max(QUAD_EPSABS, QUAD_EPSREL * max(|I_0|, |I_k|)), which is relative to
+the mass: the mean is 0 at the root of F', where no tolerance relative to
+the mean itself can be met.  More than 200 intervals on one piece raises
+ConvergenceError, as does a non-finite integral or an error estimate
+above 1e-6 * max(1, |I_0|, |I_k|).
 
 The integrator is bound to the module attribute `integrate` and read off
 it at every call, `integrate.quad(...)`: `bench/tracer.py` counts those
-calls (its `numeric.quad_calls`, one per mass integral and one per mean)
-by swapping that attribute, so keep it one.
+calls (its `numeric.quad_calls`, one per integral, moments included) by
+swapping that attribute, so keep it one.
 """
 
 from __future__ import annotations
@@ -103,13 +104,13 @@ def _edges(model_p, model_q, g, a, b):
     return [lo] + sorted(c for c in cuts if c > lo) + [math.inf]
 
 
-def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
-    """(ln I, mean) for I = integral phi p^a q^b over the common support.
+def weighted_power_integral(model_p, model_q, weight, a, b, moments=False):
+    """(ln I,), or with `moments` (ln I, mean d, var d), for I = integral phi p^a q^b.
 
-    `mean` is integral phi p^a q^b factor(ln p, ln q) / I, or None without a
-    factor (contracts in the module docstring).  ConvergenceError where the
-    sum or quadrature diverges or does not converge, or a mean is asked of
-    an I of 0 or inf.  The pair must have passed `models.check_models`.
+    d = ln p - ln q, its moments under phi p^a q^b / I (contracts in the
+    module docstring).  ConvergenceError where the sum or quadrature
+    diverges or does not converge, or moments are asked of an I of 0 or
+    inf.  The pair must have passed `models.check_models`.
     """
     if model_p.support in ("nonneg_int", "finite"):
         k = discrete_grid(model_p, model_q, weight, a, b)
@@ -118,35 +119,56 @@ def weighted_power_integral(model_p, model_q, weight, a, b, factor=None):
             logs = weight.log_value(k) + a * lp + b * lq
         logs = np.where(np.isnan(logs), -np.inf, logs)  # 0 * ln 0 style corners
         log_i = log_sum_exp(logs)
-        if factor is None:
-            return log_i, None
+        if not moments:
+            return (log_i,)
         _check_mass(log_i)
-        w = np.exp(logs - np.max(logs))
-        return log_i, float(w @ _finite(factor(lp, lq)) / np.sum(w))
+        peak = int(np.argmax(logs))
+        d = _finite(lp - lq)
+        d0, dc = float(d[peak]), d - d[peak]
+        v = np.exp(logs - logs[peak])
+        return (log_i, *_mean_var((np.sum(v), v @ dc, (v * dc) @ dc), d0))
 
     check_scalar(model_p, model_q)
     g = float(tilt_gamma(weight)[0])
     log_p, log_q = model_p.logpdf, model_q.logpdf
-    peak, fac = None, None
+    peak = d0 = None
 
     def integrand(x, log_jac):
-        nonlocal peak
+        nonlocal peak, d0
         lp, lq = log_p(x), log_q(x)
         logs = g * x + a * lp + b * lq + log_jac
         if peak is None:  # the first pass's starting nodes; 0 where none is finite
-            peak = float(np.nan_to_num(np.fmax.reduce(logs), posinf=0.0, neginf=0.0))
+            top = int(np.argmax(np.fmax(logs, -np.inf)))  # fmax reads a nan as -inf
+            peak = float(logs[top]) if np.isfinite(logs[top]) else 0.0
+            d0 = float(_finite(lp[top] - lq[top]))
         v = np.exp(logs - peak)
         v = np.where(v > 0.0, v, 0.0)  # a nan from 0 * inf at an extreme node is 0
-        return v if fac is None else v * _finite(fac(lp, lq))
+        if not moments:
+            return v
+        dc = _finite(lp - lq) - d0
+        vd = v * dc
+        return np.array([v, vd, vd * dc])
 
-    edges = _edges(model_p, model_q, g, a, b)
-    total = _quad(integrand, edges, QUAD_EPSABS)
-    log_i = peak + math.log(total) if total > 0.0 else -math.inf
-    if factor is None:
-        return log_i, None
+    total, err = integrate.quad(integrand, _edges(model_p, model_q, g, a, b),
+                                epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
+    if not np.isfinite(total).all():
+        raise ConvergenceError("weighted quadrature diverged")
+    if (err > 1e-6 * np.maximum(max(1.0, abs(total[0])), np.abs(total))).any():
+        raise ConvergenceError(
+            f"quadrature did not converge (estimated error {err.max():.3e})",
+            achieved=float(err.max())
+        )
+    log_i = peak + math.log(total[0]) if total[0] > 0.0 else -math.inf
+    if not moments:
+        return (log_i,)
     _check_mass(log_i)
-    fac = factor
-    return log_i, _quad(lambda x, log_jac: integrand(x, log_jac) / total, edges, QUAD_EPSREL)
+    return (log_i, *_mean_var(total, d0))
+
+
+def _mean_var(sums, d0):
+    """Mean and variance of d from the sums of v, v (d - d0) and v (d - d0)^2."""
+    m = float(sums[1] / sums[0])
+    return d0 + m, max(float(sums[2] / sums[0]) - m * m, 0.0)
 
 
 def _finite(f):
@@ -155,15 +177,4 @@ def _finite(f):
 
 def _check_mass(log_i):
     if not math.isfinite(log_i):
-        raise ConvergenceError(f"weighted integral is e^{log_i}; a mean under it is undefined")
-
-
-def _quad(integrand, edges, epsabs):
-    total, err = integrate.quad(integrand, edges, epsabs=epsabs, epsrel=QUAD_EPSREL, limit=200)
-    if not math.isfinite(total):
-        raise ConvergenceError("weighted quadrature diverged")
-    if err > 1e-6 * max(1.0, abs(total)):
-        raise ConvergenceError(
-            f"quadrature did not converge (estimated error {err:.3e})", achieved=err
-        )
-    return total
+        raise ConvergenceError(f"weighted integral is e^{log_i}; moments under it are undefined")

@@ -4,8 +4,10 @@
 between consecutive `edges`; the first may be -inf and the last +inf, and
 every piece needs one finite end.  Each pass evaluates every node of every
 open interval of every piece in one call `integrand(x, log_jac)`, which
-must return f(x) * e^log_jac at the array x.  `log_jac` is 0 on finite
-pieces.  An infinite piece [c, inf) is mapped to t in [0, 1) by
+must return f(x) * e^log_jac at the array x: one row per component of a
+stacked integrand, shape (K, x.size), or a 1-D array for one component.
+All components share the nodes and the intervals.  `log_jac` is 0 on
+finite pieces.  An infinite piece [c, inf) is mapped to t in [0, 1) by
 x = c + t/(1 - t), and (-inf, c] by x = c - t/(1 - t); there `log_jac` is
 the log-Jacobian -2 ln(1 - t), so that a log-domain integrand adds it to
 its exponent and a vanishing density never meets a growing Jacobian as
@@ -15,14 +17,20 @@ Starting intervals: 8 equal ones on a finite piece; on an infinite piece,
 breaks at t = 1 - 2^-k for k = 0..7 and t = 1, which put x at 0, 1, 3,
 7, ..., 127 from c, so that a tail decaying on the unit scale is resolved
 in the first pass.  The rule and its error estimate are QUADPACK's qk21
-(Piessens et al., QUADPACK, Springer 1983; public domain).  While the
-summed error exceeds max(epsabs, epsrel * |integral|), the intervals
-carrying the largest errors are bisected, all in one pass, until the
-errors left on the others sum to at most half that tolerance.
+(Piessens et al., QUADPACK, Springer 1983; public domain), taken component
+by component.  Component k has the tolerance
+max(epsabs, epsrel * max(|I_0|, |I_k|)): for I_0 that is the usual mixed
+rule, and for a signed moment such as the mean of ln p/q, which is 0 at
+the root of F', it is relative to the mass I_0.  An interval's error is
+the largest of its components' error/tolerance ratios.  While some
+component's summed error exceeds its tolerance, the intervals with the
+largest errors are bisected, all in one pass, until the errors left on
+the others sum to at most half a tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,25 +70,31 @@ _TAIL_BREAKS = np.append(1.0 - 2.0 ** -np.arange(_START), 1.0)
 
 
 def _qk21(integrand, lo, hi, coef):
-    """(integral, QUADPACK error estimate) of the integrand on each interval [lo, hi].
+    """(integrals, QUADPACK error estimates) of each component on each interval [lo, hi].
 
-    Row (c, s, k, piece) of `coef` maps t to x = c + s t / (1 - k t): the
-    identity on a finite piece (0, 1, 0), a tail with k = 1 and s = +-1.
+    Both are (K, intervals).  Row (c, s, k, piece) of `coef` maps t to
+    x = c + s t / (1 - k t): the identity on a finite piece (0, 1, 0), a
+    tail with k = 1 and s = +-1.
     """
     half = 0.5 * (hi - lo)
     t = (lo + half)[:, None] + half[:, None] * _X
     kt = coef[:, 2, None] * t
     x = coef[:, 0, None] + coef[:, 1, None] * t / (1.0 - kt)
-    v = integrand(x.ravel(), -2.0 * np.log1p(-kt.ravel())).reshape(t.shape)
-    kronrod, gauss = (v @ _W).T
-    resasc = np.abs(v - 0.5 * kronrod[:, None]) @ _WK
+    v = integrand(x.ravel(), -2.0 * np.log1p(-kt.ravel())).reshape(-1, *t.shape)
+    both = v @ _W
+    kronrod, gauss = both[..., 0], both[..., 1]
+    resasc = np.abs(v - 0.5 * kronrod[..., None]) @ _WK
     # where resasc is 0 the integrand is constant and fmin drops the nan of 0/0
     err = resasc * np.fmin(1.0, (200.0 * np.abs(kronrod - gauss) / resasc) ** 1.5)
     return half * kronrod, half * np.maximum(err, _EPS50 * (np.abs(v) @ _WK))
 
 
+@functools.lru_cache(maxsize=64)
 def _start(edges):
-    """Starting intervals in the integration variable and each one's `coef` row."""
+    """Starting intervals in the integration variable and each one's `coef` row.
+
+    Cached by the edges tuple, so the arrays are read-only.
+    """
     breaks, coef = [], []
     for i, (left, right) in enumerate(zip(edges[:-1], edges[1:])):
         if right == math.inf:
@@ -93,26 +107,30 @@ def _start(edges):
             breaks.append(left + (right - left) * _LINEAR_BREAKS)
             coef.append((0.0, 1.0, 0.0, i))
     breaks = np.array(breaks)
-    return breaks[:, :-1].ravel(), breaks[:, 1:].ravel(), np.repeat(coef, _START, axis=0)
+    out = breaks[:, :-1].ravel(), breaks[:, 1:].ravel(), np.repeat(coef, _START, axis=0)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def quad(integrand, edges, epsabs, epsrel, limit):
-    """(integral, error estimate) over the pieces between consecutive edges.
+    """(integrals, error estimates) over the pieces between consecutive edges.
 
-    Raises ConvergenceError when a piece needs more than `limit`
-    intervals.  A non-finite integral or error is returned as it is, for
-    the caller to judge.
+    Both are arrays with one entry per component.  Raises ConvergenceError
+    when a piece needs more than `limit` intervals.  A non-finite integral
+    or error is returned as it is, for the caller to judge.
     """
-    lo, hi, coef = _start(edges)
+    lo, hi, coef = _start(tuple(edges))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         res, err = _qk21(integrand, lo, hi, coef)
         while True:
-            total, errsum = float(res.sum()), float(err.sum())
-            tol = max(epsabs, epsrel * abs(total))
-            if errsum <= tol or not math.isfinite(errsum):
+            total, errsum = res.sum(axis=1), err.sum(axis=1)
+            tol = np.maximum(epsabs, epsrel * np.maximum(abs(total[0]), np.abs(total)))
+            if (errsum <= tol).all() or not np.isfinite(errsum).all():
                 return total, errsum
-            order = np.argsort(err)[::-1]
-            n = np.count_nonzero(errsum - np.cumsum(err[order]) > 0.5 * tol) + 1
+            ratio = (err / tol[:, None]).max(axis=0)
+            order = np.argsort(ratio)[::-1]
+            n = np.count_nonzero(ratio.sum() - np.cumsum(ratio[order]) > 0.5) + 1
             split, keep = order[:n], order[n:]
             mid = 0.5 * (lo[split] + hi[split])
             lo = np.concatenate([lo[keep], lo[split], mid])
@@ -121,6 +139,7 @@ def quad(integrand, edges, epsabs, epsrel, limit):
             if np.bincount(coef[:, 3].astype(int)).max() > limit:
                 raise ConvergenceError(
                     f"quadrature did not converge: more than {limit} intervals on one piece",
-                    achieved=errsum)
+                    achieved=float(errsum.max()))
             r, e = _qk21(integrand, lo[keep.size:], hi[keep.size:], coef[keep.size:])
-            res, err = np.concatenate([res[keep], r]), np.concatenate([err[keep], e])
+            res = np.concatenate([res[:, keep], r], axis=1)
+            err = np.concatenate([err[:, keep], e], axis=1)

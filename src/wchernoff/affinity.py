@@ -9,9 +9,12 @@ The weighted Chernoff information is -min F over [0, 1]; the minimiser is
 the optimal skewing parameter alpha*.  Closed forms are used for
 Gaussian/Poisson/Exponential pairs under constant or exponential-tilt
 weights, read off the exponential-family embedding where the pair has one
-(see `AffinityCurve`).  Everything else goes to the generic solver: Brent's
-bracketed root-finder (scipy.optimize.brentq) on F', with the bracket and
-the boundary cases taken just inside the endpoints of [0, 1], where F' is
+(see `AffinityCurve`).  Everything else goes to the generic solver:
+Newton's method on F', safeguarded by bisection inside a bracket (rtsafe).
+F' and F'' are the mean and the variance of ln p/q under the normalised
+(pq)_alpha, so every step takes F, F' and F'' from one evaluation: a
+closed form, or one pass of the generic integral.  The bracket and the
+boundary cases are taken just inside the endpoints of [0, 1], where F' is
 finite even when the tilted mean of ln p/q at an endpoint is not.
 """
 
@@ -35,11 +38,8 @@ from .models import (
     check_models,
     embed_pair,
     exp_or_raise,
-    lazy_module,
     tilt_gamma,
 )
-
-optimize = lazy_module("scipy.optimize")
 
 __all__ = [
     "AffinityCurve",
@@ -67,6 +67,9 @@ FLAT_TOL = 1e-12
 # endpoint is reported at the endpoint or at the edge point, whichever has
 # the lower F, so alpha* is exact to EDGE and D to about F'' EDGE^2
 EDGE = 1e-6
+# Newton stops when its next step would be shorter than XTOL
+XTOL = 2e-12
+MAX_STEPS = 100
 
 
 def log_mean(a, b):
@@ -152,10 +155,14 @@ class AffinityCurve:
     A pair inside one 1-D exponential family keeps its `embedding`
     (family, theta1, theta2) and reads F(a) = Fhat(theta_a) - a F(theta1) -
     (1-a) F(theta2) off it, +inf where theta_a = a theta1 + (1-a) theta2
-    leaves the weighted domain.  Other Gaussian pairs use the tilted Gaussian.
+    leaves the weighted domain; Fhat(theta) = F(theta + gamma), so
+    F''(a) = (theta1 - theta2)^2 F''(theta_a + gamma).  Other Gaussian pairs
+    use the tilted Gaussian N(mu_t, Sigma_a), under which ln p/q is a
+    quadratic form.
 
-    `rho` is the one place that exponentiates ln rho; `_log_rho` continues
-    the curve past [0, 1] for the cumulants, +inf where the integral diverges.
+    `rho` is the one place that exponentiates ln rho.  `_log_rho` and
+    `moments` continue the curve past [0, 1] for the cumulants, with
+    F = +inf where the integral diverges in closed form.
     """
 
     def __init__(self, model_p, model_q, weight, mode=None):
@@ -165,6 +172,7 @@ class AffinityCurve:
         self.weight = weight
         self.embedding = embed_pair(model_p, model_q, weight)
         self.mode = mode if mode is not None else self._auto_mode()
+        self._cov_inv = None
 
     def _auto_mode(self):
         p, q = self.model_p, self.model_q
@@ -184,10 +192,7 @@ class AffinityCurve:
 
     def _log_rho(self, alpha):
         """ln rho at any real alpha, +inf where a sum diverges."""
-        if self.mode == CLOSED_FORM:
-            return self._closed_log_rho(alpha)
-        return _numeric.weighted_power_integral(
-            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha)[0]
+        return self._values(alpha, False)[0]
 
     def rho(self, alpha):
         return exp_or_raise(self.log_rho(alpha), "rho")
@@ -196,66 +201,73 @@ class AffinityCurve:
         return -self.log_rho(alpha)
 
     def derivative(self, alpha):
-        """F'(alpha): the mean of ln(p/q) under the tilted density (pq)_alpha.
+        """F'(alpha): the mean of ln(p/q) under the tilted density (pq)_alpha."""
+        return self.moments(_check_alpha(alpha))[1]
 
-        The generic modes take it as a mean of the log-domain integral, which
-        stays finite where rho(alpha) leaves the range of a double.
+    def moments(self, alpha):
+        """(F, F', F'') at any real alpha: ln rho, and the mean and variance of
+        ln(p/q) under (pq)_alpha.
+
+        The generic modes read all three off one pass of the log-domain
+        integral, which stays finite where rho leaves the range of a double,
+        and raise ConvergenceError where it diverges.
         """
-        alpha = _check_alpha(alpha)
-        if self.mode == CLOSED_FORM:
-            return self._closed_derivative(alpha)
-        return _numeric.weighted_power_integral(
-            self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha,
-            factor=lambda lp, lq: lp - lq)[1]
+        return self._values(alpha, True)
 
-    # -- closed forms -------------------------------------------------------
+    def _values(self, alpha, moments):
+        """(F,) or (F, F', F'') at alpha, as `_numeric.weighted_power_integral` returns them."""
+        if self.mode != CLOSED_FORM:
+            return _numeric.weighted_power_integral(
+                self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha, moments=moments)
+        if self.embedding is None:
+            return self._gaussian(alpha, moments)
+        fam, t1, t2 = self.embedding
+        t = alpha * t1 + (1.0 - alpha) * t2
+        if not fam.contains(t):
+            # F has a +inf pole past the upper end of the domain (no family
+            # has a lower end): the slope takes the sign of d theta_alpha
+            return (math.inf, math.copysign(math.inf, t1 - t2), math.inf)[:1 + 2 * moments]
+        f = fam.Fhat(t) - alpha * fam.F(t1) - (1.0 - alpha) * fam.F(t2)
+        if not moments:
+            return (f,)
+        return (f, (t1 - t2) * fam.dFhat(t) - fam.F(t1) + fam.F(t2),
+                (t1 - t2) ** 2 * fam.d2F(t + fam.gamma))
 
-    def _closed_log_rho(self, alpha):
-        if self.embedding is not None:
-            fam, t1, t2 = self.embedding
-            t = alpha * t1 + (1.0 - alpha) * t2
-            if not fam.contains(t):
-                return math.inf
-            return fam.Fhat(t) - alpha * fam.F(t1) - (1.0 - alpha) * fam.F(t2)
+    def _gaussian(self, alpha, moments):
+        """`_values` of a Gaussian pair, from the tilted Gaussian N(mu_t, Sigma_a).
+
+        ln p/q = const - d1' S1^-1 d1 / 2 + d2' S2^-1 d2 / 2 at x = mu_t + z,
+        with d_i = x - mu_i, is a quadratic form in z: its variance is
+        tr((A Sigma_a)^2) / 2 + b' Sigma_a b, with A = S2^-1 - S1^-1 and b the
+        gradient of ln p/q at mu_t.
+        """
         p, q = self.model_p, self.model_q
-        if not 0.0 <= alpha <= 1.0 and np.linalg.eigvalsh(
-                alpha * p.cov_inv() + (1.0 - alpha) * q.cov_inv())[0] <= 0.0:
-            return math.inf  # past [0, 1] the tilted precision can be indefinite
-        s1inv, s2inv, prec, sigma_a, mu_t = self._tilted_gaussian(alpha)
+        if self._cov_inv is None:
+            self._cov_inv = p.cov_inv(), q.cov_inv()
+        s1inv, s2inv = self._cov_inv
+        prec = alpha * s1inv + (1.0 - alpha) * s2inv
+        if not 0.0 <= alpha <= 1.0 and np.linalg.eigvalsh(prec)[0] <= 0.0:
+            # past [0, 1] the tilted precision can be indefinite
+            return (math.inf, math.nan, math.nan)[:1 + 2 * moments]
+        sigma_a = np.linalg.inv(prec)
+        g = tilt_gamma(self.weight, p.dim)
+        mu_t = sigma_a @ (alpha * s1inv @ p.mean + (1.0 - alpha) * s2inv @ q.mean + g)
         _, logdet_a = np.linalg.slogdet(sigma_a)
         quad = (alpha * p.mean @ s1inv @ p.mean
                 + (1.0 - alpha) * q.mean @ s2inv @ q.mean
                 - mu_t @ prec @ mu_t)
-        return float(0.5 * logdet_a - 0.5 * alpha * p._log_det
-                     - 0.5 * (1.0 - alpha) * q._log_det - 0.5 * quad)
-
-    def _closed_derivative(self, alpha):
-        if self.embedding is not None:
-            fam, t1, t2 = self.embedding
-            t = alpha * t1 + (1.0 - alpha) * t2
-            if not fam.contains(t):
-                # F has a +inf pole past the upper end of the domain (no family
-                # has a lower end): the slope takes the sign of d theta_alpha
-                return math.copysign(math.inf, t1 - t2)
-            return (t1 - t2) * fam.dFhat(t) - fam.F(t1) + fam.F(t2)
-        # E[ln(p/q)] under the tilted gaussian N(mu_t, Sigma_a)
-        p, q = self.model_p, self.model_q
-        s1inv, s2inv, _, sigma_a, mu_t = self._tilted_gaussian(alpha)
+        f = float(0.5 * logdet_a - 0.5 * alpha * p._log_det
+                  - 0.5 * (1.0 - alpha) * q._log_det - 0.5 * quad)
+        if not moments:
+            return (f,)
         d1 = mu_t - p.mean
         d2 = mu_t - q.mean
-        return float(0.5 * (q._log_det - p._log_det)
-                     - 0.5 * (np.trace(s1inv @ sigma_a) + d1 @ s1inv @ d1)
-                     + 0.5 * (np.trace(s2inv @ sigma_a) + d2 @ s2inv @ d2))
-
-    def _tilted_gaussian(self, alpha):
-        """Inverse covariances of p and q; precision, covariance and mean of (pq)_alpha."""
-        p, q = self.model_p, self.model_q
-        s1inv, s2inv = p.cov_inv(), q.cov_inv()
-        prec = alpha * s1inv + (1.0 - alpha) * s2inv
-        sigma_a = np.linalg.inv(prec)
-        g = tilt_gamma(self.weight, p.dim)
-        mu_t = sigma_a @ (alpha * s1inv @ p.mean + (1.0 - alpha) * s2inv @ q.mean + g)
-        return s1inv, s2inv, prec, sigma_a, mu_t
+        slope = float(0.5 * (q._log_det - p._log_det)
+                      - 0.5 * (np.trace(s1inv @ sigma_a) + d1 @ s1inv @ d1)
+                      + 0.5 * (np.trace(s2inv @ sigma_a) + d2 @ s2inv @ d2))
+        a_sigma = (s2inv - s1inv) @ sigma_a
+        grad = s2inv @ d2 - s1inv @ d1
+        return f, slope, float(0.5 * np.sum(a_sigma * a_sigma.T) + grad @ sigma_a @ grad)
 
 
 def _check_alpha(alpha):
@@ -329,11 +341,11 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
     """Maximise the weighted Bhattacharyya distance over alpha in [0, 1].
 
     `solver="auto"` uses the closed-form critical point when available
-    (projected onto [0, 1]); `solver="generic"` forces the bracketed
-    root-finder on the derivative of the log-affinity, which decides the
-    boundary cases from values and slopes just inside [0, 1] rather than
-    from the sign of an endpoint derivative.  The curve evaluation `mode`
-    is independent of the solver choice.
+    (projected onto [0, 1]); `solver="generic"` forces the safeguarded
+    Newton iteration on the derivative of the log-affinity (`_root_find`),
+    which decides the boundary cases from values and slopes just inside
+    [0, 1] rather than from the sign of an endpoint derivative.  The curve
+    evaluation `mode` is independent of the solver choice.
     """
     curve = AffinityCurve(model_p, model_q, weight, mode=mode)
     f0 = curve.log_rho(0.0)
@@ -343,7 +355,8 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
     for f in (f0, f1):
         if math.isnan(f) or f == -math.inf:
             raise PreconditionError("log-affinity is not finite at the endpoints")
-    fh = curve.log_rho(0.5)
+    half = curve.moments(0.5)
+    fh = half[0]
     if (math.isfinite(f0) and math.isfinite(f1)
             and abs(f0 - fh) < FLAT_TOL and abs(f1 - fh) < FLAT_TOL):
         return ChernoffResult(0.5, -fh, FLAT, 0, 0.0)
@@ -352,43 +365,71 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
         tilde = _closed_alpha_tilde(curve)
         if tilde is not None:
             alpha = min(1.0, max(0.0, tilde))
-            boundary = INTERIOR if 0.0 < alpha < 1.0 else (AT_ZERO if alpha == 0.0 else AT_ONE)
-            residual = abs(curve.derivative(alpha)) if boundary == INTERIOR else 0.0
-            return ChernoffResult(alpha, -curve.log_rho(alpha), boundary, 0, residual)
+            if alpha in (0.0, 1.0):
+                return ChernoffResult(alpha, -(f1 if alpha else f0),
+                                      AT_ONE if alpha else AT_ZERO, 0, 0.0)
+            f, slope, _ = half if alpha == 0.5 else curve.moments(alpha)
+            return ChernoffResult(alpha, -f, INTERIOR, 0, abs(slope))
     elif solver != "generic":
         raise PreconditionError(f"unknown solver '{solver}'")
-    return _root_find(curve, f0, f1)
+    return _root_find(curve, f0, f1, half)
 
 
-def _root_find(curve, f0, f1):
-    """Minimise the convex F by Brent's method on its increasing derivative.
+def _root_find(curve, f0, f1, half):
+    """Minimise the convex F by safeguarded Newton on its nondecreasing derivative.
 
-    F' is only evaluated inside [EDGE, 1 - EDGE].  At an endpoint the
-    tilted mean of ln p/q can be infinite (N(0,1) against Cauchy at
-    alpha = 0), and quadrature then returns a finite value of either sign.
+    Starts from `half`, (F, F', F'') at 1/2.  F' is only evaluated inside
+    [EDGE, 1 - EDGE]: at an endpoint the tilted mean of ln p/q can be
+    infinite (N(0,1) against Cauchy at alpha = 0), and quadrature then
+    returns a finite value of either sign.  The sign of F'(1/2) says on
+    which side of 1/2 the minimiser lies, so only that side's edge point
+    is checked.  `iterations` counts the Newton steps after 1/2.
     """
-    slopes = {}
-
-    def slope(alpha):  # brentq re-evaluates the bracket ends and the root
-        if alpha not in slopes:
-            slopes[alpha] = curve.derivative(alpha)
-        return slopes[alpha]
-
-    lo, hi = EDGE, 1.0 - EDGE
-    if slope(lo) >= 0.0:
-        return _near_end(curve, 0.0, f0, lo, slope(lo))
-    if slope(hi) <= 0.0:
-        return _near_end(curve, 1.0, f1, hi, slope(hi))
-    alpha, info = optimize.brentq(slope, lo, hi, full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(f"root-finder on F' did not converge: {info.flag}")
-    return ChernoffResult(alpha, -curve.log_rho(alpha), INTERIOR, info.iterations,
-                          abs(slope(alpha)))
+    f, slope, _ = half
+    if slope == 0.0:
+        return ChernoffResult(0.5, -f, INTERIOR, 0, 0.0)
+    end, f_end, inner = (0.0, f0, EDGE) if slope > 0.0 else (1.0, f1, 1.0 - EDGE)
+    at_inner = curve.moments(inner)
+    if slope * at_inner[1] >= 0.0:
+        # the minimum lies between `end` and `inner`: report the lower of the two
+        if f_end <= at_inner[0]:
+            return ChernoffResult(end, -f_end, AT_ZERO if end == 0.0 else AT_ONE, 0, 0.0)
+        return ChernoffResult(inner, -at_inner[0], INTERIOR, 0, abs(at_inner[1]))
+    alpha, (f, slope, _), steps = newton_minimise(curve.moments, 0.5, half, inner, at_inner)
+    return ChernoffResult(alpha, -f, INTERIOR, steps, abs(slope))
 
 
-def _near_end(curve, end, f_end, inner, d_inner):
-    """The minimum lies between `end` and `inner`: report the lower of the two."""
-    f_inner = curve.log_rho(inner)
-    if f_end <= f_inner:
-        return ChernoffResult(end, -f_end, AT_ZERO if end == 0.0 else AT_ONE, 0, 0.0)
-    return ChernoffResult(inner, -f_inner, INTERIOR, 0, abs(d_inner))
+def newton_minimise(fn, x, at_x, y, at_y):
+    """Minimise a convex function between x and y by Newton's method on its slope.
+
+    `fn(t)` gives (F, F', F'') at t, and `at_x`, `at_y` are its values at
+    x and y, where the slopes have opposite signs; a point past the end of
+    the function's domain has F = +inf and an infinite slope pointing back
+    into it.  The safeguard is rtsafe's (Press et al., Numerical Recipes,
+    3rd ed., section 9.4): a Newton step that leaves the bracket, or that
+    is longer than half the step before last, becomes a bisection.
+    F'' only sets the step; the iteration ends when F' is 0 or the next
+    step is shorter than XTOL.  Returns the last point evaluated, its
+    (F, F', F'') and the number of steps.
+    """
+    neg, pos = (x, y) if at_x[1] < 0.0 else (y, x)  # the slope's sign at each end
+    t, (f, slope, curv) = x, at_x
+    step = step_old = abs(y - x)
+    for steps in range(MAX_STEPS):
+        if slope == 0.0:
+            break
+        new = t - slope / curv if curv > 0.0 else math.nan
+        if not min(neg, pos) <= new <= max(neg, pos) or abs(new - t) > 0.5 * step_old:
+            new = 0.5 * (neg + pos)
+        step_old, step = step, abs(new - t)
+        if step < XTOL:
+            break
+        t = new
+        f, slope, curv = fn(t)
+        if slope < 0.0:
+            neg = t
+        else:
+            pos = t
+    else:
+        raise ConvergenceError(f"Newton iteration on F' did not converge in {MAX_STEPS} steps")
+    return t, (f, slope, curv), steps

@@ -92,8 +92,8 @@ def weighted_kl(model_p, model_q, weight):
             or embed_pair(model_p, model_q, weight) is not None):
         e_p = weighted_normaliser(model_p, weight)
         return e_p * AffinityCurve(model_p, model_q, weight).derivative(1.0)
-    log_e, mean = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
-                                                   factor=lambda lp, lq: lp - lq)
+    log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
+                                                      moments=True)
     return exp_or_raise(log_e, "E_phi") * mean
 
 
@@ -150,14 +150,14 @@ class ChernoffArc:
         """Unweighted D_KL((pq)_alpha || (pq)_beta) by direct integration.
 
         ln (pq)_alpha - ln (pq)_beta = (alpha - beta) ln(p/q) + F(beta) - F(alpha),
-        as a mean of the log-domain integral, finite where rho(alpha) underflows.
+        whose mean under (pq)_alpha is (alpha - beta) F'(alpha) + F(beta) - F(alpha),
+        with F' the mean of the log-domain integral, finite where rho(alpha)
+        underflows.
         """
         c = self.curve
-        shift = c.log_rho(beta) - c.log_rho(alpha)
-        step = alpha - beta
-        return _numeric.weighted_power_integral(
-            c.model_p, c.model_q, c.weight, alpha, 1.0 - alpha,
-            factor=lambda lp, lq: step * (lp - lq) + shift)[1]
+        mean = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight,
+                                                alpha, 1.0 - alpha, moments=True)[1]
+        return (alpha - beta) * mean + c.log_rho(beta) - c.log_rho(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numeric
-from .affinity import AffinityCurve, chernoff
+from .affinity import AffinityCurve, chernoff, newton_minimise
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -59,7 +59,6 @@ from .models import (
     rng_stream,
 )
 
-optimize = lazy_module("scipy.optimize")
 special = lazy_module("scipy.special")
 
 __all__ = [
@@ -546,24 +545,10 @@ def tilted_stats(problem):
             d = float(np.max(np.abs(lr - kl)))
         return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
 
-    # unweighted KL(Q||P) and Var_Q(ln(q/p)) numerically; d is infinite
-    kl = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                          factor=lambda lp, lq: lq - lp)[1]
-    sigma2 = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                              factor=lambda lp, lq: (lq - lp - kl) ** 2)[1]
-    return TiltedLikelihoodStats(kl, math.inf, sigma2, problem.shift)
-
-
-def _cumulant_fns(problem):
-    """(psi_P, psi_Q), read off the phi == 1 curve as in the module docstring."""
-    curve = AffinityCurve(problem.model_p, problem.model_q, ConstWeight())
-    shift = problem.shift
-
-    def psi(at, alpha):
-        val = curve._log_rho(at)
-        return val + alpha * shift if math.isfinite(val) else math.inf
-
-    return (lambda a: psi(1.0 - a, a)), (lambda a: psi(-a, a))
+    # unweighted KL(Q||P) and Var_Q(ln(q/p)) as the moments of ln(p/q) under Q; d is infinite
+    _, mean, sigma2 = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
+                                                       moments=True)
+    return TiltedLikelihoodStats(-mean, math.inf, sigma2, problem.shift)
 
 
 def cumulants(problem, alpha):
@@ -575,44 +560,53 @@ def cumulants(problem, alpha):
     finite.
     """
     alpha = float(alpha)
-    psi_p, psi_q = _cumulant_fns(problem)
-    return psi_p(alpha), psi_q(alpha)
+    curve, shift = AffinityCurve(problem.model_p, problem.model_q, ConstWeight()), problem.shift
+
+    def psi(at):
+        val = curve._log_rho(at)
+        return val + alpha * shift if math.isfinite(val) else math.inf
+
+    return psi(1.0 - alpha), psi(-alpha)
 
 
 _LEGENDRE_SPAN = 20.0
-_LEGENDRE_POINTS = 17
 
 
-def _legendre(psi, r):
-    """sup over alpha in [-20, 20] of alpha r - psi(alpha).
+def _legendre(curve, end, s, half):
+    """sup over alpha in [-20, 20] of alpha s - F(end - alpha).
 
-    The objective is concave (psi is convex), so the best point of a
-    coarse grid brackets the maximiser between its two neighbours, where a
-    bounded scalar maximiser finishes the search.
+    With s = r - shift this is I_P(r) at end 1 and I_Q(r) at end 0 (the
+    module docstring's psi_P and psi_Q).  The objective is concave; its
+    negative is minimised by `newton_minimise`, with F(end - alpha) and its
+    slope and curvature from `AffinityCurve.moments`.  The start is
+    F(1/2), given as `half`: its moments are finite for every admissible
+    pair, while those at an end of [0, 1] need not be (ln p/q has no mean
+    under a Cauchy q against a Gaussian p).  Only the edge on the uphill
+    side is checked: a finite objective still climbing there means the
+    supremum is not attained inside.  A point where F is +inf, or its
+    moments fail, lies at or past the end of F's domain and moves the
+    bracket back toward the start.
     """
+    start = end - 0.5
 
-    def g(a):
+    def neg_objective(a):
         try:
-            v = psi(a)
+            f, slope, curv = curve.moments(end - a) if a != start else half
         except ConvergenceError:
-            return -math.inf
-        return a * r - v if math.isfinite(v) else -math.inf
+            f = math.inf
+        if not math.isfinite(f):
+            return math.inf, math.copysign(math.inf, a - start), math.nan
+        return f - a * s, -slope - s, curv
 
-    grid = np.linspace(-_LEGENDRE_SPAN, _LEGENDRE_SPAN, _LEGENDRE_POINTS)
-    vals = [g(a) for a in grid]
-    best = int(np.argmax(vals))
-    if vals[best] == -math.inf:
-        raise RateInfiniteError("cumulant is nowhere finite on the working interval")
-    if best in (0, len(grid) - 1):
-        # still climbing at the scan edge: supremum not attained inside
-        inner = best + 1 if best == 0 else best - 1
-        if vals[best] > vals[inner]:
-            raise RateInfiniteError("Legendre supremum unbounded on [-20, 20]")
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(lambda a: -g(a), bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-10})
-    return float(max(-res.fun, vals[best]))
+    at_start = neg_objective(start)
+    if at_start[1] == 0.0:
+        return -at_start[0]
+    edge = math.copysign(_LEGENDRE_SPAN, -at_start[1])
+    at_edge = neg_objective(edge)
+    if math.isfinite(at_edge[0]) and at_edge[1] * at_start[1] > 0.0:
+        raise RateInfiniteError("Legendre supremum unbounded on [-20, 20]")
+    _, (value, _, _), _ = newton_minimise(neg_objective, start, at_start, edge, at_edge)
+    return -value
 
 
 def rate_function(problem, r):
@@ -622,8 +616,9 @@ def rate_function(problem, r):
     cumulant; they are linked by I_Q(r) = I_P(r) - r + shift, and I_P(0)
     is the tilted-likelihood Chernoff exponent.
     """
-    psi_p, psi_q = _cumulant_fns(problem)
-    return _legendre(psi_p, float(r)), _legendre(psi_q, float(r))
+    curve = AffinityCurve(problem.model_p, problem.model_q, ConstWeight())
+    s, half = float(r) - problem.shift, curve.moments(0.5)
+    return _legendre(curve, 1.0, s, half), _legendre(curve, 0.0, s, half)
 
 
 def bernoulli_kl(a, b):

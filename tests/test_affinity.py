@@ -28,6 +28,7 @@ from wchernoff import (
     rho_w,
     weighted_bhattacharyya,
 )
+from wchernoff.affinity import newton_minimise
 
 P2, P1 = Poisson(2.0), Poisson(1.0)
 E2, E1 = Exponential(2.0), Exponential(1.0)
@@ -326,6 +327,94 @@ class TestQuadratureSolver:
         alpha = 1.0 - res.alpha_star if flip else res.alpha_star
         assert alpha == pytest.approx(0.2049601077, abs=1e-6)
         assert res.d_c_w == pytest.approx(0.1490201425703, abs=1e-9)
+
+
+class TestNewtonSolver:
+    """The generic solve on four pairs, against values frozen from Brent's method.
+
+    The references are scipy.optimize.brentq's on the same curves (xtol
+    2e-12), with the number of iterations it took; Newton's method must
+    agree to 1e-9 in fewer steps.
+    """
+
+    # (p, q, weight, alpha*, D, Brent's iterations)
+    PINNED = [
+        (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3]),
+         0.7387377535981654, -0.020785624453383354, 8),
+        (G0, Cauchy(0.0, 1.0), CONST, 0.20496011941428993, 0.14902014257034493, 11),
+        (E2, E1, ExpTiltWeight([0.5]), 0.9426950408889633, -0.28691348913836295, 7),
+        (Cauchy(0.0, 1.0), Cauchy(2.0, 3.0), CONST, 0.4999999999999999, 0.13177673636990744, 3),
+    ]
+
+    @pytest.mark.parametrize("p,q,w,alpha,d,brent", PINNED)
+    def test_matches_frozen_values_in_fewer_steps(self, p, q, w, alpha, d, brent):
+        res = chernoff(p, q, w, solver="generic", mode="quadrature")
+        assert res.boundary == "interior"
+        assert abs(res.alpha_star - alpha) <= 1e-9
+        assert abs(res.d_c_w - d) <= 1e-9
+        assert res.iterations < brent
+
+    def test_bisects_toward_the_finite_side_of_a_pole(self):
+        # F(t) = -2 ln(1.5 - t) - 10 t is +inf past 1.5 and least at t = 1.3;
+        # the first Newton step from 0 leaves the bracket [0, 5]
+        def fn(t):
+            if t >= 1.5:
+                return math.inf, math.inf, math.nan
+            u = 1.5 - t
+            return -2.0 * math.log(u) - 10.0 * t, 2.0 / u - 10.0, 2.0 / u ** 2
+
+        t, (f, slope, _), steps = newton_minimise(fn, 0.0, fn(0.0), 5.0, fn(5.0))
+        assert t == pytest.approx(1.3, abs=1e-12)
+        assert f == pytest.approx(-2.0 * math.log(0.2) - 13.0, abs=1e-12)
+        assert abs(slope) <= 1e-9
+        assert 0 < steps < 20
+
+
+def _spd(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T / d + np.eye(d)
+
+
+_RNG8 = np.random.default_rng(8)
+G8_P = Gaussian(np.zeros(8), _spd(_RNG8, 8))
+G8_Q = Gaussian(_RNG8.normal(0.0, 0.5, 8), _spd(_RNG8, 8))
+
+
+class TestMoments:
+    """(F, F', F'') from one evaluation: closed F'' against differences of the
+    closed F', and the generic passes against the closed forms."""
+
+    CLOSED = [
+        (P2, P1, ExpTiltWeight([0.25])),
+        (E2, E1, ExpTiltWeight([0.5])),
+        (G1, G0, ExpTiltWeight([-0.25])),
+        (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3])),
+        (G8_P, G8_Q, CONST),
+    ]
+
+    @pytest.mark.parametrize("p,q,w", CLOSED)
+    @pytest.mark.parametrize("alpha", [-0.2, 0.1, 0.5, 0.9, 1.2])
+    def test_closed_curvature_is_the_slope_of_the_closed_derivative(self, p, q, w, alpha):
+        curve, h = AffinityCurve(p, q, w), 1e-5
+        f, slope, curv = curve.moments(alpha)
+        f_lo, slope_lo, _ = curve.moments(alpha - h)
+        f_hi, slope_hi, _ = curve.moments(alpha + h)
+        assert curv > 0.0
+        assert curv == pytest.approx((slope_hi - slope_lo) / (2.0 * h), rel=1e-6)
+        assert slope == pytest.approx((f_hi - f_lo) / (2.0 * h), rel=1e-6, abs=1e-9)
+        assert f == curve._log_rho(alpha)
+
+    @pytest.mark.parametrize("p,q,w,mode", [
+        (P2, P1, ExpTiltWeight([0.25]), "summation"),
+        (E2, E1, ExpTiltWeight([0.5]), "quadrature"),
+        (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3]), "quadrature"),
+    ])
+    def test_generic_pass_matches_closed_form(self, p, q, w, mode):
+        closed = AffinityCurve(p, q, w)
+        generic = AffinityCurve(p, q, w, mode=mode)
+        for alpha in (0.1, 0.5, 0.9):
+            assert generic.moments(alpha) == pytest.approx(closed.moments(alpha), rel=1e-9)
+            assert generic.derivative(alpha) == generic.moments(alpha)[1]
 
 
 class TestDerivativeOutOfRange:

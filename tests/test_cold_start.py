@@ -1,6 +1,7 @@
 """Cold start: scipy submodules load on first use, not on import.
 
-No README command, and no quadrature, loads scipy at all.
+No README command, and no quadrature, loads scipy at all, and nothing
+loads scipy.optimize.
 
 Each check runs in a fresh interpreter, because the pytest process has
 long since imported scipy and would never take the deferred path.
@@ -74,10 +75,10 @@ def first_use_results():
     bern = BinaryTestProblem(Categorical([0.5, 0.5]), Categorical([0.25, 0.75]), ConstWeight(), 4)
     pois = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ConstWeight(), 3)
     return [
-        # brentq (affinity) and quad (_numeric)
+        # Newton (affinity) on the package's quadrature (_numeric): no scipy
         chernoff(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), ConstWeight(),
                  solver="generic", mode="quadrature"),
-        # minimize_scalar (testing)
+        # Newton on the Legendre objective (testing): no scipy
         rate_function(bern, 0.0),
         # gammaln (testing): the sum statistic, then the count statistic
         optimal_loss_exact(pois),
@@ -122,6 +123,22 @@ def test_quadrature_loads_no_scipy_integrate():
     """)
     log_rho, loaded = out.splitlines()
     assert math.isfinite(float(log_rho))
+    assert json.loads(loaded) == []
+
+
+def test_solvers_load_no_scipy_optimize():
+    out = run_fresh("""
+        import json, sys
+        from wchernoff import (BinaryTestProblem, Cauchy, ConstWeight, Gaussian, chernoff,
+                               rate_function)
+        p, q = Gaussian([0.0], [[1.0]]), Cauchy(0.0, 1.0)
+        print(chernoff(p, q, ConstWeight(), solver="generic", mode="quadrature").alpha_star)
+        print(rate_function(BinaryTestProblem(p, q, ConstWeight(), 1), 0.1)[0])
+        print(json.dumps([m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"]]))
+    """)
+    alpha, rate, loaded = out.splitlines()
+    assert 0.0 < float(alpha) < 1.0
+    assert float(rate) > 0.0
     assert json.loads(loaded) == []
 
 

@@ -3,10 +3,11 @@
 `scipy.integrate.quad`, one call per piece on a scalar integrand, is the
 oracle here: the same pieces, integrand and tolerances as
 `_numeric.weighted_power_integral`, and the same reading of a failure as a
-ConvergenceError.  The oracle integrates in the linear domain, so the
-package's log-domain pair (ln I, mean) is compared through `linear`.
-Cases are seeded random draws over every continuous pair the quadrature
-branch serves, every factor the package passes, and a shift of 0 or
+ConvergenceError.  The oracle integrates in the linear domain, one
+integral per moment: the mass, the mean of d = ln p - ln q, and the
+variance as the mean of (d - mean)^2.  The package's log-domain mass is
+compared as e^(ln I - shift).  Cases are seeded random draws over every
+continuous pair the quadrature branch serves, with a shift of 0 or
 ln rho(a).  Cases far out of the oracle's reach (rho below 1e-300 or above
 1e300, narrow peaks) are pinned against the closed forms.
 """
@@ -73,11 +74,23 @@ def quadpack(p, q, weight, a, b, factor=None, shift=0.0):
     return total
 
 
-def linear(p, q, weight, a, b, factor=None, shift=0.0):
-    """integral phi p^a q^b factor / e^shift, read off the package's (ln I, mean)."""
-    log_i, mean = _numeric.weighted_power_integral(p, q, weight, a, b, factor)
-    scale = math.exp(log_i - shift)
-    return scale if factor is None else scale * mean
+def oracle_moments(p, q, weight, a, b, shift):
+    """(integral phi p^a q^b / e^shift, mean d, var d) by QUADPACK."""
+    mass = quadpack(p, q, weight, a, b, shift=shift)
+    mean = quadpack(p, q, weight, a, b, lambda lp, lq: lp - lq, shift) / mass
+    var = quadpack(p, q, weight, a, b, lambda lp, lq: (lp - lq - mean) ** 2, shift) / mass
+    return mass, mean, var
+
+
+def package_moments(p, q, weight, a, b, shift):
+    """The same three off one pass of the package's fused integral."""
+    log_i, mean, var = _numeric.weighted_power_integral(p, q, weight, a, b, moments=True)
+    return math.exp(log_i - shift), mean, var
+
+
+def package_mass(p, q, weight, a, b, shift):
+    """integral phi p^a q^b / e^shift off the package's mass-only pass."""
+    return (math.exp(_numeric.weighted_power_integral(p, q, weight, a, b)[0] - shift),)
 
 
 def _pair(rng):
@@ -101,21 +114,18 @@ def _pair(rng):
 
 
 def cases(count, seed=20261018):
-    """(p, q, weight, a, factor, shift) draws; shift is 0 or ln rho(a) by QUADPACK."""
+    """(p, q, weight, a, shift) draws; shift is 0 or ln rho(a) by QUADPACK."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         p, q, weight = _pair(rng)
         a = rng.uniform(0.0, 1.0)
-        centre = rng.uniform(-1.0, 1.0)
-        factor = [None, lambda lp, lq: lp - lq,
-                  lambda lp, lq, c=centre: (lq - lp - c) ** 2][rng.integers(3)]
         shift = 0.0
         if rng.random() < 0.5:
             try:
                 shift = math.log(quadpack(p, q, weight, a, 1.0 - a))
             except ConvergenceError:
                 pass
-        yield p, q, weight, a, factor, shift
+        yield p, q, weight, a, shift
 
 
 def _outcome(fn, *args, **kwargs):
@@ -126,20 +136,26 @@ def _outcome(fn, *args, **kwargs):
 
 
 def test_agrees_with_quadpack_on_random_cases():
+    # the mass-only pass against the oracle's mass, and the fused pass's
+    # mass, mean and variance against the oracle's three integrals
     worst, mismatches = 0.0, []
-    for p, q, weight, a, factor, shift in cases(200):
-        args = (p, q, weight, a, 1.0 - a)
-        kwargs = {"factor": factor, "shift": shift}
-        ours, our_exc = _outcome(linear, *args, **kwargs)
-        oracle, oracle_exc = _outcome(quadpack, *args, **kwargs)
-        if our_exc is not oracle_exc:
-            mismatches.append((args, shift, our_exc, oracle_exc))
-            continue
-        if oracle_exc is None:
-            diff = abs(ours - oracle)
-            if not (diff <= 1e-9 * abs(oracle) or (abs(oracle) < 1.0 and diff <= 1e-12)):
-                mismatches.append((args, shift, ours, oracle))
-            worst = max(worst, diff / max(abs(oracle), 1.0))
+    for p, q, weight, a, shift in cases(200):
+        args = (p, q, weight, a, 1.0 - a, shift)
+        mass, mass_exc = _outcome(quadpack, *args[:5], shift=shift)
+        oracle, oracle_exc = _outcome(oracle_moments, *args)
+        for fn, ref, ref_exc in ((package_mass, (mass,), mass_exc),
+                                 (package_moments, oracle, oracle_exc)):
+            ours, our_exc = _outcome(fn, *args)
+            if our_exc is not ref_exc:
+                mismatches.append((fn.__name__, args, our_exc, ref_exc))
+                continue
+            if ref_exc is not None:
+                continue
+            for x, r in zip(ours, ref):
+                diff = abs(x - r)
+                if not (diff <= 1e-9 * abs(r) or (abs(r) < 1.0 and diff <= 1e-12)):
+                    mismatches.append((fn.__name__, args, ours, ref))
+                worst = max(worst, diff / max(abs(r), 1.0))
     assert not mismatches, mismatches
     assert worst <= 1e-9
 

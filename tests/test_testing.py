@@ -459,6 +459,15 @@ class TestRateFunction:
         with pytest.raises(RateInfiniteError):
             rate_function(bern_problem(1), 2.0)
 
+    @pytest.mark.parametrize("alpha", [15, 17, 19])
+    def test_supremum_near_the_scan_edge(self, alpha):
+        # psi_P(a) = ln(1/2 (1/2)^a + 1/2 (3/2)^a) has slope ln 1.5 - ln 3 / (1 + 3^a),
+        # so this r puts the maximiser at a = alpha, inside [-20, 20]
+        r = math.log(1.5) - math.log(3.0) / (1.0 + 3.0 ** alpha)
+        i_p, _ = rate_function(bern_problem(1), r)
+        psi = math.log(0.5 * 0.5 ** alpha + 0.5 * 1.5 ** alpha)
+        assert abs(i_p - (alpha * r - psi)) <= 1e-12
+
     @pytest.mark.parametrize("r", [-0.4, 0.1, 1.0])
     def test_exponential_closed_form_legendre(self, r):
         # psi_P(a) = (1-a) ln l_p + a ln l_q - ln L(a), L(a) = l_p + a (l_q - l_p);
