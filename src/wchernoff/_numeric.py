@@ -25,16 +25,16 @@ The moments come from the same pass as the mass: the stacked integrand
 [v, v (d - d0), v (d - d0)^2], d0 the value of d at the peak node, so the
 centred sums do not cancel.
 
-A sum gives ln I by `log_sum_exp`, and the moments over its terms scaled
-by the largest.  Quadrature (layout in `_quadrature`) scales the integrand
-by e^-m, m the largest log-integrand over the first pass's starting nodes,
-so that the tolerance max(QUAD_EPSABS, QUAD_EPSREL * |I_0|) applies to a
-peak-1 integrand; ln I = m + ln I_0.  Moment k has the tolerance
-max(QUAD_EPSABS, QUAD_EPSREL * max(|I_0|, |I_k|)), which is relative to
-the mass: the mean is 0 at the root of F', where no tolerance relative to
-the mean itself can be met.  More than 200 intervals on one piece raises
-ConvergenceError, as does a non-finite integral or an error estimate
-above 1e-6 * max(1, |I_0|, |I_k|).
+The sum and the quadrature share that one integrand.  It scales v by
+e^-m, m the largest log-integrand over its first call, so that ln I =
+m + ln I_0.  A sum makes that one call, on the whole support grid, and
+adds up the terms.  Quadrature (layout and tolerances in `_quadrature`)
+makes the first call on its starting nodes, so its tolerance applies to
+a peak-1 integrand; the tolerance of moment k is relative to the mass,
+because the mean is 0 at the root of F', where no tolerance relative to
+the mean itself can be met.  More than `_quadrature.LIMIT` intervals on
+one piece raises ConvergenceError, as does a non-finite integral or an
+error estimate above 1e-6 * max(1, |I_0|, |I_k|).
 
 The integrator is bound to the module attribute `integrate` and read off
 it at every call, `integrate.quad(...)`: `bench/tracer.py` counts those
@@ -55,13 +55,9 @@ from .models import (
     Cauchy,
     ExpTiltWeight,
     Gaussian,
-    log_sum_exp,
     poisson_truncation,
     tilt_gamma,
 )
-
-QUAD_EPSABS = 1e-12
-QUAD_EPSREL = 1e-10
 
 
 def check_scalar(*models):
@@ -108,35 +104,18 @@ def weighted_power_integral(model_p, model_q, weight, a, b, moments=False):
     """(ln I,), or with `moments` (ln I, mean d, var d), for I = integral phi p^a q^b.
 
     d = ln p - ln q, its moments under phi p^a q^b / I (contracts in the
-    module docstring).  ConvergenceError where the sum or quadrature
-    diverges or does not converge, or moments are asked of an I of 0 or
-    inf.  The pair must have passed `models.check_models`.
+    module docstring).  ConvergenceError where the quadrature diverges or
+    does not converge, or moments are asked of an I of 0 or inf.  The pair
+    must have passed `models.check_models`.
     """
-    if model_p.support in ("nonneg_int", "finite"):
-        k = discrete_grid(model_p, model_q, weight, a, b)
-        lp, lq = logpdf_vec(model_p, k), logpdf_vec(model_q, k)
-        with np.errstate(invalid="ignore"):
-            logs = weight.log_value(k) + a * lp + b * lq
-        logs = np.where(np.isnan(logs), -np.inf, logs)  # 0 * ln 0 style corners
-        log_i = log_sum_exp(logs)
-        if not moments:
-            return (log_i,)
-        _check_mass(log_i)
-        peak = int(np.argmax(logs))
-        d = _finite(lp - lq)
-        d0, dc = float(d[peak]), d - d[peak]
-        v = np.exp(logs - logs[peak])
-        return (log_i, *_mean_var((np.sum(v), v @ dc, (v * dc) @ dc), d0))
-
     check_scalar(model_p, model_q)
-    g = float(tilt_gamma(weight)[0])
-    log_p, log_q = model_p.logpdf, model_q.logpdf
+    log_p, log_q, log_phi = model_p.logpdf, model_q.logpdf, weight.log_value
     peak = d0 = None
 
     def integrand(x, log_jac):
         nonlocal peak, d0
         lp, lq = log_p(x), log_q(x)
-        logs = g * x + a * lp + b * lq + log_jac
+        logs = log_phi(x) + a * lp + b * lq + log_jac
         if peak is None:  # the first pass's starting nodes; 0 where none is finite
             top = int(np.argmax(np.fmax(logs, -np.inf)))  # fmax reads a nan as -inf
             peak = float(logs[top]) if np.isfinite(logs[top]) else 0.0
@@ -149,26 +128,26 @@ def weighted_power_integral(model_p, model_q, weight, a, b, moments=False):
         vd = v * dc
         return np.array([v, vd, vd * dc])
 
-    total, err = integrate.quad(integrand, _edges(model_p, model_q, g, a, b),
-                                epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    if not np.isfinite(total).all():
-        raise ConvergenceError("weighted quadrature diverged")
-    if (err > 1e-6 * np.maximum(max(1.0, abs(total[0])), np.abs(total))).any():
-        raise ConvergenceError(
-            f"quadrature did not converge (estimated error {err.max():.3e})",
-            achieved=float(err.max())
-        )
+    if model_p.support in ("nonneg_int", "finite"):
+        k = discrete_grid(model_p, model_q, weight, a, b)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total = np.reshape(integrand(k, 0.0), (-1, k.size)).sum(axis=1)
+    else:
+        g = float(tilt_gamma(weight)[0])
+        total, err = integrate.quad(integrand, _edges(model_p, model_q, g, a, b))
+        if not np.isfinite(total).all():
+            raise ConvergenceError("weighted quadrature diverged")
+        if (err > 1e-6 * np.maximum(max(1.0, abs(total[0])), np.abs(total))).any():
+            raise ConvergenceError(
+                f"quadrature did not converge (estimated error {err.max():.3e})",
+                achieved=float(err.max())
+            )
     log_i = peak + math.log(total[0]) if total[0] > 0.0 else -math.inf
     if not moments:
         return (log_i,)
     _check_mass(log_i)
-    return (log_i, *_mean_var(total, d0))
-
-
-def _mean_var(sums, d0):
-    """Mean and variance of d from the sums of v, v (d - d0) and v (d - d0)^2."""
-    m = float(sums[1] / sums[0])
-    return d0 + m, max(float(sums[2] / sums[0]) - m * m, 0.0)
+    m = float(total[1] / total[0])
+    return log_i, d0 + m, max(float(total[2] / total[0]) - m * m, 0.0)
 
 
 def _finite(f):

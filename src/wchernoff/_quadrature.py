@@ -1,11 +1,11 @@
 """Adaptive 21-point Gauss-Kronrod quadrature, vectorised over intervals.
 
-`quad(integrand, edges, epsabs, epsrel, limit)` integrates over the pieces
-between consecutive `edges`; the first may be -inf and the last +inf, and
-every piece needs one finite end.  Each pass evaluates every node of every
-open interval of every piece in one call `integrand(x, log_jac)`, which
-must return f(x) * e^log_jac at the array x: one row per component of a
-stacked integrand, shape (K, x.size), or a 1-D array for one component.
+`quad(integrand, edges)` integrates over the pieces between consecutive
+`edges`; the first may be -inf and the last +inf, and every piece needs
+one finite end.  Each pass evaluates every node of every open interval of
+every piece in one call `integrand(x, log_jac)`, which must return
+f(x) * e^log_jac at the array x: one row per component of a stacked
+integrand, shape (K, x.size), or a 1-D array for one component.
 All components share the nodes and the intervals.  `log_jac` is 0 on
 finite pieces.  An infinite piece [c, inf) is mapped to t in [0, 1) by
 x = c + t/(1 - t), and (-inf, c] by x = c - t/(1 - t); there `log_jac` is
@@ -19,13 +19,14 @@ breaks at t = 1 - 2^-k for k = 0..7 and t = 1, which put x at 0, 1, 3,
 in the first pass.  The rule and its error estimate are QUADPACK's qk21
 (Piessens et al., QUADPACK, Springer 1983; public domain), taken component
 by component.  Component k has the tolerance
-max(epsabs, epsrel * max(|I_0|, |I_k|)): for I_0 that is the usual mixed
+max(EPSABS, EPSREL * max(|I_0|, |I_k|)): for I_0 that is the usual mixed
 rule, and for a signed moment such as the mean of ln p/q, which is 0 at
 the root of F', it is relative to the mass I_0.  An interval's error is
 the largest of its components' error/tolerance ratios.  While some
 component's summed error exceeds its tolerance, the intervals with the
 largest errors are bisected, all in one pass, until the errors left on
-the others sum to at most half a tolerance.
+the others sum to at most half a tolerance.  More than LIMIT intervals on
+one piece raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
+
+EPSABS = 1e-12
+EPSREL = 1e-10
+LIMIT = 200
 
 # Kronrod nodes on [-1, 1]; the Gauss nodes are every other one from the second
 _X = np.array([
@@ -113,11 +118,11 @@ def _start(edges):
     return out
 
 
-def quad(integrand, edges, epsabs, epsrel, limit):
+def quad(integrand, edges):
     """(integrals, error estimates) over the pieces between consecutive edges.
 
     Both are arrays with one entry per component.  Raises ConvergenceError
-    when a piece needs more than `limit` intervals.  A non-finite integral
+    when a piece needs more than LIMIT intervals.  A non-finite integral
     or error is returned as it is, for the caller to judge.
     """
     lo, hi, coef = _start(tuple(edges))
@@ -125,7 +130,7 @@ def quad(integrand, edges, epsabs, epsrel, limit):
         res, err = _qk21(integrand, lo, hi, coef)
         while True:
             total, errsum = res.sum(axis=1), err.sum(axis=1)
-            tol = np.maximum(epsabs, epsrel * np.maximum(abs(total[0]), np.abs(total)))
+            tol = np.maximum(EPSABS, EPSREL * np.maximum(abs(total[0]), np.abs(total)))
             if (errsum <= tol).all() or not np.isfinite(errsum).all():
                 return total, errsum
             ratio = (err / tol[:, None]).max(axis=0)
@@ -136,9 +141,9 @@ def quad(integrand, edges, epsabs, epsrel, limit):
             lo = np.concatenate([lo[keep], lo[split], mid])
             hi = np.concatenate([hi[keep], mid, hi[split]])
             coef = np.concatenate([coef[keep], coef[split], coef[split]])
-            if np.bincount(coef[:, 3].astype(int)).max() > limit:
+            if np.bincount(coef[:, 3].astype(int)).max() > LIMIT:
                 raise ConvergenceError(
-                    f"quadrature did not converge: more than {limit} intervals on one piece",
+                    f"quadrature did not converge: more than {LIMIT} intervals on one piece",
                     achieved=float(errsum.max()))
             r, e = _qk21(integrand, lo[keep.size:], hi[keep.size:], coef[keep.size:])
             res = np.concatenate([res[:, keep], r], axis=1)

@@ -313,14 +313,11 @@ class ChernoffResult:
 def _closed_alpha_tilde(curve):
     """Unconstrained critical point of F, when a closed form exists.
 
-    In a 1-D family F' = 0 where Fhat'(theta_alpha) is the chord slope y of F.
+    In a 1-D family it is the family's `alpha_tilde`.
     """
     if curve.embedding is not None:
         fam, t1, t2 = curve.embedding
-        if t1 == t2:
-            return None
-        y = (fam.F(t1) - fam.F(t2)) / (t1 - t2)
-        return (fam.Ghat(y) - t2) / (t1 - t2)
+        return None if t1 == t2 else fam.alpha_tilde(t1, t2)
     p, q, w = curve.model_p, curve.model_q, curve.weight
     if isinstance(p, Gaussian) and isinstance(q, Gaussian):
         if not np.allclose(p.cov, q.cov, rtol=1e-12, atol=1e-14):

@@ -308,8 +308,8 @@ def cmd_tailbound(model_p, model_q, weight, beta, n, replicates, seed, out):
     """Martingale tail bound for L* versus its empirical frequency under Q."""
     p, q, w = _parse_pair(model_p, model_q, weight)
     problem = testing.BinaryTestProblem(p, q, w, n)
-    stats = testing.tilted_stats(problem)
     bound = testing.tail_bound(problem, beta, n)
+    stats = testing.tilted_stats(problem)
     freq, se = testing.tail_frequency(problem, beta, n, replicates, seed)
     _emit(_report("tailbound", _inputs_digest(w, model_p=p, model_q=q), {
         "beta": float(beta),

@@ -1,8 +1,9 @@
 """Exponential-family view of the Chernoff arc.
 
 One-parameter natural exponential families p_theta = exp{theta t(x) -
-F(theta) + k(x)} with a context weight phi.  The tilted log-normaliser is
-Fhat = F + ln E_phi(theta), and the weighted Bregman divergence
+F(theta) + k(x)} with a context weight phi = e^(gamma x).  The tilted
+log-normaliser is Fhat(theta) = F(theta + gamma) = F + ln E_phi(theta),
+and the weighted Bregman divergence
 
     B^w(theta1, theta2) = E_phi(theta2) [F(theta1) - F(theta2)
                                          - (theta1 - theta2) Fhat'(theta2)]
@@ -242,8 +243,7 @@ def verify_identities(model_p, model_q, weight):
             report["bregman_arc"] = _entry(max(abs(lhs - c1), abs(lhs - c0)))
 
             # (v) one-parameter formula for alpha*: F' vanishes there
-            y = (fam.F(t1) - fam.F(t2)) / (t1 - t2)
-            alpha_formula = (fam.Ghat(y) - t2) / (t1 - t2)
+            alpha_formula = fam.alpha_tilde(t1, t2)
             report["one_parameter_alpha"] = _entry(abs(numeric.derivative(alpha_formula)))
         else:
             report["chernoff_kl"] = _na()

@@ -557,29 +557,31 @@ class TiltedDensity:
 
 @dataclass(frozen=True)
 class ExpFamily1D:
-    """Natural 1-D exponential family with analytic weighted structure.
+    """Natural 1-D exponential family under the tilt phi(x) = e^(gamma x).
 
-    All members are scalar callables of the natural parameter theta except
-    `Ghat` (inverse of Fhat'), `Fstar`/`dFstar` (Legendre dual, functions
-    of the dual coordinate y = F'(theta)) and `dlnEstar` (derivative of
-    ln E_phi read in the dual coordinate).  `domain` is the open natural-
-    parameter interval on which everything is finite; `F` and `dF` are
-    finite on the whole unweighted natural domain.
+    The fields are the unweighted family: `F`, `dF` and `d2F` are scalar
+    callables of the natural parameter theta, finite on the open interval
+    `natural`; `Fstar` and `dFstar` (the inverse of `dF`) are its Legendre
+    dual, functions of y = F'(theta).  Every weighted member reads F at
+    theta + gamma: the tilted log-normaliser is Fhat(theta) = F(theta +
+    gamma), ln E_phi = Fhat - F, and the weighted `domain` is where both
+    theta and theta + gamma are natural.
     """
 
     name: str
     gamma: float
-    domain: tuple
+    natural: tuple
     F: callable = field(repr=False)
     dF: callable = field(repr=False)
     d2F: callable = field(repr=False)
-    lnE: callable = field(repr=False)
-    dlnE: callable = field(repr=False)
-    dFhat: callable = field(repr=False)
-    Ghat: callable = field(repr=False)
     Fstar: callable = field(repr=False)
     dFstar: callable = field(repr=False)
     theta_of_model: callable = field(repr=False)
+
+    @functools.cached_property
+    def domain(self):
+        lo, hi = self.natural
+        return max(lo, lo - self.gamma), min(hi, hi - self.gamma)
 
     def contains(self, theta):
         lo, hi = self.domain
@@ -593,7 +595,20 @@ class ExpFamily1D:
         return float(theta)
 
     def Fhat(self, theta):
-        return self.F(theta) + self.lnE(theta)
+        return self.F(theta + self.gamma)
+
+    def dFhat(self, theta):
+        return self.dF(theta + self.gamma)
+
+    def Ghat(self, y):
+        """The inverse of dFhat."""
+        return self.dFstar(y) - self.gamma
+
+    def lnE(self, theta):
+        return self.F(theta + self.gamma) - self.F(theta)
+
+    def dlnE(self, theta):
+        return self.dF(theta + self.gamma) - self.dF(theta)
 
     def E_phi(self, theta):
         return exp_or_raise(self.lnE(theta), "E_phi")
@@ -603,25 +618,28 @@ class ExpFamily1D:
         theta = self.dFstar(theta_star)
         return self.dlnE(theta) / self.d2F(theta)
 
+    def alpha_tilde(self, theta1, theta2):
+        """Critical point of the affinity curve of the members theta1 != theta2.
+
+        Its slope is 0 where Fhat'(theta_alpha), theta_alpha = alpha theta1 +
+        (1 - alpha) theta2, equals the chord slope y of F.
+        """
+        y = (self.F(theta1) - self.F(theta2)) / (theta1 - theta2)
+        return (self.Ghat(y) - theta2) / (theta1 - theta2)
+
 
 @functools.lru_cache(maxsize=256)
 def poisson_family(gamma=0.0):
     """Poisson in natural form: theta = ln lambda, F(theta) = e^theta."""
-    g = float(gamma)
-    c = math.expm1(g)
     return ExpFamily1D(
         name="poisson",
-        gamma=g,
-        domain=(-math.inf, math.inf),
-        F=lambda t: math.exp(t),
-        dF=lambda t: math.exp(t),
-        d2F=lambda t: math.exp(t),
-        lnE=lambda t: c * math.exp(t),
-        dlnE=lambda t: c * math.exp(t),
-        dFhat=lambda t: math.exp(t + g),
-        Ghat=lambda y: math.log(y) - g,
+        gamma=float(gamma),
+        natural=(-math.inf, math.inf),
+        F=math.exp,
+        dF=math.exp,
+        d2F=math.exp,
         Fstar=lambda y: y * math.log(y) - y,
-        dFstar=lambda y: math.log(y),
+        dFstar=math.log,
         theta_of_model=lambda m: math.log(m.lam),
     )
 
@@ -633,19 +651,13 @@ def exponential_family(gamma=0.0):
     The weighted domain is theta < min(0, -gamma): the rate must exceed
     gamma for E_phi = rate/(rate - gamma) to be finite.
     """
-    g = float(gamma)
-    hi = min(0.0, -g)
     return ExpFamily1D(
         name="exponential",
-        gamma=g,
-        domain=(-math.inf, hi),
+        gamma=float(gamma),
+        natural=(-math.inf, 0.0),
         F=lambda t: -math.log(-t),
         dF=lambda t: -1.0 / t,
         d2F=lambda t: 1.0 / (t * t),
-        lnE=lambda t: math.log(-t) - math.log(-t - g),
-        dlnE=lambda t: 1.0 / t - 1.0 / (t + g),
-        dFhat=lambda t: 1.0 / (-t - g),
-        Ghat=lambda y: -g - 1.0 / y,
         Fstar=lambda y: -1.0 - math.log(y),
         dFstar=lambda y: -1.0 / y,
         theta_of_model=lambda m: -m.rate,
@@ -658,18 +670,13 @@ def gaussian_mean_family(sigma2, gamma=0.0):
     s2 = float(sigma2)
     if not (s2 > 0.0):
         raise PreconditionError("gaussian mean family needs a positive variance")
-    g = float(gamma)
     return ExpFamily1D(
         name="gaussian_mean",
-        gamma=g,
-        domain=(-math.inf, math.inf),
+        gamma=float(gamma),
+        natural=(-math.inf, math.inf),
         F=lambda t: 0.5 * s2 * t * t,
         dF=lambda t: s2 * t,
         d2F=lambda t: s2,
-        lnE=lambda t: g * s2 * t + 0.5 * g * g * s2,
-        dlnE=lambda t: g * s2,
-        dFhat=lambda t: s2 * (t + g),
-        Ghat=lambda y: y / s2 - g,
         Fstar=lambda y: y * y / (2.0 * s2),
         dFstar=lambda y: y / s2,
         theta_of_model=lambda m: float(m.mean[0]) / s2,

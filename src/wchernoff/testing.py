@@ -645,8 +645,8 @@ def tail_bound(problem, beta, n):
 
     Needs bounded increments, so categorical models only.
     """
-    stats = tilted_stats(problem)
-    if not math.isfinite(stats.d_bound):
+    stats = tilted_stats(problem) if isinstance(problem.model_q, Categorical) else None
+    if stats is None or not math.isfinite(stats.d_bound):
         raise UnsupportedCombinationError(
             "tail bound needs bounded log-ratio increments (categorical models)"
         )

@@ -220,6 +220,16 @@ class TestTailboundCommand:
                                       "--replicates", "1000"])
         assert result.exit_code == 2
 
+    def test_infinite_kl_exits_2(self, runner):
+        # KL(Q||P) of a Cauchy q against a Gaussian p is infinite: the
+        # categorical-only precondition is judged before anything is integrated
+        result = runner.invoke(main, ["tailbound", "--model-p", GAUSS_1, "--model-q", CAUCHY_P,
+                                      "--beta", "0.2", "--n", "10", "--replicates", "1000"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: tail bound needs bounded log-ratio increments"
+                                 " (categorical models)\n")
+
 
 class TestIdentitiesCommand:
     def test_exponential_tilted_suite(self, runner):

@@ -1,6 +1,5 @@
 """Exponential-family structure, weighted Bregman geometry, identity suite."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from wchernoff import (
     ChernoffArc,
     ConstWeight,
     ConvergenceError,
+    ExpFamily1D,
     Exponential,
     ExpTiltWeight,
     Gaussian,
@@ -33,7 +33,6 @@ from wchernoff import (
     weighted_kl,
     weighted_normaliser,
 )
-from wchernoff import models
 from wchernoff.models import poisson_truncation
 
 P2, P1 = Poisson(2.0), Poisson(1.0)
@@ -93,14 +92,50 @@ class TestExpFamily1D:
             fam.check_theta(-0.4)  # rate 0.4 < gamma
 
     def test_normaliser_matches_models(self):
-        # lnE of the family equals the weighted normaliser of the model
-        fam = poisson_family(0.25)
-        t = math.log(2.0)
-        assert fam.E_phi(t) == pytest.approx(
-            weighted_normaliser(Poisson(2.0), ExpTiltWeight([0.25])), rel=1e-12)
-        fam = exponential_family(0.5)
-        assert fam.E_phi(-2.0) == pytest.approx(
-            weighted_normaliser(Exponential(2.0), ExpTiltWeight([0.5])), rel=1e-12)
+        # E_phi of the family and of the model against the moment generating
+        # function E e^(gamma X) of each model
+        for g in (-0.4, 0.25, 0.5):
+            cases = [
+                (poisson_family(g), math.log(2.0), Poisson(2.0),
+                 math.exp(2.0 * math.expm1(g))),
+                (exponential_family(g), -2.0, Exponential(2.0), 2.0 / (2.0 - g)),
+                (gaussian_mean_family(1.5, g), 0.6 / 1.5, Gaussian([0.6], [[1.5]]),
+                 math.exp(g * 0.6 + 0.5 * g * g * 1.5)),
+            ]
+            for fam, theta, model, mgf in cases:
+                assert fam.E_phi(theta) == pytest.approx(mgf, rel=1e-12)
+                assert weighted_normaliser(model, ExpTiltWeight([g])) == pytest.approx(
+                    mgf, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [-0.4, 0.0, 0.25, 0.5])
+    def test_derived_members_match_literal_formulas(self, gamma):
+        # the weighted members read F at theta + gamma; the references are the
+        # formulas each family once wrote out by hand
+        g, s2 = gamma, 1.5
+        c = math.expm1(g)
+        literal = {
+            "poisson": (poisson_family(g), np.linspace(-1.0, 1.5, 9), (-math.inf, math.inf),
+                        lambda t: c * math.exp(t), lambda t: c * math.exp(t),
+                        lambda t: math.exp(t + g), lambda y: math.log(y) - g),
+            "exponential": (exponential_family(g), np.linspace(-4.0, -0.8, 9),
+                            (-math.inf, min(0.0, -g)),
+                            lambda t: math.log(-t) - math.log(-t - g),
+                            lambda t: 1.0 / t - 1.0 / (t + g),
+                            lambda t: 1.0 / (-t - g), lambda y: -g - 1.0 / y),
+            "gaussian_mean": (gaussian_mean_family(s2, g), np.linspace(-2.0, 2.0, 9),
+                              (-math.inf, math.inf),
+                              lambda t: g * s2 * t + 0.5 * g * g * s2, lambda t: g * s2,
+                              lambda t: s2 * (t + g), lambda y: y / s2 - g),
+        }
+        for fam, grid, domain, lne, dlne, dfhat, ghat in literal.values():
+            assert fam.domain == domain
+            for t in grid:
+                # F(theta + gamma) - F(theta) loses relative precision as gamma -> 0
+                assert fam.lnE(t) == pytest.approx(lne(t), rel=1e-12, abs=1e-12)
+                assert fam.dlnE(t) == pytest.approx(dlne(t), rel=1e-12, abs=0.0)
+                assert fam.dFhat(t) == pytest.approx(dfhat(t), rel=1e-12, abs=0.0)
+                y = dfhat(t)
+                assert fam.Ghat(y) == pytest.approx(ghat(y), rel=1e-12, abs=0.0)
 
 
 class TestFamilyOfPair:
@@ -341,14 +376,9 @@ class TestVerifyIdentities:
     def test_wrong_closed_forms_show(self, monkeypatch):
         # (v) and (vii) are checked against the summed curve, so an error in
         # the family's Ghat or lnE cannot cancel against itself
-        real = models.poisson_family
-
-        def broken(gamma=0.0):
-            fam = real(gamma)
-            return dataclasses.replace(fam, Ghat=lambda y: fam.Ghat(y) + 0.01,
-                                       lnE=lambda t: fam.lnE(t) + 0.01)
-
-        monkeypatch.setattr(models, "poisson_family", broken)
+        ghat, lne = ExpFamily1D.Ghat, ExpFamily1D.lnE
+        monkeypatch.setattr(ExpFamily1D, "Ghat", lambda self, y: ghat(self, y) + 0.01)
+        monkeypatch.setattr(ExpFamily1D, "lnE", lambda self, t: lne(self, t) + 0.01)
         report = verify_identities(P2, P1, ExpTiltWeight([0.3]))
         assert report["boundary"] == "interior"
         assert report["identities"]["one_parameter_alpha"]["residual"] > 1e-8

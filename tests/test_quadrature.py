@@ -62,8 +62,8 @@ def quadpack(p, q, weight, a, b, factor=None, shift=0.0):
     try:
         with np.errstate(all="ignore"):
             for left, right in zip([lo] + cuts, cuts + [math.inf]):
-                out = integrate.quad(f, left, right, full_output=1, epsabs=_numeric.QUAD_EPSABS,
-                                     epsrel=_numeric.QUAD_EPSREL, limit=200)
+                out = integrate.quad(f, left, right, full_output=1, epsabs=_quadrature.EPSABS,
+                                     epsrel=_quadrature.EPSREL, limit=_quadrature.LIMIT)
                 if len(out) > 3:
                     raise ConvergenceError(out[3])
                 total, err = total + out[0], err + out[1]
@@ -162,8 +162,8 @@ def test_agrees_with_quadpack_on_random_cases():
 
 def test_subdivision_limit_raises():
     # int_0^1 dx/x diverges: every bisection of [0, h] adds about ln 2
-    with pytest.raises(ConvergenceError, match="more than 200 intervals"):
-        _quadrature.quad(lambda x, log_jac: 1.0 / x, [0.0, 1.0], 1e-12, 1e-10, 200)
+    with pytest.raises(ConvergenceError, match=f"more than {_quadrature.LIMIT} intervals"):
+        _quadrature.quad(lambda x, log_jac: 1.0 / x, [0.0, 1.0])
 
 
 def test_far_apart_gaussians_match_closed_form():
