@@ -4,7 +4,8 @@ The central object is the log-affinity curve F(alpha) = ln of
 
     rho_w(alpha) = integral phi * p^alpha * q^(1-alpha) d(reference),
 
-which is convex on [0, 1] with F(1) = ln E_phi(p) and F(0) = ln E_phi(q).
+which is convex on [0, 1] with F(1) = ln E_phi(p) and F(0) = ln E_phi(q);
+`log_weighted_normaliser(m, w)` is F(1) of m's curve against itself.
 The weighted Chernoff information is -min F over [0, 1]; the minimiser is
 the optimal skewing parameter alpha*.  Closed forms are used for
 Gaussian/Poisson/Exponential pairs under constant or exponential-tilt
@@ -28,6 +29,7 @@ import numpy as np
 from . import _numeric
 from .errors import (
     ConvergenceError,
+    NonIntegrableWeightError,
     PreconditionError,
     UnsupportedCombinationError,
 )
@@ -44,6 +46,9 @@ from .models import (
 __all__ = [
     "AffinityCurve",
     "ChernoffResult",
+    "TiltedDensity",
+    "log_weighted_normaliser",
+    "weighted_normaliser",
     "rho_w",
     "weighted_bhattacharyya",
     "chernoff",
@@ -150,7 +155,8 @@ class AffinityCurve:
     Gaussian/Poisson/Exponential pairs under const/exp-tilt weights, exact
     summation for discrete pairs, adaptive quadrature otherwise.  Pass
     `mode` to force the generic path (used for cross-validation).  The
-    constructor rejects an inadmissible pair and weight (`check_models`).
+    constructor rejects an inadmissible pair and weight (`check_models`),
+    an unknown mode, and `closed_form` for a pair that has none.
 
     A pair inside one 1-D exponential family keeps its `embedding`
     (family, theta1, theta2) and reads F(a) = Fhat(theta_a) - a F(theta1) -
@@ -171,16 +177,19 @@ class AffinityCurve:
         self.model_q = model_q
         self.weight = weight
         self.embedding = embed_pair(model_p, model_q, weight)
-        self.mode = mode if mode is not None else self._auto_mode()
+        closed = self.embedding is not None or (
+            isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian))
+        if mode is None:
+            mode = (CLOSED_FORM if closed else SUMMATION
+                    if model_p.support in ("finite", "nonneg_int") else QUADRATURE)
+        elif mode not in (CLOSED_FORM, QUADRATURE, SUMMATION):
+            raise PreconditionError(f"unknown mode '{mode}'")
+        elif mode == CLOSED_FORM and not closed:
+            raise PreconditionError(
+                f"no closed-form curve for {type(model_p).__name__} against"
+                f" {type(model_q).__name__} under {type(weight).__name__}")
+        self.mode = mode
         self._cov_inv = None
-
-    def _auto_mode(self):
-        p, q = self.model_p, self.model_q
-        if self.embedding is not None or (isinstance(p, Gaussian) and isinstance(q, Gaussian)):
-            return CLOSED_FORM
-        if p.support in ("finite", "nonneg_int"):
-            return SUMMATION
-        return QUADRATURE
 
     # -- evaluation ---------------------------------------------------------
 
@@ -277,6 +286,38 @@ def _check_alpha(alpha):
     return alpha
 
 
+def log_weighted_normaliser(model, weight):
+    """ln E_phi(model): F(1) of the model's affinity curve against itself."""
+    check_models((model,), weight)
+    if _is_const(weight):
+        return 0.0
+    return AffinityCurve(model, model, weight)._log_rho(1.0)
+
+
+def weighted_normaliser(model, weight):
+    """E_phi(model) = exp(ln E_phi); ConvergenceError where it overflows a double."""
+    return exp_or_raise(log_weighted_normaliser(model, weight), "E_phi")
+
+
+@dataclass(frozen=True)
+class TiltedDensity:
+    """Normalised reweighted density phi * p / E_phi(p)."""
+
+    base: object
+    weight: object
+    normaliser: float = None
+
+    def __post_init__(self):
+        if self.normaliser is None:
+            object.__setattr__(self, "normaliser", weighted_normaliser(self.base, self.weight))
+        if not (self.normaliser > 0.0 and math.isfinite(self.normaliser)):
+            raise NonIntegrableWeightError("tilted density requires a finite positive normaliser")
+
+    def log_density(self, x):
+        lphi = self.weight.log_value(x)
+        return float(lphi) + self.base.log_density(x) - math.log(self.normaliser)
+
+
 def rho_w(model_p, model_q, weight, alpha, mode=None):
     """Weighted alpha-skewed Bhattacharyya affinity coefficient."""
     return AffinityCurve(model_p, model_q, weight, mode=mode).rho(alpha)
@@ -313,20 +354,14 @@ class ChernoffResult:
 def _closed_alpha_tilde(curve):
     """Unconstrained critical point of F, when a closed form exists.
 
-    In a 1-D family it is the family's `alpha_tilde`.
+    In a 1-D family it is the family's `alpha_tilde`; a Cauchy pair under
+    the constant weight is symmetric about 1/2.  Other Gaussian pairs take
+    `_root_find` on their closed moments.
     """
     if curve.embedding is not None:
         fam, t1, t2 = curve.embedding
         return None if t1 == t2 else fam.alpha_tilde(t1, t2)
     p, q, w = curve.model_p, curve.model_q, curve.weight
-    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        if not np.allclose(p.cov, q.cov, rtol=1e-12, atol=1e-14):
-            return None
-        delta = p.mean - q.mean
-        norm2 = float(delta @ p.cov_inv() @ delta)
-        if norm2 == 0.0:
-            return None
-        return 0.5 - float(tilt_gamma(w, p.dim) @ delta) / norm2
     if isinstance(p, Cauchy) and isinstance(q, Cauchy) and _is_const(w):
         if p == q:
             return None
@@ -345,8 +380,8 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
     evaluation `mode` is independent of the solver choice.
     """
     curve = AffinityCurve(model_p, model_q, weight, mode=mode)
-    f0 = curve.log_rho(0.0)
-    f1 = curve.log_rho(1.0)
+    f0 = curve._log_rho(0.0)
+    f1 = curve._log_rho(1.0)
     # +inf endpoints (weight integrable against only one hypothesis) are
     # harmless for a minimiser of F; -inf or nan endpoints are not.
     for f in (f0, f1):
@@ -406,11 +441,14 @@ def newton_minimise(fn, x, at_x, y, at_y):
     3rd ed., section 9.4): a Newton step that leaves the bracket, or that
     is longer than half the step before last, becomes a bisection.
     F'' only sets the step; the iteration ends when F' is 0 or the next
-    step is shorter than XTOL.  Returns the last point evaluated, its
-    (F, F', F'') and the number of steps.
+    step is shorter than XTOL.  Returns the last point evaluated at which
+    F is finite (x if none is), its (F, F', F'') and the number of steps:
+    where the minimum sits at a jump of F to +inf, the last point evaluated
+    can lie past the jump.  Near the minimum the rise of F is below the
+    noise of a quadrature, so the lowest F would be a worse minimiser.
     """
     neg, pos = (x, y) if at_x[1] < 0.0 else (y, x)  # the slope's sign at each end
-    t, (f, slope, curv) = x, at_x
+    t, (f, slope, curv) = best = x, at_x
     step = step_old = abs(y - x)
     for steps in range(MAX_STEPS):
         if slope == 0.0:
@@ -423,10 +461,12 @@ def newton_minimise(fn, x, at_x, y, at_y):
             break
         t = new
         f, slope, curv = fn(t)
+        if math.isfinite(f):
+            best = t, (f, slope, curv)
         if slope < 0.0:
             neg = t
         else:
             pos = t
     else:
         raise ConvergenceError(f"Newton iteration on F' did not converge in {MAX_STEPS} steps")
-    return t, (f, slope, curv), steps
+    return (*best, steps)

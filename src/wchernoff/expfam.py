@@ -43,9 +43,7 @@ from .models import (
     exponential_family,
     family_of_pair,
     gaussian_mean_family,
-    log_weighted_normaliser,
     poisson_family,
-    weighted_normaliser,
 )
 
 __all__ = [
@@ -71,9 +69,10 @@ __all__ = [
 def weighted_kl(model_p, model_q, weight):
     """D^w_KL(p || q) = integral phi p ln(p/q).
 
-    For the closed-form pairs of `AffinityCurve` this is E_phi(p) F'(1):
-    F'(1) is the mean of ln(p/q) under the tilted p, so only p's tilt has
-    to be integrable, and the weight is checked against p alone.  Exact
+    For the closed-form pairs of `AffinityCurve` this is E_phi(p) F'(1),
+    both read off one `moments(1)`: F(1) = ln E_phi(p), and F'(1) is the
+    mean of ln(p/q) under the tilted p, so only p's tilt has to be
+    integrable, and the weight is checked against p alone.  Exact
     summation for categorical models, the Cauchy closed form (a Cauchy
     model admits only the constant weight), quadrature otherwise.
     """
@@ -91,10 +90,10 @@ def weighted_kl(model_p, model_q, weight):
         return cauchy_kl(model_p, model_q)
     if ((isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian))
             or embed_pair(model_p, model_q, weight) is not None):
-        e_p = weighted_normaliser(model_p, weight)
-        return e_p * AffinityCurve(model_p, model_q, weight).derivative(1.0)
-    log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
-                                                      moments=True)
+        log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
+    else:  # the curve would also check the weight against q
+        log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
+                                                          moments=True)
     return exp_or_raise(log_e, "E_phi") * mean
 
 
@@ -226,8 +225,7 @@ def verify_identities(model_p, model_q, weight):
         # (iii) Chernoff--KL on the normalised arc
         if interior:
             arc = ChernoffArc(curve)
-            ln_ep = log_weighted_normaliser(model_p, weight)
-            ln_eq = log_weighted_normaliser(model_q, weight)
+            ln_ep, ln_eq = curve.log_rho(1.0), curve.log_rho(0.0)  # ln E_phi(p), ln E_phi(q)
             lhs = result.d_c_w
             r1 = arc.kl(alpha_star, 1.0) - ln_ep
             r0 = arc.kl(alpha_star, 0.0) - ln_eq

@@ -5,9 +5,9 @@ Gaussian, Lebesgue on [0, inf) for Exponential, Lebesgue on R for Cauchy,
 counting measure for Poisson and Categorical.  Each family writes its
 log-density once, as the unchecked `logpdf(x)` for a float or an array,
 and `log_density` is that after a support check; each weight writes ln phi
-once, as `log_value(x)`.  ln E_phi is read off the exponential-family
-embedding where the model has one; the tilted density phi*p / E_phi(p) is
-again a probability density whenever E_phi is finite.
+once, as `log_value(x)`.  The weighted normaliser ln E_phi and the tilted
+density phi*p / E_phi(p) live in `affinity`: ln E_phi is F(1) of a
+model's affinity curve against itself.
 
 All model and weight objects are immutable after construction and all
 operations are pure given an explicit rng stream, so they are safe to share
@@ -40,11 +40,8 @@ __all__ = [
     "ConstWeight",
     "ExpTiltWeight",
     "TableWeight",
-    "TiltedDensity",
     "log_density",
     "weight_value",
-    "weighted_normaliser",
-    "log_weighted_normaliser",
     "sample",
     "rng_stream",
     "poisson_truncation",
@@ -505,49 +502,6 @@ def _is_const(weight):
     return isinstance(weight, ConstWeight) or (
         isinstance(weight, ExpTiltWeight) and weight.is_null()
     )
-
-
-def log_weighted_normaliser(model, weight):
-    """ln E_phi(model): the family's lnE at the model's natural parameter for
-    Poisson, Exponential and 1-D Gaussian models, g'mu + g'Sigma g / 2 for
-    other Gaussians, a log-domain sum over the categories.
-    """
-    check_models((model,), weight)
-    if _is_const(weight):
-        return 0.0
-    if isinstance(model, Categorical):
-        k = np.arange(model.size)
-        return log_sum_exp(model.logpdf(k) + weight.log_value(k))
-    embedded = embed_pair(model, model, weight)
-    if embedded is not None:
-        fam, theta, _ = embedded
-        return fam.lnE(theta)
-    g = weight.gamma  # a multivariate Gaussian: Cauchy admits only gamma = 0
-    return float(g @ model.mean + 0.5 * g @ model.cov @ g)
-
-
-def weighted_normaliser(model, weight):
-    """E_phi(model) = exp(ln E_phi); ConvergenceError where it overflows a double."""
-    return exp_or_raise(log_weighted_normaliser(model, weight), "E_phi")
-
-
-@dataclass(frozen=True)
-class TiltedDensity:
-    """Normalised reweighted density phi * p / E_phi(p)."""
-
-    base: object
-    weight: object
-    normaliser: float = None
-
-    def __post_init__(self):
-        if self.normaliser is None:
-            object.__setattr__(self, "normaliser", weighted_normaliser(self.base, self.weight))
-        if not (self.normaliser > 0.0 and math.isfinite(self.normaliser)):
-            raise NonIntegrableWeightError("tilted density requires a finite positive normaliser")
-
-    def log_density(self, x):
-        lphi = self.weight.log_value(x)
-        return float(lphi) + self.base.log_density(x) - math.log(self.normaliser)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numeric
-from .affinity import AffinityCurve, chernoff, newton_minimise
+from .affinity import AffinityCurve, chernoff, log_weighted_normaliser, newton_minimise
 from .errors import (
     ConvergenceError,
     PreconditionError,
@@ -54,7 +54,6 @@ from .models import (
     exp_or_raise,
     lazy_module,
     log_sum_exp,
-    log_weighted_normaliser,
     poisson_truncation,
     rng_stream,
 )
@@ -545,10 +544,9 @@ def tilted_stats(problem):
             d = float(np.max(np.abs(lr - kl)))
         return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
 
-    # unweighted KL(Q||P) and Var_Q(ln(q/p)) as the moments of ln(p/q) under Q; d is infinite
-    _, mean, sigma2 = _numeric.weighted_power_integral(p, q, ConstWeight(), 0.0, 1.0,
-                                                       moments=True)
-    return TiltedLikelihoodStats(-mean, math.inf, sigma2, problem.shift)
+    # KL(Q||P) = -F'(0) and Var_Q(ln(q/p)) = F''(0) on the phi = 1 curve; d is infinite
+    _, slope, sigma2 = AffinityCurve(p, q, ConstWeight()).moments(0.0)
+    return TiltedLikelihoodStats(-slope, math.inf, sigma2, problem.shift)
 
 
 def cumulants(problem, alpha):

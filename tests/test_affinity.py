@@ -519,3 +519,53 @@ class TestPreconditions:
     def test_cauchy_tilt_rejected(self):
         with pytest.raises(PreconditionError):
             chernoff(Cauchy(0.0, 1.0), Cauchy(1.0, 1.0), ExpTiltWeight([0.2]))
+
+    @pytest.mark.parametrize("mode", ["bogus", "Quadrature", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(PreconditionError, match="unknown mode"):
+            AffinityCurve(P2, P1, CONST, mode=mode)
+        with pytest.raises(PreconditionError, match="unknown mode"):
+            chernoff(P2, P1, CONST, mode=mode)
+
+    @pytest.mark.parametrize("p, q", [
+        (Cauchy(0.0, 1.0), Cauchy(1.0, 2.0)),
+        (G0, Cauchy(1.0, 2.0)),
+        (Categorical([0.5, 0.5]), Categorical([0.25, 0.75])),
+    ])
+    def test_closed_form_mode_needs_a_closed_form(self, p, q):
+        with pytest.raises(PreconditionError, match="no closed-form curve"):
+            AffinityCurve(p, q, CONST, mode="closed_form")
+        with pytest.raises(PreconditionError, match="no closed-form curve"):
+            chernoff(p, q, CONST, mode="closed_form")
+
+
+class TestEqualCovarianceGaussian:
+    """F(a) = -a(1-a)|delta|^2/2 + g'mu_a + g'Sigma g/2 is quadratic in a, so
+    one Newton step from 1/2 lands on a~ = 1/2 - g'delta/|delta|^2, with
+    |delta|^2 = delta' Sigma^-1 delta and delta = mu_p - mu_q."""
+
+    @staticmethod
+    def pair(dim, seed):
+        rng = np.random.default_rng(seed)
+        root = rng.normal(size=(dim, dim))
+        cov = root @ root.T + dim * np.eye(dim)
+        return Gaussian(rng.normal(size=dim), cov), Gaussian(rng.normal(size=dim), cov)
+
+    @pytest.mark.parametrize("dim, seed", [(2, 1), (8, 2)])
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_newton_matches_the_closed_critical_point(self, dim, seed, tilted):
+        p, q = self.pair(dim, seed)
+        delta = p.mean - q.mean
+        norm2 = float(delta @ np.linalg.solve(p.cov, delta))
+        # a tilt along delta that moves a~ to 0.3, inside (0, 1)
+        g = 0.2 * norm2 * delta / float(delta @ delta) if tilted else np.zeros(dim)
+        w = ExpTiltWeight(g) if tilted else CONST
+        tilde = 0.5 - float(g @ delta) / norm2
+        mu = tilde * p.mean + (1.0 - tilde) * q.mean
+        d = 0.5 * tilde * (1.0 - tilde) * norm2 - float(g @ mu) - 0.5 * float(g @ p.cov @ g)
+        res = chernoff(p, q, w)
+        assert res.boundary == "interior"
+        assert abs(res.alpha_star - tilde) <= 1e-12
+        assert abs(res.d_c_w - d) <= 1e-12
+        # at the constant weight 1/2 is already the minimiser: no step is taken
+        assert res.iterations == (1 if tilted else 0)

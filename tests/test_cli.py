@@ -350,6 +350,16 @@ class TestErrorPaths:
                                       "--model-q", '{"family": "categorical", "probs": [0.0, 1.0]}'])
         assert result.exit_code in (2, 3)
 
+    def test_weight_vanishing_on_q_exits_2(self, runner):
+        # F(0) = ln E_phi(q) = -inf: the solver's own endpoint precondition, not
+        # the "non-positive affinity" convergence error
+        result = runner.invoke(main, ["chernoff", "--model-p", BERN_P,
+                                      "--model-q", '{"family": "categorical", "probs": [0, 1]}',
+                                      "--weight", '{"kind": "table", "values": [1, 0]}'])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: log-affinity is not finite at the endpoints\n"
+
     def test_weight_overflow_exits_3(self, runner):
         result = runner.invoke(main, ["simulate", "--model-p", POISSON_P,
                                       "--model-q", POISSON_Q,

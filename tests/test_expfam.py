@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from wchernoff import (
     AffinityCurve,
@@ -17,6 +17,7 @@ from wchernoff import (
     Exponential,
     ExpTiltWeight,
     Gaussian,
+    NonIntegrableWeightError,
     Poisson,
     PreconditionError,
     TableWeight,
@@ -226,6 +227,22 @@ class TestWeightedKL:
             marg.append((kl_i, weighted_normaliser(pi, ExpTiltWeight([g[i]]))))
         oracle = marg[0][0] * marg[1][1] + marg[1][0] * marg[0][1]
         assert weighted_kl(p, q, ExpTiltWeight(g)) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, -1.2])
+    def test_gaussian_against_cauchy_vs_quadrature_oracle(self, gamma):
+        # the direct-integral branch: no closed form, and under a tilt the
+        # affinity curve rejects the pair (the tilt is not integrable against q)
+        p, q = Gaussian([0.5], [[1.5]]), Cauchy(-1.0, 2.0)
+        w = ExpTiltWeight([gamma])
+        if gamma != 0.0:
+            with pytest.raises(NonIntegrableWeightError):
+                AffinityCurve(p, q, w)
+        log_p = stats.norm(0.5, math.sqrt(1.5)).logpdf
+        log_q = stats.cauchy(-1.0, 2.0).logpdf
+        oracle, _ = integrate.quad(
+            lambda x: math.exp(gamma * x + log_p(x)) * (log_p(x) - log_q(x)),
+            -np.inf, np.inf, epsabs=0.0, epsrel=1e-12)
+        assert weighted_kl(p, q, w) == pytest.approx(oracle, rel=1e-9)
 
     def test_cauchy_const(self):
         assert weighted_kl(Cauchy(0.0, 1.0), Cauchy(3.0, 2.0), CONST) == pytest.approx(

@@ -58,6 +58,15 @@ class TestLogDensity:
         for x, v in zip(points, vec):
             assert log_density(model, x) == pytest.approx(v, rel=1e-15, abs=0.0)
 
+    def test_gaussian_log_density_in_dimension_2(self):
+        mean, cov = [0.5, -1.0], [[2.0, 0.6], [0.6, 0.8]]
+        oracle = stats.multivariate_normal(mean, cov).logpdf
+        m = Gaussian(mean, cov)
+        for x in ([0.5, -1.0], [0.0, 0.0], [-3.0, 2.5], [4.0, 1.0]):
+            assert log_density(m, x) == pytest.approx(float(oracle(x)), rel=1e-13)
+        with pytest.raises(OutsideSupportError):
+            log_density(m, [0.0])
+
     def test_standard_normal_mode(self):
         m = Gaussian(mean=[0.0], cov=[[1.0]])
         assert log_density(m, 0.0) == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-12)

@@ -482,6 +482,70 @@ class TestRateFunction:
         # psi_Q(a) = psi_P(a + 1) under the constant weight
         assert abs(i_q - (a * r - psi - r)) <= 1e-9
 
+    @pytest.mark.parametrize("r", [-0.3, 0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_supremum_at_a_jump_of_psi(self, r, swap):
+        # q is 0 where p is not, so psi jumps to +inf past one end of its
+        # domain and the supremum sits at that end, where the last point
+        # Newton evaluates can lie past the jump.  Oracle: a dense grid of a.
+        p, q = Categorical([0.2, 0.3, 0.5]), Categorical([0.5, 0.5, 0.0])
+        if swap:
+            p, q = q, p
+        a = np.arange(-20000, 20001)[:, None] / 1000.0
+
+        def log_rho(alpha):  # ln sum p^alpha q^(1-alpha), a 0 * ln 0 term counted as 0
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                terms = np.exp(alpha * np.log(p.probs) + (1.0 - alpha) * np.log(q.probs))
+                return np.log(np.nansum(terms, axis=1))
+
+        grid_p = float(np.max(a[:, 0] * r - log_rho(1.0 - a)))
+        grid_q = float(np.max(a[:, 0] * r - log_rho(-a)))
+        i_p, i_q = rate_function(BinaryTestProblem(p, q, CONST, 5), r)
+        assert abs(i_p - grid_p) <= 1e-12
+        assert abs(i_q - grid_q) <= 1e-12
+
+
+class TestTiltedStatsClosedForms:
+    """KL(Q||P) and Var_Q[ln q/p] read off the curve's closed moments at 0."""
+
+    @staticmethod
+    def check(p, q, kl, var):
+        st = tilted_stats(BinaryTestProblem(p, q, CONST, 3))
+        assert abs(st.kl_qp - kl) <= 1e-12 * max(1.0, abs(kl))
+        assert abs(st.sigma2 - var) <= 1e-12 * max(1.0, var)
+        assert st.d_bound == math.inf
+
+    def test_poisson(self):
+        lp, lq = 2.5, 1.5
+        ln_r = math.log(lq / lp)
+        self.check(Poisson(lp), Poisson(lq), lq * ln_r + lp - lq, lq * ln_r ** 2)
+
+    def test_exponential(self):
+        a, b = 2.0, 0.7
+        self.check(Exponential(a), Exponential(b), math.log(b / a) + a / b - 1.0,
+                   ((b - a) / b) ** 2)
+
+    def test_gaussian_1d(self):
+        mp, vp, mq, vq = 0.3, 2.0, -0.5, 0.7
+        delta = mp - mq
+        kl = 0.5 * (vq / vp + delta ** 2 / vp - 1.0 + math.log(vp / vq))
+        # ln q/p = c z^2 / 2 + b z + const with z = x - mq ~ N(0, vq)
+        c, b = 1.0 / vp - 1.0 / vq, -delta / vp
+        self.check(Gaussian([mp], [[vp]]), Gaussian([mq], [[vq]]), kl,
+                   0.5 * c * c * vq * vq + b * b * vq)
+
+    def test_gaussian_2d(self):
+        sp = np.array([[2.0, 0.3], [0.3, 1.0]])
+        sq = np.array([[0.8, -0.2], [-0.2, 1.5]])
+        delta = np.array([0.4, -1.1])  # mean of p minus mean of q
+        sp_inv = np.linalg.inv(sp)
+        kl = 0.5 * (np.trace(sp_inv @ sq) + delta @ sp_inv @ delta - 2.0
+                    + math.log(np.linalg.det(sp) / np.linalg.det(sq)))
+        m = (sp_inv - np.linalg.inv(sq)) @ sq
+        b = sp_inv @ delta
+        self.check(Gaussian(delta + 1.0, sp), Gaussian([1.0, 1.0], sq), float(kl),
+                   float(0.5 * np.trace(m @ m) + b @ sq @ b))
+
 
 class TestBernoulliKL:
     def test_reference_value(self):
