@@ -13,7 +13,11 @@ or exponential-tilt weight, the symbol counts for categorical models, and
 the sample itself otherwise.  Exact sums run over the states of T
 (S = 0..K for Poisson, every count vector for categorical models); Monte
 Carlo draws T from its law under each hypothesis (Poi(n lam), Gamma(n,
-1/rate), N(n mu, n sigma^2), or Multinomial(n, probs)).  The tilted
+1/rate), N(n mu, n sigma^2), or Multinomial(n, probs)).  Where T is
+discrete (S of a Poisson pair, the counts) and has no more states than a
+chunk of replicates, the chunk is drawn as one histogram over the states
+of T instead, c ~ Multinomial(replicates, law of T), whose law is written
+without scipy.  The tilted
 log-likelihood section implements the cumulants psi_P/psi_Q, their
 Legendre transforms, and the Bennett-type martingale tail bound, all for
 the shifted statistic
@@ -45,7 +49,9 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .models import (
+    MAX_SUM_TERMS,
     Categorical,
+    Cauchy,
     ConstWeight,
     Exponential,
     Poisson,
@@ -226,8 +232,15 @@ def _no_exact_sum():
     )
 
 
+def _log_factorials(top):
+    """ln k! for k = 0..top, by math.lgamma: Monte Carlo laws load no scipy."""
+    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+
+
 class _SampleStatistic:
     """T = the n-sample itself, for pairs without a smaller statistic."""
+
+    support_size = math.inf
 
     def __init__(self, models, weight, n):
         _numeric.check_scalar(*models)
@@ -283,6 +296,23 @@ class _SumStatistic:
         return (self.log_weight(s) + s * math.log(self.n) - special.gammaln(s + 1.0),
                 [self.log_lik(i, s) for i in range(len(self.models))])
 
+    @functools.cached_property
+    def support_size(self):
+        """K + 1 states S = 0..K of a Poisson family, else inf (a continuous S,
+        or a mean n lam past MAX_SUM_TERMS)."""
+        if self.family.name != "poisson":
+            return math.inf
+        top = self.n * max(m.lam for m in self.models)
+        return poisson_truncation(top) + 1 if top <= MAX_SUM_TERMS else math.inf
+
+    @functools.cached_property
+    def law(self):
+        """S = 0..K and ln Poi(S; n lam_i) for each model i; K is cut for the
+        largest mean, so every model leaves less than 1e-16 of its mass past it."""
+        s = np.arange(self.support_size)
+        ln_fact = _log_factorials(self.support_size - 1)
+        return s, [s * math.log(self.n * m.lam) - self.n * m.lam - ln_fact for m in self.models]
+
     def check_second_moments(self):
         """Raise where a Monte Carlo score phi 1{error} has infinite variance.
 
@@ -324,6 +354,21 @@ class _CountStatistic:
         return (log_mult + self.log_weight(counts),
                 [self.log_lik(i, counts) for i in range(len(self.models))])
 
+    @functools.cached_property
+    def support_size(self):
+        """comb(n + k - 1, n) count vectors, or inf past the state budget."""
+        k = self.log_phi.size
+        rows = math.comb(self.n + k - 1, self.n)
+        return rows if rows * k <= STATE_BUDGET else math.inf
+
+    @functools.cached_property
+    def law(self):
+        """Every count vector and its ln Multinomial(n, probs_i) mass for each model i."""
+        counts = _count_matrix(self.n, self.log_phi.size)
+        ln_fact = _log_factorials(self.n)
+        log_mult = ln_fact[self.n] - ln_fact[counts].sum(axis=1)
+        return counts, [log_mult + self.log_lik(i, counts) for i in range(len(self.models))]
+
 
 def _statistic(models, weight, n):
     """The smallest built-in statistic of an n-sample that carries every loss.
@@ -331,7 +376,8 @@ def _statistic(models, weight, n):
     Each statistic T offers draw(i, rng, count) under models[i],
     log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n up to a term shared
     by all models, and state_logs() -> (base, logs) over the states of T.
-    The models and weight have passed `check_models`, so every pair either
+    For Monte Carlo it also offers support_size (the number of states, inf
+    for a continuous T) and law = (states, [ln P_i(T = state)]).  The models and weight have passed `check_models`, so every pair either
     embeds in one family or has no such reading.
 
     exp(base + logs_i) is the sum of phi^n p_i^n over the sample points of
@@ -442,26 +488,45 @@ def mary_exponent(problem):
 # ---------------------------------------------------------------------------
 
 
+def _scores(stat, error_fn, t):
+    """phi(x_1..n) 1{error_fn(T)} at each row or state t, +inf where phi overflows."""
+    log_phi, hit = stat.log_weight(t), error_fn(t)
+    score = np.zeros(hit.size)
+    with np.errstate(over="ignore"):
+        score[hit] = np.exp(log_phi[hit])
+    return score
+
+
 def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
     """Mean and variance of phi(x_1..n) 1{error_fn(T)} over draws of T under model i.
 
     Chunked with a fixed chunk size so results are deterministic in
-    (seed, stream_id) regardless of the replicate total.
+    (seed, stream_id) regardless of the replicate total.  A chunk of a
+    discrete T with no more states than the chunk has replicates is drawn
+    as a histogram over the states, c ~ Multinomial(count, law of T under
+    model i), and adds sum c score and sum c score^2: the same law as the
+    sums over `count` rows, with the score evaluated once per state.  Every
+    other chunk draws `count` rows of T.
     """
-    total, total_sq, done, chunk_idx = 0.0, 0.0, 0, 0
+    total, total_sq, done, chunk_idx, hist = 0.0, 0.0, 0, 0, None
     while done < replicates:
         count = min(MC_CHUNK, replicates - done)
-        t = stat.draw(i, rng_stream(seed, stream_id, chunk_idx), count)
-        log_phi = stat.log_weight(t)
-        hit = error_fn(t)
-        score = np.zeros(count)
-        try:
-            with np.errstate(over="raise"):
-                score[hit] = np.exp(log_phi[hit])
-        except FloatingPointError as exc:
-            raise ConvergenceError("weight phi(x_1..n) overflows on a sampled replicate") from exc
-        total += float(score.sum())
-        total_sq += float((score * score).sum())
+        rng = rng_stream(seed, stream_id, chunk_idx)
+        if stat.support_size <= count:
+            if hist is None:  # the law under model i and every state's score, once
+                states, log_laws = stat.law
+                probs = np.exp(log_laws[i] - log_sum_exp(log_laws[i]))
+                hist = probs / probs.sum(), _scores(stat, error_fn, states)
+            probs, scores = hist
+            c = rng.multinomial(count, probs)
+            drawn = c > 0
+            c, score = c[drawn], scores[drawn]
+        else:
+            c, score = 1, _scores(stat, error_fn, stat.draw(i, rng, count))
+        if np.isinf(score).any():
+            raise ConvergenceError("weight phi(x_1..n) overflows on a sampled replicate")
+        total += float((c * score).sum())
+        total_sq += float((c * score * score).sum())
         done += count
         chunk_idx += 1
     mean = total / replicates
@@ -530,9 +595,14 @@ def tilted_stats(problem):
 
     d_bound = sup |ln(q/p) - KL(Q||P)| over the support of Q; finite only
     for categorical models (every other built-in family has unbounded
-    log-ratio), in which case the tail bound is unavailable.
+    log-ratio), in which case the tail bound is unavailable.  Where
+    KL(Q||P) is infinite, kl_qp, d_bound and sigma2 are all inf: Q puts
+    mass where P has none (categorical), or Q is a Cauchy against a
+    Gaussian P, whose ln p ~ -x^2/2 has no mean under Cauchy tails.
     """
     p, q = problem.model_p, problem.model_q
+    if isinstance(q, Cauchy) and not isinstance(p, Cauchy):
+        return TiltedLikelihoodStats(math.inf, math.inf, math.inf, problem.shift)
     if isinstance(q, Categorical):
         mask = q.probs > 0.0
         kl = d = sigma2 = math.inf

@@ -319,3 +319,97 @@ def test_divergent_quadrature_is_typed():
     # int p^-1 q^2 for Exp(2), Exp(1) is the integral of 1/2 over [0, inf)
     with pytest.raises(ConvergenceError):
         _numeric.weighted_power_integral(Exponential(2.0), Exponential(1.0), CONST, -1.0, 2.0)
+
+
+class TestHistogramDraws:
+    """Monte Carlo on a discrete T draws one histogram over its states per chunk.
+
+    The chunk's sums of phi 1{error} and its square depend only on how many
+    replicates land in each state, so c ~ Multinomial(count, law of T) keeps
+    the estimator's law; rows stay where T has more states than the chunk.
+    """
+
+    @pytest.mark.parametrize("n", [1, 10, 50, 200])
+    def test_poisson_law(self, n):
+        models = (Poisson(2.0), Poisson(1.0), Poisson(4.0))
+        s, logs = testing._statistic(models, TILT, n).law
+        assert s[0] == 0 and s.size == poisson_truncation(4.0 * n) + 1
+        for m, log_pi in zip(models, logs):
+            assert log_pi == pytest.approx(stats.poisson.logpmf(s, n * m.lam), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 6, 30])
+    def test_multinomial_law_with_a_zero_mass_symbol(self, n):
+        models = (Categorical([0.5, 0.5, 0.0]), Categorical([0.25, 0.25, 0.5]))
+        counts, logs = testing._statistic(models, TableWeight([1.0, 2.0, 3.0]), n).law
+        assert counts.shape == (math.comb(n + 2, n), 3)
+        for m, log_pi in zip(models, logs):
+            ref = stats.multinomial.logpmf(counts, n, m.probs)
+            live = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(log_pi), live)
+            assert log_pi[live] == pytest.approx(ref[live], rel=1e-12)
+
+    def test_support_sizes(self):
+        assert testing._statistic((Poisson(2.0), Poisson(1.0)), CONST, 10).support_size == 105
+        tri = (Categorical([0.5, 0.3, 0.2]),) * 2
+        assert testing._statistic(tri, CONST, 30).support_size == 496
+        for models in ((Exponential(2.0), Exponential(1.0)),
+                       (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[1.0]])),
+                       (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]))):
+            assert testing._statistic(models, CONST, 10).support_size == math.inf
+
+    def test_support_larger_than_the_chunk_draws_rows(self):
+        # 2.1e8 count vectors against 2000 replicates: the parent's row draws, to the bit
+        p, q = Categorical([0.1] * 10), Categorical([0.08] * 5 + [0.12] * 5)
+        assert testing._statistic((p, q), CONST, 30).support_size > 2000
+        est = optimal_loss_mc(BinaryTestProblem(p, q, CONST, 30), 2000, seed=1)
+        assert (est.value, est.std_error) == (0.5814999999999999, 0.01436016625948321)
+
+    def test_poisson_mean_past_the_summation_limit_draws_rows(self):
+        # n lam = 2e6 is past MAX_SUM_TERMS: no truncation is asked for
+        prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10 ** 6)
+        stat = testing._statistic((prob.model_p, prob.model_q), CONST, prob.n)
+        assert stat.support_size == math.inf
+        est = optimal_loss_mc(prob, 2000, seed=1)
+        assert (est.value, est.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("prob", [
+        BinaryTestProblem(Poisson(2.0), Poisson(1.0), TILT, 10),
+        BinaryTestProblem(Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]),
+                          TableWeight([1.0, 2.0, 0.5]), 6),
+    ])
+    def test_histogram_then_row_chunks_are_deterministic(self, prob):
+        # a histogram chunk of MC_CHUNK replicates, then 7 rows (fewer than the states)
+        reps = testing.MC_CHUNK + 7
+        a = optimal_loss_mc(prob, reps, seed=8)
+        assert a == optimal_loss_mc(prob, reps, seed=8)
+        assert a.replicates == reps
+        exact = optimal_loss_exact(prob).value
+        assert abs(a.value - exact) <= 4.0 * a.std_error
+
+    def test_overflow_is_raised_only_where_drawn(self):
+        # equal models tie everywhere, so P errs on every state and scores e^(gamma S)
+        def loss(gamma, n):
+            prob = BinaryTestProblem(Poisson(2.0), Poisson(2.0), ExpTiltWeight([gamma]), n)
+            return optimal_loss_mc(prob, 2000, seed=0)
+
+        # e^(7 S) overflows from S = 102 on, which Poi(20) never reaches
+        assert math.isfinite(loss(7.0, 10).value)
+        with pytest.raises(ConvergenceError, match="overflows on a sampled replicate"):
+            loss(10.0, 50)  # histogram: S ~ Poi(100)
+        with pytest.raises(ConvergenceError, match="overflows on a sampled replicate"):
+            loss(0.01, 10 ** 6)  # rows: S ~ Poi(2e6)
+
+    @pytest.mark.parametrize("prob", [
+        BinaryTestProblem(Poisson(2.0), Poisson(1.0), TILT, 10),
+        BinaryTestProblem(Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]),
+                          TableWeight([1.0, 1.2, 0.8]), 30),
+    ], ids=["poisson_tilt", "categorical_table"])
+    def test_z_scores_against_the_exact_loss(self, prob):
+        # a table weight far from 1 makes phi^30 heavy-tailed (2^30 against 0.5^30),
+        # and then rows and histograms alike sit below the loss on most seeds
+        exact = optimal_loss_exact(prob).value
+        z = np.array([(est.value - exact) / est.std_error for est in
+                      (optimal_loss_mc(prob, 2000, seed=s) for s in range(400))])
+        assert abs(z.mean()) < 0.15  # three standard errors of a mean of 400
+        assert 0.85 < z.std() < 1.15
+        assert np.mean(np.abs(z) < 2.0) >= 0.92

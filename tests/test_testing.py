@@ -9,6 +9,7 @@ from wchernoff import _numeric
 from wchernoff import (
     BinaryTestProblem,
     Categorical,
+    Cauchy,
     ConstWeight,
     ConvergenceError,
     Exponential,
@@ -545,6 +546,25 @@ class TestTiltedStatsClosedForms:
         b = sp_inv @ delta
         self.check(Gaussian(delta + 1.0, sp), Gaussian([1.0, 1.0], sq), float(kl),
                    float(0.5 * np.trace(m @ m) + b @ sq @ b))
+
+
+class TestTiltedStatsInfiniteKL:
+    """KL(Q||P) = inf reads as inf, as for categorical Q with mass where P has none."""
+
+    def test_cauchy_q_against_gaussian_p(self):
+        # ln p/q ~ -x^2/2 has no mean under the Cauchy tails of Q
+        st = tilted_stats(BinaryTestProblem(Gaussian([0.0], [[1.0]]), Cauchy(0.0, 1.0), CONST, 3))
+        assert (st.kl_qp, st.d_bound, st.sigma2, st.shift) == (math.inf, math.inf, math.inf, 0.0)
+
+    def test_gaussian_q_against_cauchy_p_stays_finite(self):
+        st = tilted_stats(BinaryTestProblem(Cauchy(0.0, 1.0), Gaussian([0.0], [[1.0]]), CONST, 3))
+        assert st.kl_qp == pytest.approx(0.2592445324888623, rel=1e-12)
+        assert 0.0 < st.sigma2 < math.inf and st.d_bound == math.inf
+
+    def test_categorical_q_off_the_support_of_p(self):
+        st = tilted_stats(BinaryTestProblem(Categorical([0.5, 0.5, 0.0]),
+                                            Categorical([0.25, 0.25, 0.5]), CONST, 3))
+        assert (st.kl_qp, st.d_bound, st.sigma2) == (math.inf, math.inf, math.inf)
 
 
 class TestBernoulliKL:
