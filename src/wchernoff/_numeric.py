@@ -53,6 +53,7 @@ from .errors import ConvergenceError, UnsupportedCombinationError
 from .models import (
     Categorical,
     Cauchy,
+    Exponential,
     ExpTiltWeight,
     Gaussian,
     poisson_truncation,
@@ -66,11 +67,11 @@ def check_scalar(*models):
 
 
 def logpdf_vec(model, x):
-    """Log-density of a 1-D family at the points x, -inf off the half-line."""
+    """Log-density of a 1-D family at the points x, -inf below 0 on a half-line or count."""
     check_scalar(model)
     x = np.asarray(x, dtype=float)
     out = model.logpdf(x)
-    return np.where(x >= 0.0, out, -np.inf) if model.support == "halfline" else out
+    return np.where(x >= 0.0, out, -np.inf) if model.support in ("halfline", "nonneg_int") else out
 
 
 def discrete_grid(model_p, model_q, weight=None, a=1.0, b=0.0):
@@ -88,8 +89,9 @@ def discrete_grid(model_p, model_q, weight=None, a=1.0, b=0.0):
 
 
 def _edges(model_p, model_q, g, a, b):
-    """A continuous 1-D support cut at the locations, or at the mode of a Gaussian pair's
-    bump phi p^a q^b, which a tilt or two narrow densities can put far from both means."""
+    """A continuous 1-D support cut at the locations, or where the bump phi p^a q^b sits:
+    at a Gaussian pair's mode, and for an Exponential pair at 1/c and 8/c, c = a rate_p +
+    b rate_q - gamma > 0 its decay rate; a tilt or rates far apart put either far from both."""
     lo = 0.0 if model_p.support == "halfline" else -math.inf
     cuts = {m.mean[0] if isinstance(m, Gaussian) else m.location if isinstance(m, Cauchy)
             else 1.0 / m.rate for m in (model_p, model_q)}
@@ -97,6 +99,10 @@ def _edges(model_p, model_q, g, a, b):
         hp, hq = a / model_p.cov[0, 0], b / model_q.cov[0, 0]
         if hp + hq > 0.0:
             cuts = {(hp * model_p.mean[0] + hq * model_q.mean[0] + g) / (hp + hq)}
+    elif isinstance(model_p, Exponential):
+        decay = a * model_p.rate + b * model_q.rate - g
+        if decay > 0.0:
+            cuts = {1.0 / decay, 8.0 / decay}
     return [lo] + sorted(c for c in cuts if c > lo) + [math.inf]
 
 

@@ -17,7 +17,6 @@ across threads.
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +44,7 @@ __all__ = [
     "sample",
     "rng_stream",
     "poisson_truncation",
+    "log_factorial",
     "check_models",
     "model_from_json",
     "weight_from_json",
@@ -56,28 +56,6 @@ __all__ = [
 _MAX_GAUSSIAN_DIM = 64
 # largest Poisson tilted mean summed term by term (bounds the grid's memory)
 MAX_SUM_TERMS = 1_000_000
-
-
-class lazy_module:
-    """Stands in for the module `name`; imports it at the first attribute read.
-
-    Module top levels bind scipy submodules through this, so that importing
-    wchernoff loads none that the caller never uses.
-    `importlib.import_module` holds the module's import lock, so threads
-    that reach the first use together all wait for one complete import;
-    the module is kept only once that import has returned.
-    """
-
-    def __init__(self, name):
-        self._name, self._module = name, None
-
-    def __getattr__(self, attr):
-        if self._module is None:
-            self._module = importlib.import_module(self._name)
-        return getattr(self._module, attr)
-
-
-special = lazy_module("scipy.special")
 
 
 def rng_stream(seed, *key):
@@ -103,8 +81,25 @@ def poisson_truncation(max_mean):
     return int(math.ceil(m + 12.0 * math.sqrt(m) + 30.0))
 
 
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(64)])
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def log_factorial(k):
+    """ln k! at a non-negative integer-valued float or array: a math.lgamma table below 64,
+    then Stirling's series for ln Gamma(x), x = k + 1, to its x^-7 term (the next is < 1e-19)."""
+    k = np.asarray(k, dtype=float)
+    out = _LOG_FACTORIALS.take(k.astype(np.intp), mode="clip")
+    if k.max(initial=0.0) >= 64.0:
+        x = np.maximum(k, 63.0) + 1.0
+        r = 1.0 / (x * x)
+        series = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
+        out = np.where(k >= 64.0, (x - 0.5) * np.log(x) - x + _HALF_LN_2PI + series, out)
+    return out
+
+
 def log_sum_exp(logs):
-    """ln sum exp(logs), shifted by the largest term (scipy's takes ~100 us per call)."""
+    """ln sum exp(logs), shifted by the largest term."""
     top = float(np.max(logs))
     if not math.isfinite(top):
         return top
@@ -211,8 +206,8 @@ class Poisson:
         object.__setattr__(self, "lam", float(self.lam))
 
     def logpdf(self, k):
-        """Unchecked ln mass at float or array points."""
-        return -self.lam + k * math.log(self.lam) - special.gammaln(k + 1.0)
+        """Unchecked ln mass at non-negative integer-valued float or array points."""
+        return -self.lam + k * math.log(self.lam) - log_factorial(k)
 
     def log_density(self, k):
         kk = np.asarray(k)

@@ -16,8 +16,8 @@ Carlo draws T from its law under each hypothesis (Poi(n lam), Gamma(n,
 1/rate), N(n mu, n sigma^2), or Multinomial(n, probs)).  Where T is
 discrete (S of a Poisson pair, the counts) and has no more states than a
 chunk of replicates, the chunk is drawn as one histogram over the states
-of T instead, c ~ Multinomial(replicates, law of T), whose law is written
-without scipy.  The tilted
+of T instead, c ~ Multinomial(replicates, law of T).  Each discrete T
+writes its law once, and its exact sums read that same law.  The tilted
 log-likelihood section implements the cumulants psi_P/psi_Q, their
 Legendre transforms, and the Bennett-type martingale tail bound, all for
 the shifted statistic
@@ -49,7 +49,6 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .models import (
-    MAX_SUM_TERMS,
     Categorical,
     Cauchy,
     ConstWeight,
@@ -58,13 +57,11 @@ from .models import (
     check_models,
     embed_pair,
     exp_or_raise,
-    lazy_module,
+    log_factorial,
     log_sum_exp,
     poisson_truncation,
     rng_stream,
 )
-
-special = lazy_module("scipy.special")
 
 __all__ = [
     "BinaryTestProblem",
@@ -232,11 +229,6 @@ def _no_exact_sum():
     )
 
 
-def _log_factorials(top):
-    """ln k! for k = 0..top, by math.lgamma: Monte Carlo laws load no scipy."""
-    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
-
-
 class _SampleStatistic:
     """T = the n-sample itself, for pairs without a smaller statistic."""
 
@@ -287,31 +279,34 @@ class _SumStatistic:
         theta = self.thetas[i]
         return theta * t - self.n * self.family.F(theta)
 
+    def _poisson_law(self, gamma):
+        """S = 0..K and ln Poi(S; n lam_i e^gamma) for each model i; K is cut for the
+        largest mean, so every law leaves less than 1e-16 of its mass past it."""
+        means, tilt = [self.n * m.lam for m in self.models], math.exp(gamma)
+        s = np.arange(poisson_truncation(max(means) * tilt) + 1.0)
+        ln_fact = log_factorial(s)
+        return s, [s * (math.log(mean) + gamma) - mean * tilt - ln_fact for mean in means]
+
     def state_logs(self):
-        """S = 0..K, where base + log_lik(i, S) = gamma S + ln Poi(S; n lam_i)."""
+        """S = 0..K: phi^n p_i^n summed over {S = s} is E_phi(p_i)^n Poi(s; n lam_i e^gamma),
+        where Poi(n lam_i e^gamma) is the law of S under the member theta_i + gamma."""
         if self.family.name != "poisson":
             raise _no_exact_sum()
-        top = self.n * math.exp(max(self.family.gamma, 0.0)) * max(m.lam for m in self.models)
-        s = np.arange(poisson_truncation(top) + 1, dtype=float)
-        return (self.log_weight(s) + s * math.log(self.n) - special.gammaln(s + 1.0),
-                [self.log_lik(i, s) for i in range(len(self.models))])
+        _, logs = self._poisson_law(self.family.gamma)
+        return [log + self.n * self.family.lnE(t) for log, t in zip(logs, self.thetas)]
 
     @functools.cached_property
     def support_size(self):
-        """K + 1 states S = 0..K of a Poisson family, else inf (a continuous S,
-        or a mean n lam past MAX_SUM_TERMS)."""
-        if self.family.name != "poisson":
+        """K + 1 states S = 0..K of a Poisson family, else inf (a continuous S, or a
+        mean n lam past MC_CHUNK, whose support no chunk can hold)."""
+        if self.family.name != "poisson" or self.n * max(m.lam for m in self.models) > MC_CHUNK:
             return math.inf
-        top = self.n * max(m.lam for m in self.models)
-        return poisson_truncation(top) + 1 if top <= MAX_SUM_TERMS else math.inf
+        return self.law[0].size
 
     @functools.cached_property
     def law(self):
-        """S = 0..K and ln Poi(S; n lam_i) for each model i; K is cut for the
-        largest mean, so every model leaves less than 1e-16 of its mass past it."""
-        s = np.arange(self.support_size)
-        ln_fact = _log_factorials(self.support_size - 1)
-        return s, [s * math.log(self.n * m.lam) - self.n * m.lam - ln_fact for m in self.models]
+        """S = 0..K and ln Poi(S; n lam_i) for each model i, the law Monte Carlo draws."""
+        return self._poisson_law(0.0)
 
     def check_second_moments(self):
         """Raise where a Monte Carlo score phi 1{error} has infinite variance.
@@ -348,11 +343,9 @@ class _CountStatistic:
         return _counts_dot(t, self.log_probs[i])
 
     def state_logs(self):
-        """Every count vector, with base ln(multinomial coefficient phi^n)."""
-        counts = _count_matrix(self.n, self.log_phi.size)
-        log_mult = special.gammaln(self.n + 1.0) - np.sum(special.gammaln(counts + 1.0), axis=1)
-        return (log_mult + self.log_weight(counts),
-                [self.log_lik(i, counts) for i in range(len(self.models))])
+        """Over every count vector, ln phi^n plus its multinomial log mass under each model."""
+        counts, logs = self.law
+        return [self.log_weight(counts) + log for log in logs]
 
     @functools.cached_property
     def support_size(self):
@@ -365,8 +358,7 @@ class _CountStatistic:
     def law(self):
         """Every count vector and its ln Multinomial(n, probs_i) mass for each model i."""
         counts = _count_matrix(self.n, self.log_phi.size)
-        ln_fact = _log_factorials(self.n)
-        log_mult = ln_fact[self.n] - ln_fact[counts].sum(axis=1)
+        log_mult = log_factorial(self.n) - log_factorial(counts).sum(axis=1)
         return counts, [log_mult + self.log_lik(i, counts) for i in range(len(self.models))]
 
 
@@ -375,16 +367,17 @@ def _statistic(models, weight, n):
 
     Each statistic T offers draw(i, rng, count) under models[i],
     log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n up to a term shared
-    by all models, and state_logs() -> (base, logs) over the states of T.
-    For Monte Carlo it also offers support_size (the number of states, inf
-    for a continuous T) and law = (states, [ln P_i(T = state)]).  The models and weight have passed `check_models`, so every pair either
-    embeds in one family or has no such reading.
+    by all models, and state_logs() -> [logs_i over the states of T].  For
+    Monte Carlo it also offers support_size (the number of states, inf for a
+    continuous T) and law = (states, [ln P_i(T = state)]).  The models and
+    weight have passed `check_models`, so every pair either embeds in one
+    family or has no such reading.
 
-    exp(base + logs_i) is the sum of phi^n p_i^n over the sample points of
-    a state, on which phi^n and every ratio p_i^n / p_j^n are constant.  So
-    for any f with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the
-    product-space sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states
-    of f(exp(base + logs_1), ..., exp(base + logs_M)).
+    exp(logs_i) is the sum of phi^n p_i^n over the sample points of a state,
+    on which phi^n and every ratio p_i^n / p_j^n are constant.  So for any f
+    with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the product-space
+    sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states of
+    f(exp(logs_1), ..., exp(logs_M)).
     """
     if isinstance(models[0], Categorical):
         return _CountStatistic(models, weight, n)
@@ -407,10 +400,9 @@ def optimal_loss_exact(problem):
 
 def weighted_tv(problem):
     """TV_phi = half the phi-weighted L1 distance on the product space."""
-    base, (lp, lq) = _statistic(
-        (problem.model_p, problem.model_q), problem.weight, problem.n).state_logs()
+    lp, lq = _statistic((problem.model_p, problem.model_q), problem.weight, problem.n).state_logs()
     with np.errstate(over="ignore", invalid="ignore"):
-        tv = float(0.5 * np.sum(np.abs(np.exp(base + lp) - np.exp(base + lq))))
+        tv = float(0.5 * np.sum(np.abs(np.exp(lp) - np.exp(lq))))
     if not math.isfinite(tv):
         raise ConvergenceError("TV_phi overflows a double")
     return tv
@@ -426,8 +418,7 @@ def _loss(models, weight, n, priors, method, replicates=None, seed=0):
     w = priors if priors is not None else (1.0,) * len(models)
     log_w = [math.log(wi) for wi in w]
     if method == EXACT_ENUMERATION:
-        base, logs = _statistic(models, weight, n).state_logs()
-        terms = [lw + base + li for lw, li in zip(log_w, logs)]
+        terms = [lw + li for lw, li in zip(log_w, _statistic(models, weight, n).state_logs())]
         top, rest = terms[0], []  # every term of a state but its largest
         for term in terms[1:]:
             rest.append(np.minimum(top, term))

@@ -252,6 +252,17 @@ class TestIdentitiesCommand:
         assert all(entry["applicable"] for entry in res["identities"].values())
         assert res["max_applicable_residual"] <= 1e-10
 
+    def test_rates_far_apart(self, runner):
+        # identity (vii) integrates p^a q^b by quadrature, a bump that decays at
+        # a rate_p + b rate_q: pieces cut only at 1/rate = 1e-3 and 1e3 missed most
+        # of its mass, and the residual read 1.5
+        rep = run_json(runner, ["identities",
+                                "--model-p", '{"family": "exponential", "rate": 0.001}',
+                                "--model-q", '{"family": "exponential", "rate": 1000}'])
+        res = rep["results"]
+        assert all(entry["applicable"] for entry in res["identities"].values())
+        assert res["max_applicable_residual"] <= 1e-10
+
     def test_unsupported_family_exits_2(self, runner):
         result = runner.invoke(main, ["identities", "--model-p", CAUCHY_P,
                                       "--model-q", CAUCHY_Q])

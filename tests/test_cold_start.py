@@ -1,10 +1,12 @@
-"""Cold start: scipy submodules load on first use, not on import.
+"""Cold start: no scipy at run time.
 
-No README command, and no quadrature, loads scipy at all, and nothing
-loads scipy.optimize.
+No public entry point loads any part of scipy: not the seven README
+commands, not the exact Poisson and categorical sums (whose ln k! is
+`models.log_factorial`), not the package's own quadrature and not its
+Newton solvers.  scipy is a test dependency only.
 
 Each check runs in a fresh interpreter, because the pytest process has
-long since imported scipy and would never take the deferred path.
+long since imported scipy for its oracles.
 """
 
 import json
@@ -21,11 +23,15 @@ from wchernoff import (
     BinaryTestProblem,
     Categorical,
     ConstWeight,
+    ExpTiltWeight,
     Gaussian,
+    MAryProblem,
     Poisson,
     chernoff,
+    mary_optimal_loss,
     optimal_loss_exact,
     rate_function,
+    weighted_tv,
 )
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wchernoff.__file__)))
@@ -71,19 +77,21 @@ def run_fresh(code):
 
 
 def first_use_results():
-    """Calls that reach scipy, through every deferred binding between them."""
+    """Library entry points beyond the CLI's: quadrature, Newton solves and every ln k!."""
     bern = BinaryTestProblem(Categorical([0.5, 0.5]), Categorical([0.25, 0.75]), ConstWeight(), 4)
-    pois = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ConstWeight(), 3)
+    pois = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ExpTiltWeight([0.3]), 3)
+    mary = MAryProblem((Poisson(1.0), Poisson(2.0), Poisson(4.0)), ConstWeight(), (0.2, 0.5, 0.3))
     return [
-        # Newton (affinity) on the package's quadrature (_numeric): no scipy
+        # Newton (affinity) on the package's quadrature (_numeric)
         chernoff(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), ConstWeight(),
                  solver="generic", mode="quadrature"),
-        # Newton on the Legendre objective (testing): no scipy
+        # Newton on the Legendre objective (testing)
         rate_function(bern, 0.0),
-        # gammaln (testing): the sum statistic, then the count statistic
+        # ln k! (models.log_factorial): the sum statistic, then the count statistic
         optimal_loss_exact(pois),
         optimal_loss_exact(bern),
-        # gammaln (models)
+        weighted_tv(pois),
+        mary_optimal_loss(mary, 5),
         Poisson(2.0).log_density(3),
     ]
 
@@ -144,38 +152,16 @@ def test_solvers_load_no_scipy_optimize():
 
 def test_first_use_in_a_cold_process_matches_warm_results():
     out = run_fresh("""
-        import sys
+        import contextlib, io, sys
+        import wchernoff.cli
         import test_cold_start
-        cold = [m for m in test_cold_start.SCIPY_MARKERS if m in sys.modules]
-        assert not cold, cold
+        for argv in test_cold_start.README_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                wchernoff.cli.main(argv, standalone_mode=False)
         for result in test_cold_start.first_use_results():
             print(repr(result))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    assert out.splitlines() == [repr(r) for r in first_use_results()]
-
-
-def test_concurrent_first_use_waits_for_one_import():
-    out = run_fresh("""
-        import threading
-        import sys
-        from wchernoff import Poisson
-        assert "scipy.special._ufuncs" not in sys.modules
-        workers = 8
-        barrier, results, errors = threading.Barrier(workers), [], []
-
-        def use():
-            barrier.wait()
-            try:
-                results.append(Poisson(2.0).log_density(3))
-            except Exception as exc:
-                errors.append(repr(exc))
-
-        threads = [threading.Thread(target=use) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-        assert not any(t.is_alive() for t in threads)
-        print(len(results), errors, len(set(results)))
-    """)
-    assert out.split() == ["8", "[]", "1"]
+    *results, loaded = out.splitlines()
+    assert results == [repr(r) for r in first_use_results()]
+    assert loaded == "[]"

@@ -122,6 +122,26 @@ def test_generic_solve_far_out_matches_closed_form(pair):
     assert generic.d_c_w == pytest.approx(closed.d_c_w, rel=1e-6)
 
 
+@st.composite
+def wide_exponential_pairs(draw):
+    """(p, q, weight): Exponentials with rates in 10^U(-3, 3), up to 1e6 apart, under a
+    constant weight or a tilt below the smaller rate."""
+    rp, rq = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    gamma = draw(st.floats(-1.0, 0.95)) * min(rp, rq)
+    weight = ConstWeight() if draw(st.booleans()) else ExpTiltWeight([gamma])
+    return Exponential(rp), Exponential(rq), weight
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(wide_exponential_pairs(), alphas)
+def test_wide_exponential_quadrature_matches_closed_form(pair, alpha):
+    # the bump p^a q^b decays at a rate_p + b rate_q - gamma, far from either 1/rate
+    p, q, w = pair
+    closed = AffinityCurve(p, q, w).log_rho(alpha)
+    assert AffinityCurve(p, q, w, mode="quadrature").log_rho(alpha) == pytest.approx(
+        closed, rel=1e-10, abs=1e-10)
+
+
 def _log_density(m):
     """(location, ln density) of a 1-D Gaussian or Cauchy, from its parameters alone."""
     if isinstance(m, Cauchy):

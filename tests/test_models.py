@@ -39,7 +39,7 @@ from wchernoff import (
     weighted_kl,
     weighted_normaliser,
 )
-from wchernoff.models import check_models, log_sum_exp, poisson_truncation
+from wchernoff.models import check_models, log_factorial, log_sum_exp, poisson_truncation
 
 
 class TestLogDensity:
@@ -70,6 +70,14 @@ class TestLogDensity:
     def test_standard_normal_mode(self):
         m = Gaussian(mean=[0.0], cov=[[1.0]])
         assert log_density(m, 0.0) == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-12)
+
+    def test_log_factorial_matches_gammaln(self):
+        # a lgamma table below 64, Stirling's series from 64 on
+        k = np.arange(2_000_001, dtype=float)
+        np.testing.assert_allclose(log_factorial(k), special.gammaln(k + 1.0), rtol=1e-15, atol=0)
+        for point in (3, 64.0, np.float64(1e6)):
+            assert float(log_factorial(point)) == pytest.approx(
+                math.lgamma(point + 1.0), rel=1e-15, abs=0.0)
 
     def test_poisson_mass_at_zero(self):
         assert log_density(Poisson(2.0), 0) == pytest.approx(-2.0, abs=1e-12)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from wchernoff import (
     BinaryTestProblem,
@@ -104,6 +104,24 @@ class TestPoissonLargeN:
             est = optimal_loss_exact(BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, n))
             rest.append(n * (est.exponent_estimate - d_c) - 0.5 * math.log(n))
         assert max(rest) - min(rest) < 0.03
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, -0.4])
+    def test_log_loss_against_scipy_poisson_sums(self, gamma):
+        # phi^n p^n summed over {S = s} is e^(gamma s) Poi(s; n lam)
+        models, priors = (Poisson(1.0), Poisson(2.0), Poisson(4.0)), np.array([0.2, 0.5, 0.3])
+        w = ExpTiltWeight([gamma])
+        for n in (1, 10, 100, 1000):
+            s = np.arange(12 * n + 200)
+            logs = np.stack([gamma * s + stats.poisson.logpmf(s, n * m.lam) for m in models])
+            binary = special.logsumexp(np.minimum(logs[1], logs[0]))
+            logs += np.log(priors)[:, None]
+            logs[np.argmax(logs, axis=0), np.arange(s.size)] = -np.inf  # sum - max
+            mary = special.logsumexp(logs)
+            for ref, est in (
+                    (binary, optimal_loss_exact(BinaryTestProblem(models[1], models[0], w, n))),
+                    (mary, mary_optimal_loss(MAryProblem(models, w, tuple(priors)), n))):
+                assert -n * est.exponent_estimate == pytest.approx(
+                    ref, rel=1e-13, abs=1e-13)
 
     def test_overflowing_loss_is_typed(self):
         # e^(10 S) outgrows every Poisson mass: the loss is about e^(2e5)

@@ -300,6 +300,12 @@ class TestTiltedLLR:
         with pytest.raises(PreconditionError):
             tilted_llr(bern_problem(3), [0, 1])
 
+    def test_point_below_a_count_support(self):
+        # -1 has zero mass under both Poisson models: no ln k! is read there
+        prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 2)
+        with pytest.raises(PreconditionError, match="zero density under both"):
+            tilted_llr(prob, [-1, 3])
+
 
 class TestTiltedStats:
     def test_bernoulli_fixture_values(self):
