@@ -56,6 +56,7 @@ from .models import (
     Exponential,
     ExpTiltWeight,
     Gaussian,
+    exp_or_raise,
     poisson_truncation,
     tilt_gamma,
 )
@@ -83,8 +84,9 @@ def discrete_grid(model_p, model_q, weight=None, a=1.0, b=0.0):
     if isinstance(model_p, Categorical):
         return np.arange(model_p.size)
     gamma = weight.scalar if isinstance(weight, ExpTiltWeight) else 0.0
-    size = max(math.exp(max(gamma, 0.0)) * max(model_p.lam, model_q.lam),
-               math.exp(gamma) * model_p.lam ** a * model_q.lam ** b)
+    tilt = exp_or_raise(gamma, "e^gamma")
+    size = max(max(tilt, 1.0) * max(model_p.lam, model_q.lam),
+               tilt * model_p.lam ** a * model_q.lam ** b)
     return np.arange(poisson_truncation(size) + 1)
 
 

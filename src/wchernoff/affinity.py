@@ -22,7 +22,7 @@ finite even when the tilted mean of ln p/q at an endpoint is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -342,13 +342,7 @@ class ChernoffResult:
     residual: float
 
     def to_dict(self):
-        return {
-            "alpha_star": self.alpha_star,
-            "d_c_w": self.d_c_w,
-            "boundary": self.boundary,
-            "iterations": self.iterations,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def _closed_alpha_tilde(curve):

@@ -81,21 +81,26 @@ def poisson_truncation(max_mean):
     return int(math.ceil(m + 12.0 * math.sqrt(m) + 30.0))
 
 
-_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(64)])
-_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+def _stirling(x):
+    """ln Gamma(x) by Stirling's series to its x^-7 term; the next is < 1e-19 from x = 65 on."""
+    r = 1.0 / (x * x)
+    series = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
+    return (x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi) + series
+
+
+# ln k! for k < 1024: math.lgamma below 64, Stirling's series from 64 on
+_LOG_FACTORIALS = np.concatenate([[math.lgamma(k + 1.0) for k in range(64)],
+                                  _stirling(np.arange(65.0, 1025.0))])
 
 
 def log_factorial(k):
-    """ln k! at a non-negative integer-valued float or array: a math.lgamma table below 64,
-    then Stirling's series for ln Gamma(x), x = k + 1, to its x^-7 term (the next is < 1e-19)."""
+    """ln k! at a non-negative integer-valued float or array: the table below 1024, then
+    Stirling's series for ln Gamma(k + 1)."""
     k = np.asarray(k, dtype=float)
     out = _LOG_FACTORIALS.take(k.astype(np.intp), mode="clip")
-    if k.max(initial=0.0) >= 64.0:
-        x = np.maximum(k, 63.0) + 1.0
-        r = 1.0 / (x * x)
-        series = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
-        out = np.where(k >= 64.0, (x - 0.5) * np.log(x) - x + _HALF_LN_2PI + series, out)
-    return out
+    if k.max(initial=0.0) < _LOG_FACTORIALS.size:
+        return out
+    return np.where(k < _LOG_FACTORIALS.size, out, _stirling(k + 1.0))
 
 
 def log_sum_exp(logs):
@@ -577,6 +582,10 @@ class ExpFamily1D:
         return (self.Ghat(y) - theta2) / (theta1 - theta2)
 
 
+def _poisson_mean(theta):
+    return exp_or_raise(theta, "the Poisson mean e^theta")
+
+
 @functools.lru_cache(maxsize=256)
 def poisson_family(gamma=0.0):
     """Poisson in natural form: theta = ln lambda, F(theta) = e^theta."""
@@ -584,9 +593,9 @@ def poisson_family(gamma=0.0):
         name="poisson",
         gamma=float(gamma),
         natural=(-math.inf, math.inf),
-        F=math.exp,
-        dF=math.exp,
-        d2F=math.exp,
+        F=_poisson_mean,
+        dF=_poisson_mean,
+        d2F=_poisson_mean,
         Fstar=lambda y: y * math.log(y) - y,
         dFstar=math.log,
         theta_of_model=lambda m: math.log(m.lam),

@@ -33,9 +33,8 @@ pairs need no integral and the value is +inf where F diverges.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,16 +166,7 @@ class SimReport:
     method: str
 
     def to_dict(self):
-        return {
-            "loss": self.loss,
-            "std_error": self.std_error,
-            "exponent_estimate": self.exponent_estimate,
-            "d_c_w_reference": self.d_c_w_reference,
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +191,14 @@ def _counts_dot(counts, table):
 def _count_matrix(n, k):
     """All multisets of n draws from k symbols, as a counts matrix.
 
-    Rows are compositions of n into k non-negative parts, in the order of
-    `itertools.combinations_with_replacement(range(k), n)`; the product
+    Rows are compositions of n into k non-negative parts, c_0 descending,
+    then c_1, and so on: the order of
+    `itertools.combinations_with_replacement(range(k), n)`.  The product
     space of size k^n collapses onto comb(n+k-1, n) rows because the weight
-    and every density factorise over i.i.d. coordinates.  Each row is the
-    gaps between k - 1 bars placed among n + k - 1 slots (stars and bars);
-    the placements come in lexicographic order, the rows' order reversed.
-    Work and memory stay within a few times rows x k cells.
+    and every density factorise over i.i.d. coordinates.  The matrix grows
+    one count at a time: a row with r draws left is repeated r + 1 times,
+    its next count running r, r - 1, ..., 0, and the last count takes what
+    is left.  Work and memory stay within a few times rows x k cells.
     """
     rows = math.comb(n + k - 1, n)
     if rows * k > STATE_BUDGET:
@@ -215,11 +206,13 @@ def _count_matrix(n, k):
             f"enumeration would need {rows} states of {k} symbols"
             f" (budget {STATE_BUDGET} cells); use the Monte Carlo estimator"
         )
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n + k - 1), k - 1)),
-        dtype=np.int64, count=rows * (k - 1)).reshape(rows, k - 1)
-    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), n + k - 1)])
-    return (np.diff(edges, axis=1) - 1)[::-1]
+    counts = np.array([[0] * (k - 1) + [n]], dtype=np.int64)  # the last count: draws left
+    for j in range(k - 1):
+        reps = counts[:, -1] + 1
+        counts = np.repeat(counts, reps, axis=0)
+        left = np.arange(len(counts)) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts[:, j], counts[:, -1] = counts[:, -1] - left, left
+    return counts
 
 
 def _no_exact_sum():
@@ -282,7 +275,7 @@ class _SumStatistic:
     def _poisson_law(self, gamma):
         """S = 0..K and ln Poi(S; n lam_i e^gamma) for each model i; K is cut for the
         largest mean, so every law leaves less than 1e-16 of its mass past it."""
-        means, tilt = [self.n * m.lam for m in self.models], math.exp(gamma)
+        means, tilt = [self.n * m.lam for m in self.models], exp_or_raise(gamma, "e^gamma")
         s = np.arange(poisson_truncation(max(means) * tilt) + 1.0)
         ln_fact = log_factorial(s)
         return s, [s * (math.log(mean) + gamma) - mean * tilt - ln_fact for mean in means]
@@ -334,7 +327,7 @@ class _CountStatistic:
         self.log_probs = [_numeric.logpdf_vec(m, symbols) for m in models]
 
     def draw(self, i, rng, count):
-        return rng.multinomial(self.n, self.models[i].probs, size=count)
+        return rng.multinomial(self.n, self.models[i].probs, size=count).astype(float)
 
     def log_weight(self, t):
         return _counts_dot(t, self.log_phi)
@@ -356,9 +349,11 @@ class _CountStatistic:
 
     @functools.cached_property
     def law(self):
-        """Every count vector and its ln Multinomial(n, probs_i) mass for each model i."""
+        """Every count vector, as floats, and its ln Multinomial(n, probs_i) mass per model."""
         counts = _count_matrix(self.n, self.log_phi.size)
-        log_mult = log_factorial(self.n) - log_factorial(counts).sum(axis=1)
+        ln_fact = log_factorial(np.arange(self.n + 1.0))
+        log_mult = ln_fact[-1] - ln_fact[counts].sum(axis=1)
+        counts = counts.astype(float)
         return counts, [log_mult + self.log_lik(i, counts) for i in range(len(self.models))]
 
 
@@ -481,11 +476,9 @@ def mary_exponent(problem):
 
 def _scores(stat, error_fn, t):
     """phi(x_1..n) 1{error_fn(T)} at each row or state t, +inf where phi overflows."""
-    log_phi, hit = stat.log_weight(t), error_fn(t)
-    score = np.zeros(hit.size)
+    hit = error_fn(t)
     with np.errstate(over="ignore"):
-        score[hit] = np.exp(log_phi[hit])
-    return score
+        return np.exp(stat.log_weight(t), out=np.zeros(hit.size), where=hit)
 
 
 def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
@@ -511,13 +504,14 @@ def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
             probs, scores = hist
             c = rng.multinomial(count, probs)
             drawn = c > 0
-            c, score = c[drawn], scores[drawn]
+            score = scores[drawn]
+            weighted = c[drawn] * score
         else:
-            c, score = 1, _scores(stat, error_fn, stat.draw(i, rng, count))
+            weighted = score = _scores(stat, error_fn, stat.draw(i, rng, count))
         if np.isinf(score).any():
             raise ConvergenceError("weight phi(x_1..n) overflows on a sampled replicate")
-        total += float((c * score).sum())
-        total_sq += float((c * score * score).sum())
+        total += float(weighted.sum())
+        total_sq += float((weighted * score).sum())
         done += count
         chunk_idx += 1
     mean = total / replicates

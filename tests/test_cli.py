@@ -400,6 +400,12 @@ class TestErrorPaths:
         ["curve", "--model-p", '{"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}',
          "--model-q", '{"family": "gaussian", "mean": [1.0], "cov": [[1.0]]}',
          "--weight", '{"kind": "exp_tilt", "gamma": [40]}'],
+        # the tilted Poisson mean lam e^800 is past the largest double, on the closed
+        # form and on the generic solver's sum
+        ["chernoff", "--model-p", POISSON_P, "--model-q", POISSON_Q,
+         "--weight", '{"kind": "exp_tilt", "gamma": [800]}'],
+        ["chernoff", "--model-p", POISSON_P, "--model-q", POISSON_Q,
+         "--weight", '{"kind": "exp_tilt", "gamma": [800]}', "--solver", "generic"],
     ])
     def test_normaliser_overflow_exits_3(self, runner, args):
         result = runner.invoke(main, args)

@@ -318,7 +318,8 @@ class TestTableWeightLength:
 
 
 class TestCountMatrix:
-    @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (1, 4), (3, 4), (6, 3), (2, 7), (20, 2)])
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (1, 4), (3, 4), (6, 3), (2, 7), (20, 2),
+                                     (60, 4), (30, 4), (12, 6), (1, 50)])
     def test_rows_in_combination_order(self, n, k):
         ref = np.array([np.bincount(c, minlength=k)
                         for c in itertools.combinations_with_replacement(range(k), n)])
@@ -331,6 +332,45 @@ class TestCountMatrix:
         # 2,667,126 rows of 4 symbols: 1.07e7 cells
         with pytest.raises(StateSpaceOverflowError):
             testing._count_matrix(250, 4)
+
+
+class TestFrozenOutputs:
+    """Reference outputs of the statistic layer, from the itertools-built count matrix and
+    fancy-indexed Monte Carlo scores: rows must match to the bit, exact sums to 1e-13."""
+
+    def test_monte_carlo_rows_to_the_bit(self):
+        # a full row chunk and a short one of 7: T is continuous, so no histogram
+        reps = testing.MC_CHUNK + 7
+        exp = optimal_loss_mc(BinaryTestProblem(Exponential(2.0), Exponential(1.0),
+                                                ExpTiltWeight([0.5]), 20), reps, seed=5)
+        gauss = optimal_loss_mc(BinaryTestProblem(Gaussian([0.0], [[1.0]]),
+                                                  Gaussian([1.0], [[1.0]]), TILT, 20),
+                                reps, seed=6)
+        assert (exp.value, exp.std_error) == (168.9354553636853, 3.1985023133834387)
+        assert (gauss.value, gauss.std_error) == (0.6436564315140775, 0.015901378558448892)
+
+    def test_exact_categorical_sums(self):
+        p, q = Categorical([0.1, 0.2, 0.3, 0.4]), Categorical([0.25] * 4)
+        loss = optimal_loss_exact(BinaryTestProblem(p, q, CONST, 60))
+        assert -60 * loss.exponent_estimate == pytest.approx(-2.7553508221673386, rel=1e-13)
+        assert loss.value == pytest.approx(0.06358670812854961, rel=1e-13)
+        tv = weighted_tv(BinaryTestProblem(p, q, TableWeight([1.0, 1.2, 0.8, 1.1]), 30))
+        assert tv == pytest.approx(1.5890685099822321, rel=1e-13)
+        models = (Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]),
+                  Categorical([0.1, 0.6, 0.3]))
+        mary = mary_optimal_loss(MAryProblem(models, TableWeight([1.0, 1.2, 0.8]),
+                                             (0.2, 0.3, 0.5)), 25)
+        assert mary.value == pytest.approx(0.1273447708435341, rel=1e-13)
+
+
+def test_poisson_tilt_past_the_largest_double_is_typed():
+    # e^800 overflows a double: the tilted mean of the exact sum and of the family's F
+    prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ExpTiltWeight([800.0]), 1)
+    for call in (optimal_loss_exact, weighted_tv,
+                 lambda pr: chernoff(pr.model_p, pr.model_q, pr.weight),
+                 lambda pr: chernoff(pr.model_p, pr.model_q, pr.weight, solver="generic")):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            call(prob)
 
 
 def test_divergent_quadrature_is_typed():
