@@ -68,11 +68,17 @@ def check_scalar(*models):
 
 
 def logpdf_vec(model, x):
-    """Log-density of a 1-D family at the points x, -inf below 0 on a half-line or count."""
+    """Log-density of a 1-D family at the points x: -inf below 0 on a half-line, and off
+    the non-negative integers of a count support or off 0..K-1 of a finite one."""
     check_scalar(model)
     x = np.asarray(x, dtype=float)
-    out = model.logpdf(x)
-    return np.where(x >= 0.0, out, -np.inf) if model.support in ("halfline", "nonneg_int") else out
+    if model.support == "real":
+        return model.logpdf(x)
+    on = x >= 0.0
+    if model.support != "halfline":
+        on &= (x == np.floor(x)) & (x < getattr(model, "size", math.inf))
+        x = np.where(on, x, 0.0)  # a categorical logpdf indexes its table by x
+    return np.where(on, model.logpdf(x), -np.inf)
 
 
 def discrete_grid(model_p, model_q, weight=None, a=1.0, b=0.0):

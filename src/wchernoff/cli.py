@@ -26,7 +26,7 @@ from . import __version__, affinity, expfam, testing
 from .errors import ConvergenceError, PreconditionError, RateInfiniteError
 from .models import (
     Cauchy,
-    ConstWeight,
+    exp_or_raise,
     model_from_json,
     model_to_json,
     weight_from_json,
@@ -94,6 +94,10 @@ def _report(command, inputs, results):
     }) + "\n"
 
 
+def _csv(header, rows):
+    return "\n".join([header] + [",".join(_fmt_float(v) for v in row) for row in rows]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Input parsing and error reporting
 # ---------------------------------------------------------------------------
@@ -114,16 +118,7 @@ def _load_json(text, what):
 
 
 def _parse_weight(text):
-    if text is None:
-        return ConstWeight()
-    return weight_from_json(_load_json(text, "--weight"))
-
-
-def _parse_pair(model_p, model_q, weight):
-    """(p, q, weight) from the --model-p, --model-q and --weight texts."""
-    return (model_from_json(_load_json(model_p, "--model-p")),
-            model_from_json(_load_json(model_q, "--model-q")),
-            _parse_weight(weight))
+    return weight_from_json(None if text is None else _load_json(text, "--weight"))
 
 
 def _guarded(command):
@@ -141,12 +136,6 @@ def _guarded(command):
             sys.exit(EXIT_NONCONVERGENCE)
 
     return run
-
-
-def _inputs_digest(weight, **models):
-    digest = {name: model_to_json(m) for name, m in models.items()}
-    digest["weight"] = weight_to_json(weight)
-    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -169,100 +158,96 @@ _weight = click.option("--weight", default=None,
 _out = click.option("--out", default=None, help="output path (default stdout)")
 
 
-@main.command("chernoff")
-@_model_p
-@_model_q
-@_weight
-@click.option("--solver", default="auto", type=click.Choice(["auto", "generic"]))
-@_out
-@_guarded
-def cmd_chernoff(model_p, model_q, weight, solver, out):
+def _pair_command(name, *options):
+    """Register `body(p, q, w, **own_options)` as the command `name`.
+
+    The command takes --model-p, --model-q and --weight, then `options`,
+    then --out.  It parses the pair and the weight and emits the report of
+    the results the body returns, or the csv text the body returns as it is.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def command(model_p, model_q, weight, out, **kwargs):
+            p = model_from_json(_load_json(model_p, "--model-p"))
+            q = model_from_json(_load_json(model_q, "--model-q"))
+            w = _parse_weight(weight)
+            results = body(p, q, w, **kwargs)
+            if not isinstance(results, str):
+                inputs = {"model_p": model_to_json(p), "model_q": model_to_json(q),
+                          "weight": weight_to_json(w)}
+                results = _report(name, inputs, results)
+            _emit(results, out)
+
+        command = _guarded(command)
+        for option in reversed([_model_p, _model_q, _weight, *options, _out]):
+            command = option(command)
+        return main.command(name)(command)
+
+    return register
+
+
+@_pair_command("chernoff",
+               click.option("--solver", default="auto", type=click.Choice(["auto", "generic"])))
+def cmd_chernoff(p, q, w, solver):
     """Optimal Chernoff parameter and weighted Chernoff information."""
-    p, q, w = _parse_pair(model_p, model_q, weight)
-    res = affinity.chernoff(p, q, w, solver=solver)
-    _emit(_report("chernoff", _inputs_digest(w, model_p=p, model_q=q), res.to_dict()), out)
+    return affinity.chernoff(p, q, w, solver=solver).to_dict()
 
 
-@main.command("curve")
-@_model_p
-@_model_q
-@_weight
-@click.option("--grid", default=101, type=int, help="number of alpha points (>= 3)")
-@click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
-@_out
-@_guarded
-def cmd_curve(model_p, model_q, weight, grid, fmt, out):
+@_pair_command("curve",
+               click.option("--grid", default=101, type=int, help="number of alpha points (>= 3)"),
+               click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"])))
+def cmd_curve(p, q, w, grid, fmt):
     """Tabulate (alpha, rho_w, D_B_alpha) over [0, 1]."""
     if grid < 3:
         raise PreconditionError("--grid must be at least 3")
-    p, q, w = _parse_pair(model_p, model_q, weight)
     curve = affinity.AffinityCurve(p, q, w)
     rows = []
-    for alpha in np.linspace(0.0, 1.0, grid):
-        a = float(alpha)
-        rows.append((a, curve.rho(a), curve.bhattacharyya(a)))
+    for alpha in np.linspace(0.0, 1.0, grid).tolist():
+        log_rho = curve.log_rho(alpha)
+        rows.append((alpha, exp_or_raise(log_rho, "rho"), -log_rho))
     if fmt == "csv":
-        lines = ["alpha,rho_w,d_b_alpha"]
-        lines += [",".join(_fmt_float(v) for v in row) for row in rows]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(_report("curve", _inputs_digest(w, model_p=p, model_q=q),
-                      {"rows": [list(r) for r in rows]}), out)
+        return _csv("alpha,rho_w,d_b_alpha", rows)
+    return {"rows": [list(r) for r in rows]}
 
 
-@main.command("divergence")
-@_model_p
-@_model_q
-@_weight
-@click.option("--alpha", default=None, type=float,
-              help="also report rho_w and D_B at this alpha")
-@_out
-@_guarded
-def cmd_divergence(model_p, model_q, weight, alpha, out):
+@_pair_command("divergence",
+               click.option("--alpha", default=None, type=float,
+                            help="also report rho_w and D_B at this alpha"))
+def cmd_divergence(p, q, w, alpha):
     """Weighted KL divergence (plus affinities and Cauchy closed forms)."""
-    p, q, w = _parse_pair(model_p, model_q, weight)
     # the curve checks the weight against both models; the KL needs p's only
     curve = affinity.AffinityCurve(p, q, w)
     results = {"weighted_kl": expfam.weighted_kl(p, q, w)}
     if alpha is not None:
+        log_rho = curve.log_rho(alpha)
         results["alpha"] = float(alpha)
-        results["rho_w"] = curve.rho(alpha)
-        results["d_b_alpha"] = curve.bhattacharyya(alpha)
+        results["rho_w"] = exp_or_raise(log_rho, "rho")
+        results["d_b_alpha"] = -log_rho
     if isinstance(p, Cauchy) and isinstance(q, Cauchy):
         rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
         results["cauchy_kl"] = affinity.cauchy_kl(p, q)
         results["cauchy_rho_half"] = rho_half
         results["cauchy_d_c"] = -math.log(rho_half)
-    _emit(_report("divergence", _inputs_digest(w, model_p=p, model_q=q), results), out)
+    return results
 
 
-@main.command("simulate")
-@_model_p
-@_model_q
-@_weight
-@click.option("--n", "ns", multiple=True, type=int, required=True,
-              help="sample size (repeatable for convergence tables)")
-@click.option("--replicates", default=10000, type=int)
-@click.option("--seed", default=0, type=int)
-@click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"]))
-@_out
-@_guarded
-def cmd_simulate(model_p, model_q, weight, ns, replicates, seed, fmt, out):
+@_pair_command("simulate",
+               click.option("--n", "ns", multiple=True, type=int, required=True,
+                            help="sample size (repeatable for convergence tables)"),
+               click.option("--replicates", default=10000, type=int),
+               click.option("--seed", default=0, type=int),
+               click.option("--format", "fmt", default="json", type=click.Choice(["csv", "json"])))
+def cmd_simulate(p, q, w, ns, replicates, seed, fmt):
     """Monte Carlo optimal-loss estimate against the Chernoff reference."""
-    p, q, w = _parse_pair(model_p, model_q, weight)
     reports = [
         testing.simulate(testing.BinaryTestProblem(p, q, w, n), replicates, seed)
         for n in ns
     ]
     if fmt == "csv":
-        lines = ["n,exponent_estimate,d_c_w"]
-        lines += [f"{r.n},{_fmt_float(r.exponent_estimate)},{_fmt_float(r.d_c_w_reference)}"
-                  for r in reports]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        payload = [r.to_dict() for r in reports]
-        results = payload[0] if len(payload) == 1 else {"reports": payload}
-        _emit(_report("simulate", _inputs_digest(w, model_p=p, model_q=q), results), out)
+        return _csv("n,exponent_estimate,d_c_w",
+                    [(r.n, r.exponent_estimate, r.d_c_w_reference) for r in reports])
+    payload = [r.to_dict() for r in reports]
+    return payload[0] if len(payload) == 1 else {"reports": payload}
 
 
 @main.command("mary")
@@ -294,24 +279,18 @@ def cmd_mary(models_spec, weight, priors, out):
     _emit(_report("mary", inputs, results), out)
 
 
-@main.command("tailbound")
-@_model_p
-@_model_q
-@_weight
-@click.option("--beta", required=True, type=float)
-@click.option("--n", default=200, type=int)
-@click.option("--replicates", default=100000, type=int)
-@click.option("--seed", default=0, type=int)
-@_out
-@_guarded
-def cmd_tailbound(model_p, model_q, weight, beta, n, replicates, seed, out):
+@_pair_command("tailbound",
+               click.option("--beta", required=True, type=float),
+               click.option("--n", default=200, type=int),
+               click.option("--replicates", default=100000, type=int),
+               click.option("--seed", default=0, type=int))
+def cmd_tailbound(p, q, w, beta, n, replicates, seed):
     """Martingale tail bound for L* versus its empirical frequency under Q."""
-    p, q, w = _parse_pair(model_p, model_q, weight)
     problem = testing.BinaryTestProblem(p, q, w, n)
     bound = testing.tail_bound(problem, beta, n)
     stats = testing.tilted_stats(problem)
     freq, se = testing.tail_frequency(problem, beta, n, replicates, seed)
-    _emit(_report("tailbound", _inputs_digest(w, model_p=p, model_q=q), {
+    return {
         "beta": float(beta),
         "n": n,
         "bound": bound,
@@ -323,20 +302,13 @@ def cmd_tailbound(model_p, model_q, weight, beta, n, replicates, seed, out):
         "shift": stats.shift,
         "replicates": replicates,
         "seed": seed,
-    }), out)
+    }
 
 
-@main.command("identities")
-@_model_p
-@_model_q
-@_weight
-@_out
-@_guarded
-def cmd_identities(model_p, model_q, weight, out):
+@_pair_command("identities")
+def cmd_identities(p, q, w):
     """Residuals of the exponential-family divergence identity suite."""
-    p, q, w = _parse_pair(model_p, model_q, weight)
-    results = expfam.verify_identities(p, q, w)
-    _emit(_report("identities", _inputs_digest(w, model_p=p, model_q=q), results), out)
+    return expfam.verify_identities(p, q, w)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,11 @@ once, as `log_value(x)`.  The weighted normaliser ln E_phi and the tilted
 density phi*p / E_phi(p) live in `affinity`: ln E_phi is F(1) of a
 model's affinity curve against itself.
 
+The constructor declares the JSON form: a model is {"family": its class
+name in lower case} and a weight {"kind": its `kind`}, plus each
+constructor argument by name (Poisson's `lam` as "lambda"); other keys are
+ignored.  Every parameter must be finite (PreconditionError).
+
 All model and weight objects are immutable after construction and all
 operations are pure given an explicit rng stream, so they are safe to share
 across threads.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -111,6 +116,27 @@ def log_sum_exp(logs):
     return top + math.log(float(np.sum(np.exp(logs - top))))
 
 
+def _finite(x, what):
+    """x, or PreconditionError naming `what` where an entry of it is not finite."""
+    if not np.isfinite(x).all():
+        raise PreconditionError(f"{what} must be finite")
+    return x
+
+
+class _ByValue:
+    """Equality and hash over the compare fields, an array field by its shape and entries."""
+
+    def _key(self):
+        return tuple((v.shape, *v.flat) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+
 def exp_or_raise(log_x, name):
     """e^log_x, or ConvergenceError naming `name` where that overflows a double."""
     try:
@@ -124,8 +150,8 @@ def exp_or_raise(log_x, name):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gaussian:
+@dataclass(frozen=True, eq=False)
+class Gaussian(_ByValue):
     """Multivariate normal N(mean, cov) on R^d (Lebesgue reference)."""
 
     mean: np.ndarray
@@ -139,8 +165,8 @@ class Gaussian:
     support = "real"
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = np.atleast_1d(_finite(np.asarray(self.mean, dtype=float), "gaussian mean"))
+        cov = np.atleast_2d(_finite(np.asarray(self.cov, dtype=float), "gaussian covariance"))
         if mean.ndim != 1:
             raise PreconditionError("gaussian mean must be a vector")
         d = mean.shape[0]
@@ -160,14 +186,6 @@ class Gaussian:
         object.__setattr__(self, "_log_det", 2.0 * float(np.sum(np.log(np.diag(chol)))))
         object.__setattr__(self, "_scalar", None if d > 1 else (
             float(mean[0]), -0.5 / float(cov[0, 0]), -0.5 * math.log(2.0 * math.pi * cov[0, 0])))
-
-    def __eq__(self, other):
-        return (isinstance(other, Gaussian)
-                and np.array_equal(self.mean, other.mean)
-                and np.array_equal(self.cov, other.cov))
-
-    def __hash__(self):
-        return hash((tuple(self.mean), self.cov.tobytes()))
 
     @property
     def dim(self):
@@ -201,14 +219,14 @@ class Gaussian:
 class Poisson:
     """Poisson(lam) on the non-negative integers (counting reference)."""
 
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
 
     support = "nonneg_int"
 
     def __post_init__(self):
         if not (float(self.lam) > 0.0):
             raise PreconditionError("poisson rate must be strictly positive")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", _finite(float(self.lam), "poisson rate"))
 
     def logpdf(self, k):
         """Unchecked ln mass at non-negative integer-valued float or array points."""
@@ -237,7 +255,7 @@ class Exponential:
     def __post_init__(self):
         if not (float(self.rate) > 0.0):
             raise PreconditionError("exponential rate must be strictly positive")
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", _finite(float(self.rate), "exponential rate"))
         object.__setattr__(self, "_log_rate", math.log(self.rate))
 
     def logpdf(self, x):
@@ -264,10 +282,10 @@ class Cauchy:
     dim = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "location", _finite(float(self.location), "cauchy location"))
         if not (float(self.scale) > 0.0):
             raise PreconditionError("cauchy scale must be strictly positive")
-        object.__setattr__(self, "location", float(self.location))
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", _finite(float(self.scale), "cauchy scale"))
         object.__setattr__(self, "_log_norm", -math.log(math.pi * self.scale))
 
     def logpdf(self, x):
@@ -281,8 +299,8 @@ class Cauchy:
         return self.location + self.scale * rng.standard_cauchy(size=count)
 
 
-@dataclass(frozen=True)
-class Categorical:
+@dataclass(frozen=True, eq=False)
+class Categorical(_ByValue):
     """Finite distribution over indices 0..K-1 (counting reference)."""
 
     probs: np.ndarray
@@ -290,7 +308,7 @@ class Categorical:
     support = "finite"
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _finite(np.asarray(self.probs, dtype=float), "categorical probabilities")
         if probs.ndim != 1 or probs.size < 1:
             raise PreconditionError("categorical probs must be a non-empty vector")
         if np.any(probs < 0.0):
@@ -298,12 +316,6 @@ class Categorical:
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise PreconditionError("categorical probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "probs", probs)
-
-    def __eq__(self, other):
-        return isinstance(other, Categorical) and np.array_equal(self.probs, other.probs)
-
-    def __hash__(self):
-        return hash(self.probs.tobytes())
 
     @property
     def size(self):
@@ -329,7 +341,7 @@ class Categorical:
 # ---------------------------------------------------------------------------
 
 
-class _Weight:
+class _Weight(_ByValue):
     """Each weight writes ln phi once, as `log_value(x)`; phi is its exponential."""
 
     def value(self, x):
@@ -346,7 +358,7 @@ class ConstWeight(_Weight):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpTiltWeight(_Weight):
     """Exponential tilt phi(x) = exp(gamma^T x)."""
 
@@ -355,16 +367,10 @@ class ExpTiltWeight(_Weight):
     kind = "exp_tilt"
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        g = np.atleast_1d(_finite(np.asarray(self.gamma, dtype=float), "exp_tilt gamma"))
         if g.ndim != 1:
             raise PreconditionError("exp_tilt gamma must be a scalar or vector")
         object.__setattr__(self, "gamma", g)
-
-    def __eq__(self, other):
-        return isinstance(other, ExpTiltWeight) and np.array_equal(self.gamma, other.gamma)
-
-    def __hash__(self):
-        return hash(self.gamma.tobytes())
 
     @property
     def scalar(self):
@@ -382,7 +388,7 @@ class ExpTiltWeight(_Weight):
         return x @ self.gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableWeight(_Weight):
     """Tabulated weight on a categorical support."""
 
@@ -391,7 +397,7 @@ class TableWeight(_Weight):
     kind = "table"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _finite(np.asarray(self.values, dtype=float), "table weight values")
         if v.ndim != 1 or v.size < 1:
             raise PreconditionError("table weight values must be a non-empty vector")
         if np.any(v < 0.0):
@@ -399,12 +405,6 @@ class TableWeight(_Weight):
         if not np.any(v > 0.0):
             raise PreconditionError("table weight must have at least one positive entry")
         object.__setattr__(self, "values", v)
-
-    def __eq__(self, other):
-        return isinstance(other, TableWeight) and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash(self.values.tobytes())
 
     def log_value(self, k):
         kk = np.asarray(k)
@@ -697,74 +697,58 @@ def family_of_pair(model_p, model_q, weight):
 # ---------------------------------------------------------------------------
 
 
+_MODELS = {c.__name__.lower(): c for c in (Gaussian, Poisson, Exponential, Cauchy, Categorical)}
+_WEIGHTS = {c.kind: c for c in (ConstWeight, ExpTiltWeight, TableWeight)}
+
+
+def _json_fields(cls):
+    """(JSON key, field name) of each constructor argument of `cls`."""
+    return [(f.metadata.get("json", f.name), f.name) for f in fields(cls) if f.init]
+
+
+def _from_json(obj, what, tag, classes):
+    """The object of `classes` named by obj[tag], built from the constructor's keys in obj."""
+    if not isinstance(obj, dict) or tag not in obj:
+        raise PreconditionError(f"{what} JSON must be an object with a '{tag}' field")
+    name = obj[tag]
+    cls = classes.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise PreconditionError(f"unknown {what} {tag} '{name}'")
+    try:
+        return cls(**{attr: obj[key] for key, attr in _json_fields(cls)})
+    except KeyError as exc:
+        raise PreconditionError(f"{what} JSON for {tag} '{name}' is missing field {exc}") from exc
+    except PreconditionError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"{what} JSON for {tag} '{name}': {exc}") from exc
+
+
+def _to_json(obj, tag, classes):
+    """{tag: name, key: value, ...}: the inverse of `_from_json`."""
+    name = next((n for n, c in classes.items() if type(obj) is c), None)
+    if name is None:
+        raise PreconditionError(f"cannot serialise {type(obj).__name__}")
+    out = {tag: name}
+    for key, attr in _json_fields(type(obj)):
+        value = getattr(obj, attr)
+        out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
 def model_from_json(obj):
     """Parse {"family": ...} per the external model schema."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise PreconditionError("model JSON must be an object with a 'family' field")
-    fam = obj["family"]
-    try:
-        if fam == "gaussian":
-            return Gaussian(mean=np.asarray(obj["mean"], dtype=float),
-                            cov=np.asarray(obj["cov"], dtype=float))
-        if fam == "poisson":
-            return Poisson(lam=float(obj["lambda"]))
-        if fam == "exponential":
-            return Exponential(rate=float(obj["rate"]))
-        if fam == "cauchy":
-            return Cauchy(location=float(obj["location"]), scale=float(obj["scale"]))
-        if fam == "categorical":
-            return Categorical(probs=np.asarray(obj["probs"], dtype=float))
-    except KeyError as exc:
-        raise PreconditionError(f"model JSON for family '{fam}' is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, PreconditionError):
-            raise
-        raise PreconditionError(f"model JSON for family '{fam}': {exc}") from exc
-    raise PreconditionError(f"unknown model family '{fam}'")
+    return _from_json(obj, "model", "family", _MODELS)
 
 
 def weight_from_json(obj):
-    """Parse {"kind": ...} per the external weight schema."""
-    if obj is None:
-        return ConstWeight()
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise PreconditionError("weight JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    try:
-        if kind == "const":
-            return ConstWeight()
-        if kind == "exp_tilt":
-            return ExpTiltWeight(gamma=np.asarray(obj["gamma"], dtype=float))
-        if kind == "table":
-            return TableWeight(values=np.asarray(obj["values"], dtype=float))
-    except KeyError as exc:
-        raise PreconditionError(f"weight JSON for kind '{kind}' is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, PreconditionError):
-            raise
-        raise PreconditionError(f"weight JSON for kind '{kind}': {exc}") from exc
-    raise PreconditionError(f"unknown weight kind '{kind}'")
+    """Parse {"kind": ...} per the external weight schema; None is the constant weight."""
+    return ConstWeight() if obj is None else _from_json(obj, "weight", "kind", _WEIGHTS)
 
 
 def model_to_json(model):
-    if isinstance(model, Gaussian):
-        return {"family": "gaussian", "mean": model.mean.tolist(), "cov": model.cov.tolist()}
-    if isinstance(model, Poisson):
-        return {"family": "poisson", "lambda": model.lam}
-    if isinstance(model, Exponential):
-        return {"family": "exponential", "rate": model.rate}
-    if isinstance(model, Cauchy):
-        return {"family": "cauchy", "location": model.location, "scale": model.scale}
-    if isinstance(model, Categorical):
-        return {"family": "categorical", "probs": model.probs.tolist()}
-    raise PreconditionError(f"cannot serialise {type(model).__name__}")
+    return _to_json(model, "family", _MODELS)
 
 
 def weight_to_json(weight):
-    if isinstance(weight, ConstWeight):
-        return {"kind": "const"}
-    if isinstance(weight, ExpTiltWeight):
-        return {"kind": "exp_tilt", "gamma": weight.gamma.tolist()}
-    if isinstance(weight, TableWeight):
-        return {"kind": "table", "values": weight.values.tolist()}
-    raise PreconditionError(f"cannot serialise {type(weight).__name__}")
+    return _to_json(weight, "kind", _WEIGHTS)

@@ -321,6 +321,114 @@ def test_validation_error_output(runner, name, command):
     assert result.stderr == f"error: {message}\n"
 
 
+NOT_STR = "float() argument must be a string or a real number, not"
+# a malformed model or weight spec, and the one stderr line it exits 2 with
+MALFORMED = {
+    "model_list": ("[1, 2]", None, "model JSON must be an object with a 'family' field"),
+    "model_no_family": ('{"lambda": 1}', None,
+                        "model JSON must be an object with a 'family' field"),
+    "unknown_family": ('{"family": "beta"}', None, "unknown model family 'beta'"),
+    "unhashable_family": ('{"family": ["x"]}', None, "unknown model family '['x']'"),
+    "null_family": ('{"family": null}', None, "unknown model family 'None'"),
+    "gaussian_no_cov": ('{"family": "gaussian", "mean": [0]}', None,
+                        "model JSON for family 'gaussian' is missing field 'cov'"),
+    "poisson_no_lambda": ('{"family": "poisson", "lam": 1}', None,
+                          "model JSON for family 'poisson' is missing field 'lambda'"),
+    "exponential_no_rate": ('{"family": "exponential"}', None,
+                            "model JSON for family 'exponential' is missing field 'rate'"),
+    "cauchy_no_fields": ('{"family": "cauchy"}', None,
+                         "model JSON for family 'cauchy' is missing field 'location'"),
+    "cauchy_no_scale": ('{"family": "cauchy", "location": 0}', None,
+                        "model JSON for family 'cauchy' is missing field 'scale'"),
+    "categorical_no_probs": ('{"family": "categorical"}', None,
+                             "model JSON for family 'categorical' is missing field 'probs'"),
+    "poisson_string": ('{"family": "poisson", "lambda": "abc"}', None,
+                       "model JSON for family 'poisson': could not convert string to float: 'abc'"),
+    "poisson_list": ('{"family": "poisson", "lambda": [1, 2]}', None,
+                     f"model JSON for family 'poisson': {NOT_STR} 'list'"),
+    "poisson_null": ('{"family": "poisson", "lambda": null}', None,
+                     f"model JSON for family 'poisson': {NOT_STR} 'NoneType'"),
+    "poisson_negative": ('{"family": "poisson", "lambda": -1}', None,
+                         "poisson rate must be strictly positive"),
+    # the location is read before the scale is checked
+    "cauchy_bad_location": ('{"family": "cauchy", "location": "x", "scale": -1}', None,
+                            "model JSON for family 'cauchy': could not convert string to float: 'x'"),
+    "cauchy_list_location": ('{"family": "cauchy", "location": [1, 2], "scale": 1}', None,
+                             f"model JSON for family 'cauchy': {NOT_STR} 'list'"),
+    "gaussian_string": ('{"family": "gaussian", "mean": "abc", "cov": [[1]]}', None,
+                        "model JSON for family 'gaussian': could not convert string to float: 'abc'"),
+    "gaussian_dict": ('{"family": "gaussian", "mean": {"a": 1}, "cov": [[1]]}', None,
+                      f"model JSON for family 'gaussian': {NOT_STR} 'dict'"),
+    "gaussian_shape": ('{"family": "gaussian", "mean": [0, 0], "cov": [[1]]}', None,
+                       "gaussian covariance shape does not match mean"),
+    "gaussian_matrix_mean": ('{"family": "gaussian", "mean": [[0]], "cov": [[1]]}', None,
+                             "gaussian mean must be a vector"),
+    "categorical_sum": ('{"family": "categorical", "probs": [0.5, 0.6]}', None,
+                        "categorical probabilities must sum to 1 within 1e-12"),
+    "weight_list": (POISSON_P, "[1]", "weight JSON must be an object with a 'kind' field"),
+    "weight_no_kind": (POISSON_P, '{"gamma": [1]}',
+                       "weight JSON must be an object with a 'kind' field"),
+    "unknown_kind": (POISSON_P, '{"kind": "beta"}', "unknown weight kind 'beta'"),
+    "unhashable_kind": (POISSON_P, '{"kind": {"a": 1}}', "unknown weight kind '{'a': 1}'"),
+    "tilt_no_gamma": (POISSON_P, '{"kind": "exp_tilt"}',
+                      "weight JSON for kind 'exp_tilt' is missing field 'gamma'"),
+    "table_no_values": (BERN_P, '{"kind": "table"}',
+                        "weight JSON for kind 'table' is missing field 'values'"),
+    "tilt_string": (POISSON_P, '{"kind": "exp_tilt", "gamma": "a"}',
+                    "weight JSON for kind 'exp_tilt': could not convert string to float: 'a'"),
+    "tilt_matrix": (POISSON_P, '{"kind": "exp_tilt", "gamma": [[1]]}',
+                    "exp_tilt gamma must be a scalar or vector"),
+    "table_negative": (BERN_P, '{"kind": "table", "values": [-1, 1]}',
+                       "table weight values must be non-negative"),
+    # non-finite parameters
+    "poisson_inf": ('{"family": "poisson", "lambda": 1e400}', None,
+                    "poisson rate must be finite"),
+    "poisson_huge_int": ('{"family": "poisson", "lambda": 1' + "0" * 400 + '}', None,
+                         "model JSON for family 'poisson': int too large to convert to float"),
+    "gaussian_nan": ('{"family": "gaussian", "mean": [NaN], "cov": [[1]]}', None,
+                     "gaussian mean must be finite"),
+    "gaussian_null": ('{"family": "gaussian", "mean": [null], "cov": [[1]]}', None,
+                      "gaussian mean must be finite"),
+    "gaussian_inf_cov": ('{"family": "gaussian", "mean": [0], "cov": [[Infinity]]}', None,
+                         "gaussian covariance must be finite"),
+    "exponential_inf": ('{"family": "exponential", "rate": Infinity}', None,
+                        "exponential rate must be finite"),
+    "cauchy_inf": ('{"family": "cauchy", "location": 0, "scale": Infinity}', None,
+                   "cauchy scale must be finite"),
+    "categorical_nan": ('{"family": "categorical", "probs": [NaN, 1.0]}', None,
+                        "categorical probabilities must be finite"),
+    "tilt_nan": (POISSON_P, '{"kind": "exp_tilt", "gamma": [NaN]}',
+                 "exp_tilt gamma must be finite"),
+    "table_nan": (BERN_P, '{"kind": "table", "values": [NaN, 1]}',
+                  "table weight values must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_spec(runner, name):
+    p, weight, message = MALFORMED[name]
+    result = runner.invoke(main, ["chernoff", "--model-p", p, "--model-q", p]
+                           + (["--weight", weight] if weight else []))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_command_parameter_order():
+    # a pair command takes the pair and the weight, then its own options, then --out
+    names = {name: [p.name for p in cmd.params] for name, cmd in main.commands.items()}
+    pair = ["model_p", "model_q", "weight"]
+    assert names == {
+        "chernoff": pair + ["solver", "out"],
+        "curve": pair + ["grid", "fmt", "out"],
+        "divergence": pair + ["alpha", "out"],
+        "simulate": pair + ["ns", "replicates", "seed", "fmt", "out"],
+        "mary": ["models_spec", "weight", "priors", "out"],
+        "tailbound": pair + ["beta", "n", "replicates", "seed", "out"],
+        "identities": pair + ["out"],
+    }
+
+
 class TestErrorPaths:
     def test_malformed_json_points_at_location(self, runner):
         result = runner.invoke(main, ["chernoff", "--model-p", '{"family": ',

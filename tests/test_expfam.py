@@ -328,6 +328,10 @@ class TestChernoffArc:
             assert arc.log_density(1.0, np.array([float(k)]))[0] == pytest.approx(
                 tilted, abs=1e-12)
 
+    def test_no_density_off_the_count_support(self):
+        arc = ChernoffArc(AffinityCurve(P2, P1, CONST))
+        assert arc.log_density(0.5, np.array([1.5, -1.0])).tolist() == [-math.inf, -math.inf]
+
     def test_derivative_endpoint_identities(self):
         # F'(1) = D^w_KL(p||q)/E_phi(p), F'(0) = -D^w_KL(q||p)/E_phi(q)
         for p, q, w in self.CASES:

@@ -1,5 +1,6 @@
 """Model families, context weights, normalisers and samplers."""
 
+import json
 import math
 
 import numpy as np
@@ -146,6 +147,24 @@ class TestConstruction:
     def test_table_weight_needs_positive_entry(self):
         with pytest.raises(PreconditionError):
             TableWeight([0.0, 0.0])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Poisson(math.inf), "poisson rate must be finite"),
+        (lambda: Poisson(math.nan), "poisson rate must be strictly positive"),
+        (lambda: Exponential(math.inf), "exponential rate must be finite"),
+        (lambda: Cauchy(0.0, math.inf), "cauchy scale must be finite"),
+        (lambda: Cauchy(math.nan, 1.0), "cauchy location must be finite"),
+        (lambda: Gaussian([math.nan], [[1.0]]), "gaussian mean must be finite"),
+        (lambda: Gaussian([0.0], [[math.inf]]), "gaussian covariance must be finite"),
+        (lambda: Categorical([math.nan, 1.0]), "categorical probabilities must be finite"),
+        (lambda: ExpTiltWeight([math.nan]), "exp_tilt gamma must be finite"),
+        (lambda: TableWeight([math.nan, 1.0]), "table weight values must be finite"),
+        (lambda: TableWeight([math.inf, 1.0]), "table weight values must be finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, build, message):
+        with pytest.raises(PreconditionError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 class TestWeightValue:
@@ -344,16 +363,40 @@ class TestJsonSchema:
     def test_round_trip_all_families(self):
         models = [
             Gaussian([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
+            Gaussian([0.5], [[2.0]]),
             Poisson(2.5),
             Exponential(0.7),
             Cauchy(1.0, 2.0),
             Categorical([0.2, 0.3, 0.5]),
         ]
         for m in models:
-            assert model_from_json(model_to_json(m)) == m
-        weights = [ConstWeight(), ExpTiltWeight([0.25]), TableWeight([1.0, 0.5])]
+            back = model_from_json(json.loads(json.dumps(model_to_json(m))))
+            assert back == m and hash(back) == hash(m) and type(back) is type(m)
+        weights = [ConstWeight(), ExpTiltWeight([0.25]), ExpTiltWeight([0.25, -1.0]),
+                   TableWeight([1.0, 0.5])]
         for w in weights:
-            assert weight_from_json(weight_to_json(w)) == w
+            back = weight_from_json(json.loads(json.dumps(weight_to_json(w))))
+            assert back == w and hash(back) == hash(w) and type(back) is type(w)
+
+    def test_field_names_and_order(self):
+        assert list(model_to_json(Gaussian([0.0], [[1.0]]))) == ["family", "mean", "cov"]
+        assert model_to_json(Poisson(2.5)) == {"family": "poisson", "lambda": 2.5}
+        assert model_to_json(Cauchy(1.0, 2.0)) == {"family": "cauchy", "location": 1.0,
+                                                   "scale": 2.0}
+        assert weight_to_json(ConstWeight()) == {"kind": "const"}
+        assert weight_to_json(TableWeight([1, 2])) == {"kind": "table", "values": [1.0, 2.0]}
+
+    def test_equality_is_by_value_within_one_class(self):
+        assert Gaussian([0.0], [[1.0]]) != Gaussian([0.0, 0.0], np.eye(2))
+        assert Gaussian([0.0], [[1.0]]) != Gaussian([0.0], [[2.0]])
+        assert Categorical([0.5, 0.5]) != TableWeight([0.5, 0.5])
+        assert ExpTiltWeight([0.0]) == ExpTiltWeight(0.0)
+        assert ExpTiltWeight([0.0]) != ConstWeight()
+        assert len({TableWeight([1.0, 0.5]), TableWeight(np.array([1.0, 0.5]))}) == 1
+
+    def test_extra_keys_ignored(self):
+        assert model_from_json({"family": "poisson", "lambda": 2.0, "rate": 9}) == Poisson(2.0)
+        assert weight_from_json({"kind": "const", "gamma": [1.0]}) == ConstWeight()
 
     def test_missing_field_points_at_it(self):
         with pytest.raises(PreconditionError, match="lambda"):

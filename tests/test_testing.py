@@ -306,6 +306,29 @@ class TestTiltedLLR:
         with pytest.raises(PreconditionError, match="zero density under both"):
             tilted_llr(prob, [-1, 3])
 
+    @pytest.mark.parametrize("p, q, x", [
+        (Poisson(2.0), Poisson(1.0), 1.5),
+        (Poisson(2.0), Poisson(1.0), math.inf),
+        (BERN_P, BERN_Q, 0.5),
+        (BERN_P, BERN_Q, -1.0),
+        (BERN_P, BERN_Q, 2.0),
+    ])
+    def test_point_off_the_integer_support(self, p, q, x):
+        # a count support holds the non-negative integers, a finite one 0..K-1 only
+        prob = BinaryTestProblem(p, q, CONST, 1)
+        with pytest.raises(PreconditionError, match="zero density under both"):
+            tilted_llr(prob, [x])
+
+    def test_logpdf_vec_reads_minus_inf_off_the_support(self):
+        x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan])
+        pois = _numeric.logpdf_vec(Poisson(2.0), x)
+        on = np.isfinite(pois)
+        assert on.tolist() == [False, True, False, True, True, False, False]
+        np.testing.assert_array_equal(pois[on], Poisson(2.0).logpdf(x[on]))
+        cat = _numeric.logpdf_vec(Categorical([0.2, 0.8]), x)
+        np.testing.assert_array_equal(
+            cat, [-np.inf, math.log(0.2), -np.inf, math.log(0.8), -np.inf, -np.inf, -np.inf])
+
 
 class TestTiltedStats:
     def test_bernoulli_fixture_values(self):
