@@ -114,8 +114,8 @@ def cauchy_kl(p, q):
     """KL divergence between Cauchy laws (symmetric closed form)."""
     if not (isinstance(p, Cauchy) and isinstance(q, Cauchy)):
         raise PreconditionError("cauchy_kl requires two Cauchy models")
-    dl = p.location - q.location
-    return math.log(((p.scale + q.scale) ** 2 + dl * dl) / (4.0 * p.scale * q.scale))
+    dl, sum_s = p.location - q.location, p.scale + q.scale
+    return math.log((sum_s * sum_s + dl * dl) / (4.0 * p.scale * q.scale))
 
 
 def cauchy_bhattacharyya_half(p, q, weight=None):
@@ -132,10 +132,9 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
         raise UnsupportedCombinationError(
             "cauchy closed form is only available for the constant weight"
         )
-    delta2 = (p.location - q.location) ** 2
-    s1, s2 = p.scale, q.scale
-    denom2 = (s1 + s2) ** 2 + delta2
-    m = ((s1 - s2) ** 2 + delta2) / denom2
+    dl, s1, s2 = p.location - q.location, p.scale, q.scale
+    denom2 = (s1 + s2) * (s1 + s2) + dl * dl
+    m = ((s1 - s2) * (s1 - s2) + dl * dl) / denom2
     return 4.0 * math.sqrt(s1 * s2) / (math.pi * math.sqrt(denom2)) * elliptic_k(m)
 
 
@@ -240,7 +239,7 @@ class AffinityCurve:
         if not moments:
             return (f,)
         return (f, (t1 - t2) * fam.dFhat(t) - fam.F(t1) + fam.F(t2),
-                (t1 - t2) ** 2 * fam.d2F(t + fam.gamma))
+                (t1 - t2) * (t1 - t2) * fam.d2F(t + fam.gamma))
 
     def _gaussian(self, alpha, moments):
         """`_values` of a Gaussian pair, from the tilted Gaussian N(mu_t, Sigma_a).
@@ -350,17 +349,14 @@ def _closed_alpha_tilde(curve):
 
     In a 1-D family it is the family's `alpha_tilde`; a Cauchy pair under
     the constant weight is symmetric about 1/2.  Other Gaussian pairs take
-    `_root_find` on their closed moments.
+    `_root_find` on their closed moments.  One member (theta1 = theta2) is
+    FLAT in `chernoff` before it asks.
     """
     if curve.embedding is not None:
         fam, t1, t2 = curve.embedding
-        return None if t1 == t2 else fam.alpha_tilde(t1, t2)
+        return fam.alpha_tilde(t1, t2)
     p, q, w = curve.model_p, curve.model_q, curve.weight
-    if isinstance(p, Cauchy) and isinstance(q, Cauchy) and _is_const(w):
-        if p == q:
-            return None
-        return 0.5
-    return None
+    return 0.5 if isinstance(p, Cauchy) and isinstance(q, Cauchy) and _is_const(w) else None
 
 
 def chernoff(model_p, model_q, weight, solver="auto", mode=None):
@@ -383,8 +379,10 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
             raise PreconditionError("log-affinity is not finite at the endpoints")
     half = curve.moments(0.5)
     fh = half[0]
-    if (math.isfinite(f0) and math.isfinite(f1)
-            and abs(f0 - fh) < FLAT_TOL and abs(f1 - fh) < FLAT_TOL):
+    # one member of a family has a constant F, whose rounding can still pass FLAT_TOL
+    one_member = curve.embedding is not None and curve.embedding[1] == curve.embedding[2]
+    if one_member or (math.isfinite(f0) and math.isfinite(f1)
+                      and abs(f0 - fh) < FLAT_TOL and abs(f1 - fh) < FLAT_TOL):
         return ChernoffResult(0.5, -fh, FLAT, 0, 0.0)
 
     if solver == "auto":

@@ -30,7 +30,7 @@ from .affinity import (
     cauchy_kl,
     chernoff,
 )
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .models import (
     Categorical,
     Cauchy,
@@ -67,27 +67,32 @@ __all__ = [
 
 
 def weighted_kl(model_p, model_q, weight):
-    """D^w_KL(p || q) = integral phi p ln(p/q).
+    """D^w_KL(p || q) = integral phi p ln(p/q), the package's one KL.
 
     For the closed-form pairs of `AffinityCurve` this is E_phi(p) F'(1),
     both read off one `moments(1)`: F(1) = ln E_phi(p), and F'(1) is the
-    mean of ln(p/q) under the tilted p, so only p's tilt has to be
-    integrable, and the weight is checked against p alone.  Exact
-    summation for categorical models, the Cauchy closed form (a Cauchy
-    model admits only the constant weight), quadrature otherwise.
+    mean of ln(p/q) under the tilted p, so the weight is checked against p
+    alone.  Exact summation for categorical models, quadrature otherwise.
+    A Cauchy p (constant weight only) takes the closed form against a
+    Cauchy q, and is +inf against a Gaussian q, whose ln q ~ -x^2 has no
+    mean under Cauchy tails.
     """
     check_models((model_p,), weight)
     check_models((model_p, model_q), ConstWeight())
     if isinstance(model_p, Categorical):
         k = _numeric.discrete_grid(model_p, model_q)
-        phi = weight.value(k)
-        live = (model_p.probs > 0.0) & (phi > 0.0)
-        if np.any(model_q.probs[live] == 0.0):
-            return math.inf
-        return float(np.sum(phi[live] * model_p.probs[live]
-                            * (model_p.logpdf(k[live]) - model_q.logpdf(k[live]))))
-    if isinstance(model_p, Cauchy) and isinstance(model_q, Cauchy):
-        return cauchy_kl(model_p, model_q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = weight.value(k)
+            live = (model_p.probs > 0.0) & (phi > 0.0)
+            if np.any(model_q.probs[live] == 0.0):
+                return math.inf
+            kl = float(np.sum(phi[live] * model_p.probs[live]
+                              * (model_p.logpdf(k[live]) - model_q.logpdf(k[live]))))
+        if not math.isfinite(kl):
+            raise ConvergenceError("weighted KL overflows a double: phi does on some symbol")
+        return kl
+    if isinstance(model_p, Cauchy):
+        return cauchy_kl(model_p, model_q) if isinstance(model_q, Cauchy) else math.inf
     if ((isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian))
             or embed_pair(model_p, model_q, weight) is not None):
         log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
@@ -134,10 +139,8 @@ class ChernoffArc:
     def log_density(self, alpha, x):
         """Vectorised ln (pq)_alpha over 1-D sample points."""
         c = self.curve
-        return (c.weight.log_value(x)
-                + alpha * _numeric.logpdf_vec(c.model_p, x)
-                + (1.0 - alpha) * _numeric.logpdf_vec(c.model_q, x)
-                - c.log_rho(alpha))
+        return _numeric.log_bump(c.weight.log_value(x), alpha, _numeric.logpdf_vec(c.model_p, x),
+                                 1.0 - alpha, _numeric.logpdf_vec(c.model_q, x)) - c.log_rho(alpha)
 
     def total_mass(self, alpha):
         """Integral of (pq)_alpha; equals 1 by construction, recomputed numerically."""

@@ -615,7 +615,7 @@ def exponential_family(gamma=0.0):
         natural=(-math.inf, 0.0),
         F=lambda t: -math.log(-t),
         dF=lambda t: -1.0 / t,
-        d2F=lambda t: 1.0 / (t * t),
+        d2F=lambda t: 1.0 / t / t,  # 1 / (t * t) would divide by an underflowed 0
         Fstar=lambda y: -1.0 - math.log(y),
         dFstar=lambda y: -1.0 / y,
         theta_of_model=lambda m: -m.rate,

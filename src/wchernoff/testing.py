@@ -33,7 +33,9 @@ pairs need no integral and the value is +inf where F diverges.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,9 +49,9 @@ from .errors import (
     StateSpaceOverflowError,
     UnsupportedCombinationError,
 )
+from .expfam import weighted_kl
 from .models import (
     Categorical,
-    Cauchy,
     ConstWeight,
     Exponential,
     Poisson,
@@ -94,6 +96,13 @@ STATE_BUDGET = 10_000_000
 MC_CHUNK = 100_000
 
 
+def _sample_size(n):
+    """n as an int; PreconditionError unless it is an integer >= 1."""
+    if not (isinstance(n, numbers.Real) and n >= 1 and n % 1 == 0):
+        raise PreconditionError(f"sample size n must be an integer >= 1, not {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class BinaryTestProblem:
     model_p: object
@@ -103,9 +112,7 @@ class BinaryTestProblem:
 
     def __post_init__(self):
         check_models((self.model_p, self.model_q), self.weight)
-        if int(self.n) < 1:
-            raise PreconditionError("sample size n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _sample_size(self.n))
 
     @property
     def shift(self):
@@ -215,17 +222,11 @@ def _count_matrix(n, k):
     return counts
 
 
-def _no_exact_sum():
-    return UnsupportedCombinationError(
-        "exact sums need categorical models, or Poisson models under a constant"
-        " or exponential-tilt weight; use Monte Carlo"
-    )
-
-
 class _SampleStatistic:
     """T = the n-sample itself, for pairs without a smaller statistic."""
 
     support_size = math.inf
+    law = None
 
     def __init__(self, models, weight, n):
         _numeric.check_scalar(*models)
@@ -241,9 +242,6 @@ class _SampleStatistic:
     def log_lik(self, i, t):
         return _numeric.logpdf_vec(self.models[i], t).sum(axis=1)
 
-    def state_logs(self):
-        raise _no_exact_sum()
-
 
 class _SumStatistic:
     """T = S = sum x_i for members of one natural exponential family.
@@ -256,11 +254,17 @@ class _SumStatistic:
     def __init__(self, models, family, n):
         self.models, self.family, self.n = models, family, n
         self.thetas = [family.theta_of_model(m) for m in models]
+        if family.name == "poisson":  # the largest mean of S, Poi(n lam_i) or its tilt's
+            self.top_mean = (max(1.0, exp_or_raise(family.gamma, "e^gamma")) * n
+                             * max(m.lam for m in models))
 
     def draw(self, i, rng, count):
         m, n = self.models[i], self.n
         if isinstance(m, Poisson):
-            return rng.poisson(n * m.lam, count)
+            try:
+                return rng.poisson(n * m.lam, count)
+            except ValueError as exc:  # numpy draws means up to about 9.2e18 only
+                raise ConvergenceError(f"cannot draw S ~ Poi({n * m.lam:.6g}): {exc}") from exc
         if isinstance(m, Exponential):
             return rng.gamma(n, 1.0 / m.rate, count)
         return rng.normal(n * m.mean[0], math.sqrt(n * m.cov[0, 0]), count)
@@ -272,34 +276,24 @@ class _SumStatistic:
         theta = self.thetas[i]
         return theta * t - self.n * self.family.F(theta)
 
-    def _poisson_law(self, gamma):
-        """S = 0..K and ln Poi(S; n lam_i e^gamma) for each model i; K is cut for the
-        largest mean, so every law leaves less than 1e-16 of its mass past it."""
-        means, tilt = [self.n * m.lam for m in self.models], exp_or_raise(gamma, "e^gamma")
-        s = np.arange(poisson_truncation(max(means) * tilt) + 1.0)
-        ln_fact = log_factorial(s)
-        return s, [s * (math.log(mean) + gamma) - mean * tilt - ln_fact for mean in means]
-
-    def state_logs(self):
-        """S = 0..K: phi^n p_i^n summed over {S = s} is E_phi(p_i)^n Poi(s; n lam_i e^gamma),
-        where Poi(n lam_i e^gamma) is the law of S under the member theta_i + gamma."""
-        if self.family.name != "poisson":
-            raise _no_exact_sum()
-        _, logs = self._poisson_law(self.family.gamma)
-        return [log + self.n * self.family.lnE(t) for log, t in zip(logs, self.thetas)]
-
     @functools.cached_property
     def support_size(self):
         """K + 1 states S = 0..K of a Poisson family, else inf (a continuous S, or a
-        mean n lam past MC_CHUNK, whose support no chunk can hold)."""
-        if self.family.name != "poisson" or self.n * max(m.lam for m in self.models) > MC_CHUNK:
+        mean past MC_CHUNK, whose support no chunk can hold)."""
+        if self.family.name != "poisson" or self.top_mean > MC_CHUNK:
             return math.inf
         return self.law[0].size
 
     @functools.cached_property
     def law(self):
-        """S = 0..K and ln Poi(S; n lam_i) for each model i, the law Monte Carlo draws."""
-        return self._poisson_law(0.0)
+        """S = 0..K and ln Poi(S; n lam_i) for each model i, None for a continuous S.  K is
+        cut for the largest mean, so that neither Poi(n lam_i) nor phi^n Poi(n lam_i),
+        proportional to Poi(n lam_i e^gamma), leaves 1e-16 of its mass past it."""
+        if self.family.name != "poisson":
+            return None
+        s = np.arange(poisson_truncation(self.top_mean) + 1.0)
+        ln_fact = log_factorial(s)
+        return s, [s * math.log(self.n * m.lam) - self.n * m.lam - ln_fact for m in self.models]
 
     def check_second_moments(self):
         """Raise where a Monte Carlo score phi 1{error} has infinite variance.
@@ -335,11 +329,6 @@ class _CountStatistic:
     def log_lik(self, i, t):
         return _counts_dot(t, self.log_probs[i])
 
-    def state_logs(self):
-        """Over every count vector, ln phi^n plus its multinomial log mass under each model."""
-        counts, logs = self.law
-        return [self.log_weight(counts) + log for log in logs]
-
     @functools.cached_property
     def support_size(self):
         """comb(n + k - 1, n) count vectors, or inf past the state budget."""
@@ -362,17 +351,11 @@ def _statistic(models, weight, n):
 
     Each statistic T offers draw(i, rng, count) under models[i],
     log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n up to a term shared
-    by all models, and state_logs() -> [logs_i over the states of T].  For
-    Monte Carlo it also offers support_size (the number of states, inf for a
-    continuous T) and law = (states, [ln P_i(T = state)]).  The models and
-    weight have passed `check_models`, so every pair either embeds in one
-    family or has no such reading.
-
-    exp(logs_i) is the sum of phi^n p_i^n over the sample points of a state,
-    on which phi^n and every ratio p_i^n / p_j^n are constant.  So for any f
-    with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the product-space
-    sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states of
-    f(exp(logs_1), ..., exp(logs_M)).
+    by all models, support_size (the number of states, inf for a continuous
+    T or one past what a chunk or the state budget holds) and law =
+    (states, [ln P_i(T = state)]), None where T is continuous.  The models
+    and weight have passed `check_models`, so every pair either embeds in
+    one family or has no such reading.
     """
     if isinstance(models[0], Categorical):
         return _CountStatistic(models, weight, n)
@@ -387,6 +370,24 @@ def _statistic(models, weight, n):
 # ---------------------------------------------------------------------------
 
 
+def _state_logs(models, weight, n):
+    """[ln phi^n(T) + ln P_i(T) over the states of T] for each model i, from T's law.
+
+    Its exponential sums phi^n p_i^n over the sample points of a state, on
+    which phi^n and every ratio p_i^n / p_j^n are constant.  So for any f
+    with f(c p) = c f(p), c > 0 (min, |p - q|, sum - max), the product-space
+    sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states of f of these.
+    """
+    stat = _statistic(models, weight, n)
+    if stat.law is None:
+        raise UnsupportedCombinationError(
+            "exact sums need categorical models, or Poisson models under a constant"
+            " or exponential-tilt weight; use Monte Carlo")
+    states, logs = stat.law
+    log_phi = stat.log_weight(states)
+    return [log_phi + log for log in logs]
+
+
 def optimal_loss_exact(problem):
     """L_n* by an exact sum of phi min{p, q} over the states of the statistic."""
     return _loss((problem.model_p, problem.model_q), problem.weight, problem.n, None,
@@ -395,7 +396,7 @@ def optimal_loss_exact(problem):
 
 def weighted_tv(problem):
     """TV_phi = half the phi-weighted L1 distance on the product space."""
-    lp, lq = _statistic((problem.model_p, problem.model_q), problem.weight, problem.n).state_logs()
+    lp, lq = _state_logs((problem.model_p, problem.model_q), problem.weight, problem.n)
     with np.errstate(over="ignore", invalid="ignore"):
         tv = float(0.5 * np.sum(np.abs(np.exp(lp) - np.exp(lq))))
     if not math.isfinite(tv):
@@ -410,10 +411,11 @@ def mary_optimal_loss(problem, n, method=EXACT_ENUMERATION, replicates=None, see
 
 def _loss(models, weight, n, priors, method, replicates=None, seed=0):
     """L_{n,M}* of the module docstring, exactly or by Monte Carlo."""
+    n = _sample_size(n)
     w = priors if priors is not None else (1.0,) * len(models)
     log_w = [math.log(wi) for wi in w]
     if method == EXACT_ENUMERATION:
-        terms = [lw + li for lw, li in zip(log_w, _statistic(models, weight, n).state_logs())]
+        terms = [lw + li for lw, li in zip(log_w, _state_logs(models, weight, n))]
         top, rest = terms[0], []  # every term of a state but its largest
         for term in terms[1:]:
             rest.append(np.minimum(top, term))
@@ -448,25 +450,15 @@ def _decision_errors(stat, log_w, i, t):
 
 def mary_exponent(problem):
     """Pairwise weighted Chernoff matrix and its minimum C_M^w."""
-    models = problem.models
-    m = len(models)
+    m = len(problem.models)
     matrix = [[0.0] * m for _ in range(m)]
-    best = None
-    degenerate = False
-    for i in range(m):
-        for j in range(i + 1, m):
-            res = chernoff(models[i], models[j], problem.weight)
-            matrix[i][j] = matrix[j][i] = res.d_c_w
-            if res.boundary == "flat":
-                degenerate = True
-            if best is None or res.d_c_w < best[0]:
-                best = (res.d_c_w, (i, j), res.boundary)
-    return {
-        "matrix": matrix,
-        "c_m_w": best[0],
-        "pair": list(best[1]),
-        "degenerate": degenerate,
-    }
+    results = {}  # (i, j) -> ChernoffResult, i < j in lexicographic order
+    for i, j in itertools.combinations(range(m), 2):
+        results[i, j] = chernoff(problem.models[i], problem.models[j], problem.weight)
+        matrix[i][j] = matrix[j][i] = results[i, j].d_c_w
+    pair = min(results, key=lambda ij: results[ij].d_c_w)  # the first of equal minima
+    return {"matrix": matrix, "c_m_w": results[pair].d_c_w, "pair": list(pair),
+            "degenerate": any(r.boundary == "flat" for r in results.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +496,16 @@ def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
             probs, scores = hist
             c = rng.multinomial(count, probs)
             drawn = c > 0
-            score = scores[drawn]
-            weighted = c[drawn] * score
+            score, copies = scores[drawn], c[drawn]
         else:
-            weighted = score = _scores(stat, error_fn, stat.draw(i, rng, count))
-        if np.isinf(score).any():
-            raise ConvergenceError("weight phi(x_1..n) overflows on a sampled replicate")
-        total += float(weighted.sum())
-        total_sq += float((weighted * score).sum())
+            score, copies = _scores(stat, error_fn, stat.draw(i, rng, count)), 1
+        with np.errstate(over="ignore"):  # the sum of squares is the largest, and is checked
+            weighted = copies * score
+            total += float(weighted.sum())
+            total_sq += float((weighted * score).sum())
+        if total_sq == math.inf:
+            raise ConvergenceError("weight phi(x_1..n) or its square overflows on a sampled"
+                                   " replicate")
         done += count
         chunk_idx += 1
     mean = total / replicates
@@ -578,30 +572,24 @@ def tilted_llr(problem, x):
 def tilted_stats(problem):
     """Moments of the per-coordinate increment ln(q/p) under Q.
 
-    d_bound = sup |ln(q/p) - KL(Q||P)| over the support of Q; finite only
-    for categorical models (every other built-in family has unbounded
-    log-ratio), in which case the tail bound is unavailable.  Where
-    KL(Q||P) is infinite, kl_qp, d_bound and sigma2 are all inf: Q puts
-    mass where P has none (categorical), or Q is a Cauchy against a
-    Gaussian P, whose ln p ~ -x^2/2 has no mean under Cauchy tails.
+    kl_qp = KL(Q||P) is `expfam.weighted_kl` under phi = 1.  d_bound =
+    sup |ln(q/p) - KL(Q||P)| over the support of Q; finite only for
+    categorical models (every other built-in family has unbounded
+    log-ratio), in which case the tail bound is unavailable.  sigma2 =
+    Var_Q(ln(q/p)): over the symbols of a categorical Q, else F''(0) on
+    the phi = 1 curve.  Where KL(Q||P) is infinite, d_bound and sigma2 are
+    inf too.
     """
     p, q = problem.model_p, problem.model_q
-    if isinstance(q, Cauchy) and not isinstance(p, Cauchy):
-        return TiltedLikelihoodStats(math.inf, math.inf, math.inf, problem.shift)
-    if isinstance(q, Categorical):
-        mask = q.probs > 0.0
-        kl = d = sigma2 = math.inf
-        if not np.any(mask & (p.probs == 0.0)):
-            k = np.flatnonzero(mask)
-            lr = q.logpdf(k) - p.logpdf(k)
-            kl = float(np.sum(q.probs[mask] * lr))
-            sigma2 = float(np.sum(q.probs[mask] * (lr - kl) ** 2))
-            d = float(np.max(np.abs(lr - kl)))
-        return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
-
-    # KL(Q||P) = -F'(0) and Var_Q(ln(q/p)) = F''(0) on the phi = 1 curve; d is infinite
-    _, slope, sigma2 = AffinityCurve(p, q, ConstWeight()).moments(0.0)
-    return TiltedLikelihoodStats(-slope, math.inf, sigma2, problem.shift)
+    kl = weighted_kl(q, p, ConstWeight())
+    d = sigma2 = math.inf
+    if isinstance(q, Categorical) and math.isfinite(kl):
+        k = np.flatnonzero(q.probs > 0.0)
+        dev = q.logpdf(k) - p.logpdf(k) - kl
+        d, sigma2 = float(np.max(np.abs(dev))), float(np.sum(q.probs[k] * dev ** 2))
+    elif math.isfinite(kl):
+        sigma2 = AffinityCurve(p, q, ConstWeight()).moments(0.0)[2]
+    return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
 
 
 def cumulants(problem, alpha):
@@ -698,6 +686,7 @@ def tail_bound(problem, beta, n):
 
     Needs bounded increments, so categorical models only.
     """
+    n = _sample_size(n)
     stats = tilted_stats(problem) if isinstance(problem.model_q, Categorical) else None
     if stats is None or not math.isfinite(stats.d_bound):
         raise UnsupportedCombinationError(
@@ -715,18 +704,20 @@ def tail_bound(problem, beta, n):
     g = t / stats.d_bound
     a = min((delta + g) / (1.0 + delta), 1.0)
     b = delta / (1.0 + delta)
-    return min(math.exp(-int(n) * bernoulli_kl(a, b)), 1.0)
+    return min(math.exp(-n * bernoulli_kl(a, b)), 1.0)
 
 
 def tail_frequency(problem, beta, n, replicates, seed=0):
     """Empirical P_Q(L* >= beta n) with its binomial standard error."""
+    n = _sample_size(n)
     if replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
     stat = _statistic((problem.model_p, problem.model_q), ConstWeight(), n)
     shift = problem.shift
 
     def exceeds(t):
-        lstar = stat.log_lik(1, t) - stat.log_lik(0, t) + n * shift
+        with np.errstate(invalid="ignore"):  # nan on a state off both supports, which has no mass
+            lstar = stat.log_lik(1, t) - stat.log_lik(0, t) + n * shift
         return lstar >= float(beta) * n
 
     freq, _ = _mc_mean(stat, 1, replicates, seed, 2, exceeds)

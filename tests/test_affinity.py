@@ -329,6 +329,17 @@ class TestQuadratureSolver:
         assert res.d_c_w == pytest.approx(0.1490201425703, abs=1e-9)
 
 
+def test_generic_solver_reports_the_inner_edge_point():
+    # Poisson(2) vs Poisson(1) has alpha_tilde = (ln(1/ln 2) - gamma)/ln 2, here 8e-7: inside
+    # the edge 1e-6, and nearer to it than to 0, so the edge point has the lower F
+    w = ExpTiltWeight([math.log(1.0 / math.log(2.0)) - 0.8e-6 * math.log(2.0)])
+    closed = chernoff(P2, P1, w)
+    generic = chernoff(P2, P1, w, solver="generic")
+    assert closed.alpha_star == pytest.approx(0.8e-6, rel=1e-9)
+    assert (generic.alpha_star, generic.boundary, generic.iterations) == (1e-6, "interior", 0)
+    assert generic.d_c_w == pytest.approx(closed.d_c_w, abs=1e-13)
+
+
 class TestNewtonSolver:
     """The generic solve on four pairs, against values frozen from Brent's method.
 

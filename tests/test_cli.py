@@ -5,6 +5,8 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wchernoff.cli import main
 
@@ -540,3 +542,138 @@ class TestErrorPaths:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+
+GAUSS_STD = '{"family": "gaussian", "mean": [0.5], "cov": [[1.0]]}'
+
+
+class TestExtremeParameters:
+    """Finite parameters at the edge of a double end in exit 0, 2 or 3, never a traceback."""
+
+    def test_cauchy_p_against_gaussian_q_has_infinite_kl(self, runner):
+        # ln q ~ -x^2/2 has no mean under the Cauchy p; the quadrature used to give up
+        rep = run_json(runner, ["divergence", "--model-p", CAUCHY_P, "--model-q", GAUSS_STD])
+        assert rep["results"] == {"weighted_kl": math.inf}
+
+    def test_exponential_rate_past_the_square_of_a_double(self, runner):
+        # F(a) = a ln r - ln(a r + 1 - a) for r = 1e160 is least at a = 1/ln r, up to rounding
+        rep = run_json(runner, ["chernoff", "--model-p", '{"family": "exponential", "rate": 1e160}',
+                                "--model-q", EXP_Q])
+        log_r = 160.0 * math.log(10.0)
+        assert rep["results"]["boundary"] == "interior"
+        assert rep["results"]["alpha_star"] == pytest.approx(1.0 / log_r, rel=1e-12)
+        assert rep["results"]["d_c_w"] == pytest.approx(log_r - 1.0 - math.log(log_r), rel=1e-12)
+
+    def test_equal_tiny_exponential_rates_are_flat(self, runner):
+        # F'' = 1/theta^2 overflows to inf instead of dividing by an underflowed 0
+        tiny = '{"family": "exponential", "rate": 1e-300}'
+        rep = run_json(runner, ["chernoff", "--model-p", tiny, "--model-q", tiny])
+        assert rep["results"]["boundary"] == "flat"
+
+    @pytest.mark.parametrize("solver", ["auto", "generic"])
+    def test_one_member_is_flat_past_the_rounding_of_f(self, runner, solver):
+        # F(0), F(1/2) and F(1) of one member under a large tilt, about -5e10, differ
+        # by rounding past FLAT_TOL; alpha_tilde(theta, theta) would divide by zero
+        gauss = '{"family": "gaussian", "mean": [5.6], "cov": [[10.0]]}'
+        rep = run_json(runner, ["chernoff", "--model-p", gauss, "--model-q", gauss,
+                                "--weight", '{"kind": "exp_tilt", "gamma": [1e5]}',
+                                "--solver", solver])
+        assert (rep["results"]["alpha_star"], rep["results"]["boundary"]) == (0.5, "flat")
+
+    @pytest.mark.parametrize("args, status, message", [
+        # the squared separation overflows, and the elliptic modulus with it
+        (["divergence", "--model-p", '{"family": "cauchy", "location": 1e160, "scale": 1}',
+          "--model-q", CAUCHY_P], 2, "error: elliptic_k requires 0 <= m < 1\n"),
+        # numpy draws no Poisson mean past about 9.2e18
+        (["simulate", "--model-p", '{"family": "poisson", "lambda": 1e18}',
+          "--model-q", POISSON_Q, "--n", "20", "--replicates", "1000"], 3,
+         "error: cannot draw S ~ Poi(2e+19): lam value too large\n"),
+        (["tailbound", "--model-p", BERN_P, "--model-q", BERN_Q, "--beta", "0.23", "--n", "0"],
+         2, "error: sample size n must be an integer >= 1, not 0\n"),
+    ])
+    def test_typed_error(self, runner, args, status, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == status
+        assert result.stdout == ""
+        assert result.stderr == message
+
+
+def _log_uniform(lo=-6.0, hi=6.0):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _signed():
+    return st.tuples(st.booleans(), _log_uniform()).map(lambda t: -t[1] if t[0] else t[1])
+
+
+@st.composite
+def _model(draw, family, size=None):
+    if family == "poisson":
+        return {"family": family, "lambda": draw(_log_uniform())}
+    if family == "exponential":
+        return {"family": family, "rate": draw(_log_uniform())}
+    if family == "cauchy":
+        return {"family": family, "location": draw(_signed()), "scale": draw(_log_uniform())}
+    if family == "gaussian":
+        return {"family": family, "mean": [draw(_signed())], "cov": [[draw(_log_uniform())]]}
+    w = [draw(_log_uniform()) for _ in range(size)]
+    w[draw(st.integers(0, size - 1))] *= draw(st.sampled_from([1.0, 1.0, 1.0, 0.0]))
+    return {"family": family, "probs": [x / sum(w) for x in w]}
+
+
+# malformed specs in place of model p: bad values, missing fields, wrong types
+FUZZ_MALFORMED = [
+    {"family": "poisson", "lambda": -1.0}, {"family": "beta"}, {"family": "exponential"},
+    {"family": "gaussian", "mean": [0.0], "cov": [[-1.0]]},
+    {"family": "categorical", "probs": [0.5, 0.6]},
+    {"family": "cauchy", "location": "x", "scale": 1.0}, [1, 2],
+]
+FUZZ_OPTIONS = {
+    "chernoff": lambda draw: ["--solver", draw(st.sampled_from(["auto", "generic"]))],
+    "curve": lambda draw: ["--grid", "5"],
+    "divergence": lambda draw: (["--alpha", repr(draw(st.floats(0.0, 1.0)))]
+                                if draw(st.booleans()) else []),
+    "simulate": lambda draw: ["--n", str(draw(st.integers(1, 30))), "--replicates", "1000"],
+    "tailbound": lambda draw: ["--beta", repr(draw(st.floats(-1.0, 3.0))),
+                               "--n", str(draw(st.integers(1, 30))), "--replicates", "1000"],
+    "identities": lambda draw: [],
+}
+
+
+@st.composite
+def _pair_command_args(draw, command):
+    families = ["poisson", "exponential", "cauchy", "gaussian", "categorical"]
+    # the tail bound is for categorical models only: draw them more often there
+    family = draw(st.sampled_from(families + ["categorical"] * 4 * (command == "tailbound")))
+    other = family
+    if family in ("cauchy", "gaussian") and draw(st.booleans()):
+        other = "gaussian" if family == "cauchy" else "cauchy"
+    size = draw(st.integers(2, 4))
+    p, q = draw(_model(family, size)), draw(_model(other, size))
+    if draw(st.integers(0, 9)) == 0:
+        p = draw(st.sampled_from(FUZZ_MALFORMED))
+    args = [command, "--model-p", json.dumps(p), "--model-q", json.dumps(q)]
+    kind = draw(st.sampled_from(["const", "exp_tilt", "table"]))
+    if kind == "exp_tilt":
+        args += ["--weight", json.dumps({"kind": kind, "gamma": [draw(_signed())]})]
+    elif kind == "table" and family == "categorical":
+        args += ["--weight", json.dumps({"kind": kind,
+                                         "values": [draw(_log_uniform()) for _ in range(size)]})]
+    return args + FUZZ_OPTIONS[command](draw)
+
+
+@pytest.mark.parametrize("command", FUZZ_OPTIONS)
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_pair_command_fuzz(runner, command, data):
+    # parameters 10^U(-6, 6), a tenth of them malformed: every run ends in exit 0, or in
+    # exit 2 or 3 with one stderr line; a numpy warning is an error here, so exit 1
+    args = data.draw(_pair_command_args(command))
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (args, result.exception)
+    if result.exit_code:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == ""

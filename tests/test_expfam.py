@@ -265,6 +265,17 @@ class TestWeightedKL:
         with pytest.raises(UnsupportedCombinationError):
             weighted_kl(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]), CONST)
 
+    def test_cauchy_against_gaussian_is_infinite(self):
+        # ln q ~ -x^2/2 has no mean under Cauchy tails; the other way round is finite
+        assert weighted_kl(Cauchy(0.0, 1.0), Gaussian([0.5], [[1.0]]), CONST) == math.inf
+        assert 0.0 < weighted_kl(Gaussian([0.5], [[1.0]]), Cauchy(0.0, 1.0), CONST) < math.inf
+
+    def test_categorical_weight_overflow_is_typed(self):
+        # phi = e^(1000 k) overflows a double at k = 1
+        p = Categorical([0.5, 0.5])
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            weighted_kl(p, p, ExpTiltWeight([1000.0]))
+
     def test_categorical_infinite_when_q_vanishes(self):
         p = Categorical([0.5, 0.5])
         q = Categorical([1.0, 0.0])
@@ -331,6 +342,15 @@ class TestChernoffArc:
     def test_no_density_off_the_count_support(self):
         arc = ChernoffArc(AffinityCurve(P2, P1, CONST))
         assert arc.log_density(0.5, np.array([1.5, -1.0])).tolist() == [-math.inf, -math.inf]
+
+    def test_zero_exponent_keeps_the_support(self):
+        # 0 ln 0 reads as -inf, the a -> 0+ limit the integrals use, not as nan
+        arc = ChernoffArc(AffinityCurve(P2, P1, CONST))
+        assert arc.log_density(0.0, np.array([1.5, 1.0])).tolist() == [-math.inf, -1.0]
+        # rho(0) = q's mass on p's support, 1/2, so the arc at 0 is q / (1/2) there
+        arc = ChernoffArc(AffinityCurve(Categorical([1.0, 0.0]), Categorical([0.5, 0.5]), CONST))
+        for alpha in (0.0, 1.0):
+            assert arc.log_density(alpha, np.array([0, 1])).tolist() == [0.0, -math.inf]
 
     def test_derivative_endpoint_identities(self):
         # F'(1) = D^w_KL(p||q)/E_phi(p), F'(0) = -D^w_KL(q||p)/E_phi(q)

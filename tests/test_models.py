@@ -177,6 +177,11 @@ class TestWeightValue:
     def test_table_zero_entry(self):
         assert weight_value(TableWeight([1.0, 0.0]), 1) == 0.0
 
+    def test_exp_tilt_on_2d_points(self):
+        w = ExpTiltWeight([0.5, -1.0])
+        assert w.log_value([[1.0, 2.0], [3.0, 4.0]]).tolist() == [-1.5, -2.5]
+        assert w.log_value([2.0, 1.0]) == 0.0  # one point
+
     def test_table_out_of_range(self):
         with pytest.raises(PreconditionError):
             weight_value(TableWeight([1.0, 2.0]), 5)

@@ -16,6 +16,7 @@ from scipy import integrate, special, stats
 from wchernoff import (
     BinaryTestProblem,
     Categorical,
+    Cauchy,
     ConstWeight,
     ConvergenceError,
     Exponential,
@@ -373,6 +374,15 @@ def test_poisson_tilt_past_the_largest_double_is_typed():
             call(prob)
 
 
+def test_overflowing_quadrature_mass_reads_inf():
+    # int p^-1/2 q^3/2 for N(0, 1), Cauchy grows like e^(x^2/4): ln I = +inf, as a sum
+    # reads it, and its moments are undefined
+    gauss, cauchy = Gaussian([0.0], [[1.0]]), Cauchy(0.0, 1.0)
+    assert _numeric.weighted_power_integral(gauss, cauchy, CONST, -0.5, 1.5) == (math.inf,)
+    with pytest.raises(ConvergenceError, match="moments under it are undefined"):
+        _numeric.weighted_power_integral(gauss, cauchy, CONST, -0.5, 1.5, moments=True)
+
+
 def test_divergent_quadrature_is_typed():
     # int p^-1 q^2 for Exp(2), Exp(1) is the integral of 1/2 over [0, inf)
     with pytest.raises(ConvergenceError):
@@ -391,7 +401,8 @@ class TestHistogramDraws:
     def test_poisson_law(self, n):
         models = (Poisson(2.0), Poisson(1.0), Poisson(4.0))
         s, logs = testing._statistic(models, TILT, n).law
-        assert s[0] == 0 and s.size == poisson_truncation(4.0 * n) + 1
+        # cut for the tilted mean 4 n e^0.3, where phi^n Poi(S; 4 n) puts its mass
+        assert s[0] == 0 and s.size == poisson_truncation(4.0 * n * math.exp(0.3)) + 1
         for m, log_pi in zip(models, logs):
             assert log_pi == pytest.approx(stats.poisson.logpmf(s, n * m.lam), rel=1e-12)
 

@@ -38,6 +38,7 @@ from wchernoff import (
     tail_frequency,
     tilted_llr,
     tilted_stats,
+    weighted_kl,
     weighted_normaliser,
     weighted_tv,
 )
@@ -179,6 +180,21 @@ class TestOptimalLossMC:
         with pytest.raises(ConvergenceError):
             optimal_loss_mc(prob, 10000, seed=3)
 
+    def test_weight_square_overflow_is_typed(self):
+        # phi^26 = 1e156 on the likely states is a double, its square is not
+        prob = BinaryTestProblem(Categorical([0.0, 10.0 / 11.0, 1.0 / 11.0]),
+                                 Categorical([1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0]),
+                                 TableWeight([1.0, 1e6, 1.0]), 26)
+        with pytest.raises(ConvergenceError, match="or its square overflows"):
+            optimal_loss_mc(prob, 1000)
+
+    def test_cauchy_pair_draws_the_sample(self):
+        # Cauchy(0, 1) vs Cauchy(2, 1) cross at 1: L_1* = 2 P(X > 1) = 1/2
+        prob = BinaryTestProblem(Cauchy(0.0, 1.0), Cauchy(2.0, 1.0), CONST, 1)
+        est = optimal_loss_mc(prob, 20000, seed=4)
+        assert abs(est.value - 0.5) <= 4.0 * est.std_error
+        assert est == optimal_loss_mc(prob, 20000, seed=4)
+
     def test_simulate_report(self):
         rep = simulate(BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10),
                        5000, seed=1)
@@ -245,6 +261,11 @@ class TestMAry:
     def test_exponent_reduces_to_pair(self):
         out = mary_exponent(MAryProblem((Poisson(2.0), Poisson(1.0)), CONST))
         assert out["c_m_w"] == pytest.approx(chernoff(Poisson(2.0), Poisson(1.0), CONST).d_c_w)
+
+    def test_repeated_model_under_a_large_tilt_flags_degenerate(self):
+        g = Gaussian([5.6], [[10.0]])
+        out = mary_exponent(MAryProblem((g, g, Gaussian([0.0], [[10.0]])), ExpTiltWeight([1e5])))
+        assert out["degenerate"] and out["pair"] == [0, 1]
 
     def test_repeated_model_flags_degenerate(self):
         out = mary_exponent(MAryProblem((Poisson(2.0), Poisson(2.0), Poisson(1.0)), CONST))
@@ -352,6 +373,19 @@ class TestTiltedStats:
         # KL(Q||P) for Poisson(1)||Poisson(2) has the closed form below
         assert st.kl_qp == pytest.approx(1.0 * math.log(0.5) + 1.0, rel=1e-8)
 
+    @pytest.mark.parametrize("p, q", [
+        (BERN_P, BERN_Q),
+        (Poisson(2.0), Poisson(1.0)),
+        (Exponential(2.0), Exponential(1.0)),
+        (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]])),
+        (Cauchy(0.0, 1.0), Gaussian([0.0], [[1.0]])),
+        (Cauchy(0.0, 1.0), Cauchy(2.0, 0.5)),
+    ])
+    def test_kl_is_the_weighted_kl(self, p, q):
+        st = tilted_stats(BinaryTestProblem(p, q, TableWeight([1.0, 2.0])
+                                            if isinstance(p, Categorical) else CONST, 3))
+        assert st.kl_qp == weighted_kl(q, p, CONST)
+
     def test_martingale_increments_centre(self):
         st = tilted_stats(bern_problem(1))
         rng = rng_stream(21)
@@ -426,6 +460,14 @@ class TestCumulants:
         prob = BinaryTestProblem(Exponential(2.0), Exponential(1.0), CONST, 1)
         psi_p, psi_q = cumulants(prob, 1.5)
         assert psi_p == pytest.approx(0.5 * math.log(2.0), rel=1e-13)
+        assert psi_q == math.inf
+
+    def test_divergent_quadrature_reads_inf(self):
+        # psi_Q(1/2) = ln int p^-1/2 q^3/2 with p = N(0, 1), q = Cauchy: e^(x^2/4) diverges
+        prob = BinaryTestProblem(Gaussian([0.0], [[1.0]]), Cauchy(0.0, 1.0), CONST, 1)
+        psi_p, psi_q = cumulants(prob, 0.5)
+        assert psi_p == pytest.approx(math.log(rho_w(prob.model_p, prob.model_q, CONST, 0.5)),
+                                      rel=1e-12)
         assert psi_q == math.inf
 
     def test_grid_unchanged_inside_unit_interval(self):
@@ -596,6 +638,21 @@ class TestTiltedStatsInfiniteKL:
         assert (st.kl_qp, st.d_bound, st.sigma2) == (math.inf, math.inf, math.inf)
 
 
+BAD_SIZES = [2.5, 0, -3, math.nan, "3"]
+
+
+@pytest.mark.parametrize("n", BAD_SIZES)
+@pytest.mark.parametrize("call", [
+    lambda n: BinaryTestProblem(BERN_P, BERN_Q, CONST, n),
+    lambda n: mary_optimal_loss(MAryProblem((Poisson(1.0), Poisson(2.0)), CONST), n),
+    lambda n: tail_frequency(bern_problem(5), 0.2, n, 1000),
+    lambda n: tail_bound(bern_problem(5), 0.5, n),
+], ids=["problem", "mary_optimal_loss", "tail_frequency", "tail_bound"])
+def test_sample_size_is_an_integer_of_at_least_one(call, n):
+    with pytest.raises(PreconditionError, match="sample size n must be an integer >= 1"):
+        call(n)
+
+
 class TestBernoulliKL:
     def test_reference_value(self):
         assert bernoulli_kl(0.5, 0.25) == pytest.approx(0.143841, abs=1e-6)
@@ -644,6 +701,15 @@ class TestTailBound:
         bound = tail_bound(prob, beta, n)
         freq, se = tail_frequency(prob, beta, n, 100000, seed=0)
         assert bound >= freq + 3.0 * se
+
+    def test_constant_increment_cannot_deviate(self):
+        # ln q/p = ln 2 on Q's support, so L* = n ln 2 and d_bound = 0
+        prob = BinaryTestProblem(Categorical([0.25, 0.25, 0.5, 0.0]),
+                                 Categorical([0.5, 0.5, 0.0, 0.0]), CONST, 10)
+        assert tilted_stats(prob).d_bound == 0.0
+        assert tail_bound(prob, math.log(2.0) + 0.1, 10) == 0.0
+        # states using symbol 3, off both supports, read a nan L* and warn of nothing
+        assert tail_frequency(prob, math.log(2.0) - 0.01, 10, 1000) == (1.0, 0.0)
 
     def test_frequency_determinism(self):
         prob = bern_problem(50)
