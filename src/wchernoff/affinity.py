@@ -90,6 +90,17 @@ def log_mean(a, b):
     return (a - b) / d
 
 
+def _agm(a, g):
+    """Arithmetic-geometric mean of a >= g >= 0."""
+    # quadratic convergence: far fewer than 60 rounds reach 1 ulp, where
+    # the iteration stalls, so stop on non-improvement as well
+    for _ in range(60):
+        if abs(a - g) <= 2.0 * np.finfo(float).eps * a:
+            break
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+    return a
+
+
 def elliptic_k(m):
     """Complete elliptic integral K(m), parameterised by m = modulus^2.
 
@@ -100,31 +111,33 @@ def elliptic_k(m):
     m = float(m)
     if not (0.0 <= m < 1.0):
         raise PreconditionError("elliptic_k requires 0 <= m < 1")
-    a, g = 1.0, math.sqrt(1.0 - m)
-    # quadratic convergence: far fewer than 60 rounds reach 1 ulp, where
-    # the iteration stalls, so stop on non-improvement as well
-    for _ in range(60):
-        if abs(a - g) <= 2.0 * np.finfo(float).eps * a:
-            break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
 
 
 def cauchy_kl(p, q):
-    """KL divergence between Cauchy laws (symmetric closed form)."""
+    """KL divergence between Cauchy laws: log1p(((s1-s2)^2 + delta^2) / (4 s1 s2))."""
     if not (isinstance(p, Cauchy) and isinstance(q, Cauchy)):
         raise PreconditionError("cauchy_kl requires two Cauchy models")
-    dl, sum_s = p.location - q.location, p.scale + q.scale
-    return math.log((sum_s * sum_s + dl * dl) / (4.0 * p.scale * q.scale))
+    dl, s1, s2 = p.location - q.location, p.scale, q.scale
+    num = (s1 - s2) * (s1 - s2) + dl * dl
+    ratio = num / (4.0 * s1) / s2
+    if num > 1e-300 and ratio < math.inf:
+        return math.log1p(ratio)
+    # a square under- or overflows: read the ratio as (h/g)^2, in logs past 1e300
+    h, g = math.hypot(s1 - s2, dl), 2.0 * math.sqrt(s1) * math.sqrt(s2)
+    if h < 1e150 * g:
+        return math.log1p((h / g) * (h / g))
+    return 2.0 * (math.log(h) - math.log(g))
 
 
 def cauchy_bhattacharyya_half(p, q, weight=None):
     """rho_{1/2} for two Cauchy laws at phi == 1.
 
-    Closed form 4 sqrt(s1 s2) / (pi sqrt((s1+s2)^2 + delta^2)) * K(m) with
-    m = ((s1-s2)^2 + delta^2) / ((s1+s2)^2 + delta^2).  The Cauchy Chernoff
-    information is -ln of this value (the maximiser sits at alpha = 1/2 by
-    symmetry).  Non-constant weights break that symmetry and are rejected.
+    Closed form k' / AGM(1, k') = 2 k' K(1 - k'^2) / pi in the complementary
+    modulus k' = 2 sqrt(s1 s2) / hypot(s1+s2, delta), which, unlike 1 - k'^2,
+    does not round to 1 for laws far apart.  The Cauchy Chernoff information
+    is -ln of this value (the maximiser sits at alpha = 1/2 by symmetry).
+    Non-constant weights break that symmetry and are rejected.
     """
     if not (isinstance(p, Cauchy) and isinstance(q, Cauchy)):
         raise PreconditionError("cauchy_bhattacharyya_half requires two Cauchy models")
@@ -132,10 +145,9 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
         raise UnsupportedCombinationError(
             "cauchy closed form is only available for the constant weight"
         )
-    dl, s1, s2 = p.location - q.location, p.scale, q.scale
-    denom2 = (s1 + s2) * (s1 + s2) + dl * dl
-    m = ((s1 - s2) * (s1 - s2) + dl * dl) / denom2
-    return 4.0 * math.sqrt(s1 * s2) / (math.pi * math.sqrt(denom2)) * elliptic_k(m)
+    s1, s2 = p.scale, q.scale
+    k = 2.0 * math.sqrt(s1) * math.sqrt(s2) / math.hypot(s1 + s2, p.location - q.location)
+    return k / _agm(1.0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +367,7 @@ def _closed_alpha_tilde(curve):
     if curve.embedding is not None:
         fam, t1, t2 = curve.embedding
         return fam.alpha_tilde(t1, t2)
-    p, q, w = curve.model_p, curve.model_q, curve.weight
-    return 0.5 if isinstance(p, Cauchy) and isinstance(q, Cauchy) and _is_const(w) else None
+    return 0.5 if isinstance(curve.model_p, Cauchy) and isinstance(curve.model_q, Cauchy) else None
 
 
 def chernoff(model_p, model_q, weight, solver="auto", mode=None):

@@ -211,56 +211,45 @@ def verify_identities(model_p, model_q, weight):
     kl = weighted_kl(model_p, model_q, weight)
     report["kl_as_bregman"] = _entry(abs(kl - weighted_bregman(fam, t2, t1)))
 
-    if t1 == t2:
-        # identical parameters: the remaining structure degenerates
-        for name in ("bisector", "chernoff_kl", "bregman_arc", "one_parameter_alpha"):
-            report[name] = _na()
-    else:
+    if interior:
         theta_star = alpha_star * t1 + (1.0 - alpha_star) * t2
 
         # (ii) Bregman bisector at theta_{alpha*}, on the gaps: both B^w carry E_phi(theta*)
-        if interior:
-            report["bisector"] = _entry(abs(_bregman_gap(fam, t1, theta_star)
-                                            - _bregman_gap(fam, t2, theta_star)))
-        else:
-            report["bisector"] = _na()
+        report["bisector"] = _entry(abs(_bregman_gap(fam, t1, theta_star)
+                                        - _bregman_gap(fam, t2, theta_star)))
 
         # (iii) Chernoff--KL on the normalised arc
-        if interior:
-            arc = ChernoffArc(curve)
-            ln_ep, ln_eq = curve.log_rho(1.0), curve.log_rho(0.0)  # ln E_phi(p), ln E_phi(q)
-            lhs = result.d_c_w
-            r1 = arc.kl(alpha_star, 1.0) - ln_ep
-            r0 = arc.kl(alpha_star, 0.0) - ln_eq
-            report["chernoff_kl"] = _entry(max(abs(lhs - r1), abs(lhs - r0)))
+        arc = ChernoffArc(curve)
+        ln_ep, ln_eq = curve.log_rho(1.0), curve.log_rho(0.0)  # ln E_phi(p), ln E_phi(q)
+        lhs = result.d_c_w
+        r1 = arc.kl(alpha_star, 1.0) - ln_ep
+        r0 = arc.kl(alpha_star, 0.0) - ln_eq
+        report["chernoff_kl"] = _entry(max(abs(lhs - r1), abs(lhs - r0)))
 
-            # (iv) Bregman divergence of the scalar log-affinity F_pq
-            def breg_curve(a, b):
-                return (curve.log_rho(a) - curve.log_rho(b)
-                        - (a - b) * curve.derivative(b))
+        # (iv) Bregman divergence of the scalar log-affinity F_pq
+        def breg_curve(a, b):
+            return (curve.log_rho(a) - curve.log_rho(b)
+                    - (a - b) * curve.derivative(b))
 
-            c1 = breg_curve(1.0, alpha_star) - ln_ep
-            c0 = breg_curve(0.0, alpha_star) - ln_eq
-            report["bregman_arc"] = _entry(max(abs(lhs - c1), abs(lhs - c0)))
+        c1 = breg_curve(1.0, alpha_star) - ln_ep
+        c0 = breg_curve(0.0, alpha_star) - ln_eq
+        report["bregman_arc"] = _entry(max(abs(lhs - c1), abs(lhs - c0)))
 
-            # (v) one-parameter formula for alpha*: F' vanishes there
-            alpha_formula = fam.alpha_tilde(t1, t2)
-            report["one_parameter_alpha"] = _entry(abs(numeric.derivative(alpha_formula)))
-        else:
-            report["chernoff_kl"] = _na()
-            report["bregman_arc"] = _na()
-            report["one_parameter_alpha"] = _na()
+        # (v) one-parameter formula for alpha*: F' vanishes there
+        alpha_formula = fam.alpha_tilde(t1, t2)
+        report["one_parameter_alpha"] = _entry(abs(numeric.derivative(alpha_formula)))
+    else:  # boundary or flat, one member of the family (theta1 = theta2) among them
+        for name in ("bisector", "chernoff_kl", "bregman_arc", "one_parameter_alpha"):
+            report[name] = _na()
 
     # (vi) primal--dual identity in the dual coordinates theta* = F'(theta):
-    # b_F(t1,t2) = b_{F*}(t2*,t1*) - (t1-t2) lnE'(t2) + (t2*-t1*) dlnEstar(t1*)
-    # with b_F(a,b) = F(a)-F(b)-(a-b)Fhat'(b) and the star analogue built
-    # from Fhat* = F* + lnE read in the dual coordinate.
+    # b_F(t1, t2) = [F*(t2*) - F*(t1*) - (t2* - t1*) F*'(t1*)] - (t1 - t2) lnE'(t2),
+    # with b_F(a, b) = F(a) - F(b) - (a - b) Fhat'(b); the bracket is the
+    # unweighted Bregman divergence of the dual F*.
     t1s, t2s = fam.dF(t1), fam.dF(t2)
-    lhs_pd = _bregman_gap(fam, t1, t2)
-    b_star = (fam.Fstar(t2s) - fam.Fstar(t1s)
-              - (t2s - t1s) * (fam.dFstar(t1s) + fam.dlnEstar(t1s)))
-    rhs_pd = b_star - (t1 - t2) * fam.dlnE(t2) + (t2s - t1s) * fam.dlnEstar(t1s)
-    report["primal_dual"] = _entry(abs(lhs_pd - rhs_pd))
+    rhs_pd = (fam.Fstar(t2s) - fam.Fstar(t1s) - (t2s - t1s) * fam.dFstar(t1s)
+              - (t1 - t2) * fam.dlnE(t2))
+    report["primal_dual"] = _entry(abs(_bregman_gap(fam, t1, t2) - rhs_pd))
 
     # (vii) Jensen / Burbea--Rao decomposition at alpha probes
     worst = 0.0

@@ -567,11 +567,6 @@ class ExpFamily1D:
     def E_phi(self, theta):
         return exp_or_raise(self.lnE(theta), "E_phi")
 
-    def dlnEstar(self, theta_star):
-        """d/dtheta* of ln E_phi(grad F*(theta*)) = (ln E_phi)'(theta) / F''(theta)."""
-        theta = self.dFstar(theta_star)
-        return self.dlnE(theta) / self.d2F(theta)
-
     def alpha_tilde(self, theta1, theta2):
         """Critical point of the affinity curve of the members theta1 != theta2.
 

@@ -456,6 +456,21 @@ class TestDerivativeOutOfRange:
         assert closed.d_c_w == pytest.approx(6395.25290641, rel=1e-10)
 
 
+# (p, q, KL, rho_1/2) from 50-digit arithmetic on the same doubles: laws up to
+# 1e160 scales apart, where the elliptic modulus rounds to 1, and near-equal laws,
+# whose KL is lost in ln(1 + x)
+CAUCHY_FIFTY_DIGITS = [
+    (Cauchy(0.0, 1.0), Cauchy(1e9, 1.0), 40.060237312772931697, 2.7268223960270005019e-8),
+    (Cauchy(1e160, 1.0), Cauchy(0.0, 1.0), 735.44093539697472828, 4.6996132568344435747e-158),
+    (Cauchy(0.0, 1.0), Cauchy(1e8, 1.0), 35.455067126784840725, 2.4336481564752291775e-7),
+    (Cauchy(-3.0, 0.02), Cauchy(4e10, 70.0), 47.101523984529591351, 9.3920269874984003664e-10),
+    (Cauchy(0.0, 1.0), Cauchy(1e-9, 1.0), 2.5000000000000003111e-19, 1.0),
+    (Cauchy(1.0, 2.0), Cauchy(1.0, 2.000000000002), 2.5004445226674882427e-25, 1.0),
+    (Cauchy(0.5, 3.0), Cauchy(0.5000001, 2.9999999), 5.5555557287244406738e-16,
+     0.99999999999999986111),
+]
+
+
 class TestCauchy:
     def test_kl_identical(self):
         assert cauchy_kl(Cauchy(0.0, 1.0), Cauchy(0.0, 1.0)) == 0.0
@@ -465,6 +480,8 @@ class TestCauchy:
             math.log(18.0 / 8.0), rel=1e-12)
         assert cauchy_kl(Cauchy(0.0, 1.0), Cauchy(2.0, 1.0)) == pytest.approx(
             math.log(2.0), rel=1e-12)
+        for p, q, kl, _ in CAUCHY_FIFTY_DIGITS:
+            assert cauchy_kl(p, q) == pytest.approx(kl, rel=1e-15, abs=0.0), (p, q)
 
     def test_kl_quadrature_oracle(self):
         p, q = Cauchy(0.0, 1.0), Cauchy(3.0, 2.0)
@@ -490,6 +507,9 @@ class TestCauchy:
 
         oracle, _ = integrate.quad(integrand, -np.inf, np.inf, limit=200)
         assert val == pytest.approx(oracle, abs=1e-8)
+        for p, q, _, rho in CAUCHY_FIFTY_DIGITS:
+            val = cauchy_bhattacharyya_half(p, q)
+            assert val == pytest.approx(rho, rel=1e-15, abs=0.0), (p, q)
 
     def test_scale_ratio_special_case(self):
         # l1 = l2, s1 = 4, s2 = 1: (4*2/(5 pi)) K(9/25)

@@ -580,10 +580,35 @@ class TestExtremeParameters:
                                 "--solver", solver])
         assert (rep["results"]["alpha_star"], rep["results"]["boundary"]) == (0.5, "flat")
 
+    @pytest.mark.parametrize("p, kl, rho_half", [
+        # the modulus m = 1 - k'^2 rounds to 1 on both, and delta^2 overflows on the second
+        ('{"family": "cauchy", "location": 1e9, "scale": 1}',
+         40.060237312772931697, 2.7268223960270005019e-8),
+        ('{"family": "cauchy", "location": 1e160, "scale": 1}',
+         735.44093539697472828, 4.6996132568344435747e-158),
+    ], ids=["separation_1e9", "separation_1e160"])
+    def test_cauchy_closed_forms_far_apart(self, runner, p, kl, rho_half):
+        res = run_json(runner, ["divergence", "--model-p", p, "--model-q", CAUCHY_P])["results"]
+        assert res["cauchy_kl"] == pytest.approx(kl, rel=1e-15)
+        assert res["cauchy_rho_half"] == pytest.approx(rho_half, rel=1e-15, abs=0.0)
+        assert res["cauchy_d_c"] == pytest.approx(-math.log(rho_half), rel=1e-15)
+
+    def test_identities_on_rates_past_the_square_of_a_double(self, runner):
+        # F''(theta) = 1/theta^2 underflows to 0 at theta = -1e162, so no identity may
+        # divide by it; the closed-form identities hold to rounding
+        rep = run_json(runner, ["identities",
+                                "--model-p", '{"family": "exponential", "rate": 1e162}',
+                                "--model-q", EXP_Q])
+        ids = rep["results"]["identities"]
+        assert rep["results"]["boundary"] == "interior"
+        for name in ("kl_as_bregman", "bisector", "bregman_arc", "primal_dual"):
+            assert ids[name]["residual"] <= 1e-12, name
+
     @pytest.mark.parametrize("args, status, message", [
-        # the squared separation overflows, and the elliptic modulus with it
-        (["divergence", "--model-p", '{"family": "cauchy", "location": 1e160, "scale": 1}',
-          "--model-q", CAUCHY_P], 2, "error: elliptic_k requires 0 <= m < 1\n"),
+        # k' = 2e-300 / 1e300 underflows, so rho_1/2 reads 0 and -ln of it is not finite
+        (["divergence", "--model-p", '{"family": "cauchy", "location": 0, "scale": 1e-300}',
+          "--model-q", '{"family": "cauchy", "location": 1e300, "scale": 1e-300}'], 3,
+         "error: cauchy rho_1/2 underflows a double\n"),
         # numpy draws no Poisson mean past about 9.2e18
         (["simulate", "--model-p", '{"family": "poisson", "lambda": 1e18}',
           "--model-q", POISSON_Q, "--n", "20", "--replicates", "1000"], 3,
