@@ -56,11 +56,10 @@ from .errors import ConvergenceError, UnsupportedCombinationError
 from .models import (
     Categorical,
     Cauchy,
+    ConstWeight,
     Exponential,
-    ExpTiltWeight,
     Gaussian,
-    exp_or_raise,
-    poisson_truncation,
+    embed_pair,
     tilt_gamma,
 )
 
@@ -94,25 +93,23 @@ def _power(a, log_p):
     return a * log_p if a else np.where(log_p > -np.inf, 0.0, -np.inf)
 
 
-def discrete_grid(model_p, model_q, weight=None, a=1.0, b=0.0):
+def discrete_grid(model_p, model_q, weight=ConstWeight(), a=1.0, b=0.0):
     """Support points for exact summation of phi p^a q^b over a discrete pair.
 
-    A Poisson summand with a + b = 1 follows the Poisson law of the tilted
-    mean e^g lam_p^a lam_q^b, at most e^max(g,0) max(lam) for a, b in [0, 1].
+    A Poisson pair is cut on its family's lattice at the largest member mean
+    and at the bump's member a theta_p + b theta_q + gamma (its law at a + b = 1).
     """
     if isinstance(model_p, Categorical):
         return np.arange(model_p.size)
-    gamma = weight.scalar if isinstance(weight, ExpTiltWeight) else 0.0
-    tilt = exp_or_raise(gamma, "e^gamma")
-    size = max(max(tilt, 1.0) * max(model_p.lam, model_q.lam),
-               tilt * model_p.lam ** a * model_q.lam ** b)
-    return np.arange(poisson_truncation(size) + 1)
+    fam, t_p, t_q = embed_pair(model_p, model_q, weight)
+    return fam.lattice(max(fam.dF(max(t_p, t_q) + max(fam.gamma, 0.0)),
+                           fam.dF(a * t_p + b * t_q + fam.gamma)))
 
 
 def _edges(model_p, model_q, g, a, b):
-    """A continuous 1-D support cut at the locations, or where the bump phi p^a q^b sits:
-    at a Gaussian pair's mode, and for an Exponential pair at 1/c and 8/c, c = a rate_p +
-    b rate_q - gamma > 0 its decay rate; a tilt or rates far apart put either far from both."""
+    """(edges, tail scale) of a continuous 1-D support, cut at the locations or at a Gaussian
+    pair's mode of phi p^a q^b; an Exponential pair's is one tail from 0 at scale 1/c, c =
+    a rate_p + b rate_q - gamma > 0, which a tilt or rates far apart move far from 1/rate."""
     lo = 0.0 if model_p.support == "halfline" else -math.inf
     cuts = {m.mean[0] if isinstance(m, Gaussian) else m.location if isinstance(m, Cauchy)
             else 1.0 / m.rate for m in (model_p, model_q)}
@@ -123,8 +120,8 @@ def _edges(model_p, model_q, g, a, b):
     elif isinstance(model_p, Exponential):
         decay = a * model_p.rate + b * model_q.rate - g
         if decay > 0.0:
-            cuts = {1.0 / decay, 8.0 / decay}
-    return [lo] + sorted(c for c in cuts if c > lo) + [math.inf]
+            return [0.0, math.inf], 1.0 / decay
+    return [lo] + sorted(c for c in cuts if c > lo) + [math.inf], 1.0
 
 
 def weighted_power_integral(model_p, model_q, weight, a, b, moments=False):
@@ -161,7 +158,7 @@ def weighted_power_integral(model_p, model_q, weight, a, b, moments=False):
             total, err = np.reshape(integrand(k, 0.0), (-1, k.size)).sum(axis=1), 0.0
     else:
         g = float(tilt_gamma(weight)[0])
-        total, err = integrate.quad(integrand, _edges(model_p, model_q, g, a, b))
+        total, err = integrate.quad(integrand, *_edges(model_p, model_q, g, a, b))
     if total[0] == math.inf:
         log_i = math.inf
     elif np.isfinite(total).all() and np.isfinite(err).all():

@@ -1,21 +1,21 @@
 """Adaptive 21-point Gauss-Kronrod quadrature, vectorised over intervals.
 
-`quad(integrand, edges)` integrates over the pieces between consecutive
-`edges`; the first may be -inf and the last +inf, and every piece needs
-one finite end.  Each pass evaluates every node of every open interval of
-every piece in one call `integrand(x, log_jac)`, which must return
-f(x) * e^log_jac at the array x: one row per component of a stacked
-integrand, shape (K, x.size), or a 1-D array for one component.
-All components share the nodes and the intervals.  `log_jac` is 0 on
-finite pieces.  An infinite piece [c, inf) is mapped to t in [0, 1) by
-x = c + t/(1 - t), and (-inf, c] by x = c - t/(1 - t); there `log_jac` is
-the log-Jacobian -2 ln(1 - t), so that a log-domain integrand adds it to
-its exponent and a vanishing density never meets a growing Jacobian as
-0 * inf.
+`quad(integrand, edges, scale)` integrates over the pieces between
+consecutive `edges`; the first may be -inf and the last +inf, and every
+piece needs one finite end.  Each pass evaluates every node of every open
+interval of every piece in one call `integrand(x, log_jac)`, which must
+return f(x) * e^log_jac at the array x: one row per component of a stacked
+integrand, shape (K, x.size), or a 1-D array for one component.  All
+components share the nodes and the intervals.  `log_jac` is 0 on finite
+pieces.  An infinite piece [c, inf) is mapped to t in [0, 1) by
+x = c + s t/(1 - t), and (-inf, c] by x = c - s t/(1 - t), s the `scale`;
+there `log_jac` is the log-Jacobian ln s - 2 ln(1 - t), so that a
+log-domain integrand adds it to its exponent and a vanishing density never
+meets a growing Jacobian as 0 * inf.
 
 Starting intervals: 8 equal ones on a finite piece; on an infinite piece,
 breaks at t = 1 - 2^-k for k = 0..7 and t = 1, which put x at 0, 1, 3,
-7, ..., 127 from c, so that a tail decaying on the unit scale is resolved
+7, ..., 127 scales from c, so that a tail decaying on its scale is resolved
 in the first pass.  The rule and its error estimate are QUADPACK's qk21
 (Piessens et al., QUADPACK, Springer 1983; public domain), taken component
 by component.  Component k has the tolerance
@@ -79,13 +79,14 @@ def _qk21(integrand, lo, hi, coef):
 
     Both are (K, intervals).  Row (c, s, k, piece) of `coef` maps t to
     x = c + s t / (1 - k t): the identity on a finite piece (0, 1, 0), a
-    tail with k = 1 and s = +-1.
+    tail with k = 1 and s = +-scale.
     """
     half = 0.5 * (hi - lo)
     t = (lo + half)[:, None] + half[:, None] * _X
     kt = coef[:, 2, None] * t
     x = coef[:, 0, None] + coef[:, 1, None] * t / (1.0 - kt)
-    v = integrand(x.ravel(), -2.0 * np.log1p(-kt.ravel())).reshape(-1, *t.shape)
+    log_jac = -2.0 * np.log1p(-kt) + np.log(np.abs(coef[:, 1, None]))
+    v = integrand(x.ravel(), log_jac.ravel()).reshape(-1, *t.shape)
     both = v @ _W
     kronrod, gauss = both[..., 0], both[..., 1]
     resasc = np.abs(v - 0.5 * kronrod[..., None]) @ _WK
@@ -95,19 +96,16 @@ def _qk21(integrand, lo, hi, coef):
 
 
 @functools.lru_cache(maxsize=64)
-def _start(edges):
+def _start(edges, scale):
     """Starting intervals in the integration variable and each one's `coef` row.
 
-    Cached by the edges tuple, so the arrays are read-only.
+    Cached by the edges tuple and the scale, so the arrays are read-only.
     """
     breaks, coef = [], []
     for i, (left, right) in enumerate(zip(edges[:-1], edges[1:])):
-        if right == math.inf:
+        if math.isinf(left) or math.isinf(right):
             breaks.append(_TAIL_BREAKS)
-            coef.append((left, 1.0, 1.0, i))
-        elif left == -math.inf:
-            breaks.append(_TAIL_BREAKS)
-            coef.append((right, -1.0, 1.0, i))
+            coef.append((left, scale, 1.0, i) if right == math.inf else (right, -scale, 1.0, i))
         else:
             breaks.append(left + (right - left) * _LINEAR_BREAKS)
             coef.append((0.0, 1.0, 0.0, i))
@@ -118,14 +116,14 @@ def _start(edges):
     return out
 
 
-def quad(integrand, edges):
+def quad(integrand, edges, scale=1.0):
     """(integrals, error estimates) over the pieces between consecutive edges.
 
     Both are arrays with one entry per component.  Raises ConvergenceError
     when a piece needs more than LIMIT intervals.  A non-finite integral
     or error is returned as it is, for the caller to judge.
     """
-    lo, hi, coef = _start(tuple(edges))
+    lo, hi, coef = _start(tuple(edges), scale)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         res, err = _qk21(integrand, lo, hi, coef)
         while True:

@@ -123,8 +123,9 @@ def cauchy_kl(p, q):
     ratio = num / (4.0 * s1) / s2
     if num > 1e-300 and ratio < math.inf:
         return math.log1p(ratio)
-    # a square under- or overflows: read the ratio as (h/g)^2, in logs past 1e300
-    h, g = math.hypot(s1 - s2, dl), 2.0 * math.sqrt(s1) * math.sqrt(s2)
+    # a square under- or overflows: read the ratio as (h/g)^2 of halved terms, in logs past 1e300
+    h = math.hypot(s1 / 2.0 - s2 / 2.0, p.location / 2.0 - q.location / 2.0)
+    g = math.sqrt(s1) * math.sqrt(s2)
     if h < 1e150 * g:
         return math.log1p((h / g) * (h / g))
     return 2.0 * (math.log(h) - math.log(g))
@@ -134,10 +135,10 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
     """rho_{1/2} for two Cauchy laws at phi == 1.
 
     Closed form k' / AGM(1, k') = 2 k' K(1 - k'^2) / pi in the complementary
-    modulus k' = 2 sqrt(s1 s2) / hypot(s1+s2, delta), which, unlike 1 - k'^2,
-    does not round to 1 for laws far apart.  The Cauchy Chernoff information
-    is -ln of this value (the maximiser sits at alpha = 1/2 by symmetry).
-    Non-constant weights break that symmetry and are rejected.
+    modulus k' = sqrt(s1 s2) / hypot(s1/2 + s2/2, l1/2 - l2/2): unlike
+    1 - k'^2 it does not round to 1 far apart, and the halved sums do not
+    overflow.  -ln of it is the Cauchy Chernoff information (alpha* = 1/2 by
+    symmetry); non-constant weights break that symmetry and are rejected.
     """
     if not (isinstance(p, Cauchy) and isinstance(q, Cauchy)):
         raise PreconditionError("cauchy_bhattacharyya_half requires two Cauchy models")
@@ -145,8 +146,8 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
         raise UnsupportedCombinationError(
             "cauchy closed form is only available for the constant weight"
         )
-    s1, s2 = p.scale, q.scale
-    k = 2.0 * math.sqrt(s1) * math.sqrt(s2) / math.hypot(s1 + s2, p.location - q.location)
+    s1, s2, dl = p.scale, q.scale, p.location / 2.0 - q.location / 2.0
+    k = math.sqrt(s1) * math.sqrt(s2) / math.hypot(s1 / 2.0 + s2 / 2.0, dl)
     return k / _agm(1.0, k)
 
 

@@ -519,7 +519,10 @@ class ExpFamily1D:
     dual, functions of y = F'(theta).  Every weighted member reads F at
     theta + gamma: the tilted log-normaliser is Fhat(theta) = F(theta +
     gamma), ln E_phi = Fhat - F, and the weighted `domain` is where both
-    theta and theta + gamma are natural.
+    theta and theta + gamma are natural.  S = x_1 + ... + x_n has log-normaliser
+    n F: `draw_sum(model, n, rng, count)` draws it; where it lives on a lattice,
+    `lattice(mean)` is S = 0..K, past which no law of mean <= `mean` keeps 1e-16
+    of its mass, and `sum_logpmf(model, n, s)` is ln P(S = s); else both are None.
     """
 
     name: str
@@ -531,6 +534,9 @@ class ExpFamily1D:
     Fstar: callable = field(repr=False)
     dFstar: callable = field(repr=False)
     theta_of_model: callable = field(repr=False)
+    draw_sum: callable = field(repr=False)
+    lattice: callable = field(default=None, repr=False)
+    sum_logpmf: callable = field(default=None, repr=False)
 
     @functools.cached_property
     def domain(self):
@@ -581,6 +587,13 @@ def _poisson_mean(theta):
     return exp_or_raise(theta, "the Poisson mean e^theta")
 
 
+def _draw_poisson_sum(model, n, rng, count):
+    try:
+        return rng.poisson(n * model.lam, count)
+    except ValueError as exc:  # numpy draws means up to about 9.2e18 only
+        raise ConvergenceError(f"cannot draw S ~ Poi({n * model.lam:.6g}): {exc}") from exc
+
+
 @functools.lru_cache(maxsize=256)
 def poisson_family(gamma=0.0):
     """Poisson in natural form: theta = ln lambda, F(theta) = e^theta."""
@@ -594,6 +607,9 @@ def poisson_family(gamma=0.0):
         Fstar=lambda y: y * math.log(y) - y,
         dFstar=math.log,
         theta_of_model=lambda m: math.log(m.lam),
+        draw_sum=_draw_poisson_sum,
+        lattice=lambda mean: np.arange(poisson_truncation(mean) + 1.0),
+        sum_logpmf=lambda m, n, s: s * math.log(n * m.lam) - n * m.lam - log_factorial(s),
     )
 
 
@@ -614,6 +630,7 @@ def exponential_family(gamma=0.0):
         Fstar=lambda y: -1.0 - math.log(y),
         dFstar=lambda y: -1.0 / y,
         theta_of_model=lambda m: -m.rate,
+        draw_sum=lambda m, n, rng, count: rng.gamma(n, 1.0 / m.rate, count),
     )
 
 
@@ -633,6 +650,7 @@ def gaussian_mean_family(sigma2, gamma=0.0):
         Fstar=lambda y: y * y / (2.0 * s2),
         dFstar=lambda y: y / s2,
         theta_of_model=lambda m: float(m.mean[0]) / s2,
+        draw_sum=lambda m, n, rng, k: rng.normal(n * m.mean[0], math.sqrt(n * m.cov[0, 0]), k),
     )
 
 

@@ -53,14 +53,11 @@ from .expfam import weighted_kl
 from .models import (
     Categorical,
     ConstWeight,
-    Exponential,
-    Poisson,
     check_models,
     embed_pair,
     exp_or_raise,
     log_factorial,
     log_sum_exp,
-    poisson_truncation,
     rng_stream,
 )
 
@@ -247,27 +244,18 @@ class _SumStatistic:
     """T = S = sum x_i for members of one natural exponential family.
 
     ln p_i^n = theta_i S - n F(theta_i) plus a term shared by all models,
-    and ln phi^n = gamma S.  S follows Poi(n lam), Gamma(n, 1/rate) or
-    N(n mu, n sigma^2).
+    and ln phi^n = gamma S.  The family declares the law of S: its sampler,
+    and its lattice and log-mass where S is discrete.
     """
 
     def __init__(self, models, family, n):
         self.models, self.family, self.n = models, family, n
         self.thetas = [family.theta_of_model(m) for m in models]
-        if family.name == "poisson":  # the largest mean of S, Poi(n lam_i) or its tilt's
-            self.top_mean = (max(1.0, exp_or_raise(family.gamma, "e^gamma")) * n
-                             * max(m.lam for m in models))
+        if family.lattice is not None:  # the largest mean of S, n F'(theta_i) or its tilt's
+            self.top_mean = n * max(family.dF(t + max(family.gamma, 0.0)) for t in self.thetas)
 
     def draw(self, i, rng, count):
-        m, n = self.models[i], self.n
-        if isinstance(m, Poisson):
-            try:
-                return rng.poisson(n * m.lam, count)
-            except ValueError as exc:  # numpy draws means up to about 9.2e18 only
-                raise ConvergenceError(f"cannot draw S ~ Poi({n * m.lam:.6g}): {exc}") from exc
-        if isinstance(m, Exponential):
-            return rng.gamma(n, 1.0 / m.rate, count)
-        return rng.normal(n * m.mean[0], math.sqrt(n * m.cov[0, 0]), count)
+        return self.family.draw_sum(self.models[i], self.n, rng, count)
 
     def log_weight(self, t):
         return self.family.gamma * t
@@ -278,22 +266,19 @@ class _SumStatistic:
 
     @functools.cached_property
     def support_size(self):
-        """K + 1 states S = 0..K of a Poisson family, else inf (a continuous S, or a
-        mean past MC_CHUNK, whose support no chunk can hold)."""
-        if self.family.name != "poisson" or self.top_mean > MC_CHUNK:
+        """K + 1 states S = 0..K, or inf for a continuous S or a mean past what a chunk holds."""
+        if self.family.lattice is None or self.top_mean > MC_CHUNK:
             return math.inf
         return self.law[0].size
 
     @functools.cached_property
     def law(self):
-        """S = 0..K and ln Poi(S; n lam_i) for each model i, None for a continuous S.  K is
-        cut for the largest mean, so that neither Poi(n lam_i) nor phi^n Poi(n lam_i),
-        proportional to Poi(n lam_i e^gamma), leaves 1e-16 of its mass past it."""
-        if self.family.name != "poisson":
+        """S = 0..K and ln P_i(S) for each model i, None for a continuous S; K is cut for
+        the largest mean, of P_i or of phi^n P_i (member theta_i + gamma's law)."""
+        if self.family.lattice is None:
             return None
-        s = np.arange(poisson_truncation(self.top_mean) + 1.0)
-        ln_fact = log_factorial(s)
-        return s, [s * math.log(self.n * m.lam) - self.n * m.lam - ln_fact for m in self.models]
+        s = self.family.lattice(self.top_mean)
+        return s, [self.family.sum_logpmf(m, self.n, s) for m in self.models]
 
     def check_second_moments(self):
         """Raise where a Monte Carlo score phi 1{error} has infinite variance.

@@ -468,6 +468,9 @@ CAUCHY_FIFTY_DIGITS = [
     (Cauchy(1.0, 2.0), Cauchy(1.0, 2.000000000002), 2.5004445226674882427e-25, 1.0),
     (Cauchy(0.5, 3.0), Cauchy(0.5000001, 2.9999999), 5.5555557287244406738e-16,
      0.99999999999999986111),
+    # scales and locations near the largest double, where s1 + s2 and l1 - l2 overflow
+    (Cauchy(0.0, 1e308), Cauchy(0.0, 1e308), 0.0, 1.0),
+    (Cauchy(-1e308, 1.0), Cauchy(1e308, 1.0), 1418.3924172843321414, 4.5237087131033808979e-306),
 ]
 
 

@@ -580,15 +580,21 @@ class TestExtremeParameters:
                                 "--solver", solver])
         assert (rep["results"]["alpha_star"], rep["results"]["boundary"]) == (0.5, "flat")
 
-    @pytest.mark.parametrize("p, kl, rho_half", [
+    @pytest.mark.parametrize("p, q, kl, rho_half", [
         # the modulus m = 1 - k'^2 rounds to 1 on both, and delta^2 overflows on the second
-        ('{"family": "cauchy", "location": 1e9, "scale": 1}',
+        ('{"family": "cauchy", "location": 1e9, "scale": 1}', CAUCHY_P,
          40.060237312772931697, 2.7268223960270005019e-8),
-        ('{"family": "cauchy", "location": 1e160, "scale": 1}',
+        ('{"family": "cauchy", "location": 1e160, "scale": 1}', CAUCHY_P,
          735.44093539697472828, 4.6996132568344435747e-158),
-    ], ids=["separation_1e9", "separation_1e160"])
-    def test_cauchy_closed_forms_far_apart(self, runner, p, kl, rho_half):
-        res = run_json(runner, ["divergence", "--model-p", p, "--model-q", CAUCHY_P])["results"]
+        # s1 + s2 overflows on the first and l1 - l2 on the second
+        ('{"family": "cauchy", "location": 0, "scale": 1e308}',
+         '{"family": "cauchy", "location": 0, "scale": 1e308}', 0.0, 1.0),
+        ('{"family": "cauchy", "location": -1e308, "scale": 1}',
+         '{"family": "cauchy", "location": 1e308, "scale": 1}',
+         1418.3924172843321414, 4.5237087131033808979e-306),
+    ], ids=["separation_1e9", "separation_1e160", "scales_1e308", "separation_2e308"])
+    def test_cauchy_closed_forms_far_apart(self, runner, p, q, kl, rho_half):
+        res = run_json(runner, ["divergence", "--model-p", p, "--model-q", q])["results"]
         assert res["cauchy_kl"] == pytest.approx(kl, rel=1e-15)
         assert res["cauchy_rho_half"] == pytest.approx(rho_half, rel=1e-15, abs=0.0)
         assert res["cauchy_d_c"] == pytest.approx(-math.log(rho_half), rel=1e-15)
@@ -603,6 +609,10 @@ class TestExtremeParameters:
         assert rep["results"]["boundary"] == "interior"
         for name in ("kl_as_bregman", "bisector", "bregman_arc", "primal_dual"):
             assert ids[name]["residual"] <= 1e-12, name
+        # the bump of p^a q^(1-a) decays at a rate of about 1e159: the quadrature that
+        # identities (iii), (v) and (vii) read maps its tail at that scale
+        assert all(v["applicable"] for v in ids.values())
+        assert rep["results"]["max_applicable_residual"] <= 1e-10
 
     @pytest.mark.parametrize("args, status, message", [
         # k' = 2e-300 / 1e300 underflows, so rho_1/2 reads 0 and -ln of it is not finite
@@ -615,6 +625,14 @@ class TestExtremeParameters:
          "error: cannot draw S ~ Poi(2e+19): lam value too large\n"),
         (["tailbound", "--model-p", BERN_P, "--model-q", BERN_Q, "--beta", "0.23", "--n", "0"],
          2, "error: sample size n must be an integer >= 1, not 0\n"),
+        # 2-D Gaussians have no scalar statistic and no vectorised log-density to draw
+        (["simulate", "--model-p", '{"family": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
+          "--model-q", '{"family": "gaussian", "mean": [1, 0], "cov": [[1, 0], [0, 1]]}',
+          "--n", "3", "--replicates", "1000"], 2, "error: vectorised log-density needs dim 1\n"),
+        # disjoint supports: rho(alpha) = 0 at every alpha
+        (["curve", "--model-p", '{"family": "categorical", "probs": [1, 0]}',
+          "--model-q", '{"family": "categorical", "probs": [0, 1]}'], 3,
+         "error: affinity evaluated to a non-positive value\n"),
     ])
     def test_typed_error(self, runner, args, status, message):
         result = runner.invoke(main, args)

@@ -29,6 +29,7 @@ from wchernoff import (
     Poisson,
     WChernoffError,
     chernoff,
+    verify_identities,
     weighted_kl,
 )
 from wchernoff import _numeric
@@ -140,6 +141,27 @@ def test_wide_exponential_quadrature_matches_closed_form(pair, alpha):
     closed = AffinityCurve(p, q, w).log_rho(alpha)
     assert AffinityCurve(p, q, w, mode="quadrature").log_rho(alpha) == pytest.approx(
         closed, rel=1e-10, abs=1e-10)
+
+
+@st.composite
+def extreme_exponential_pairs(draw):
+    """(p, q, weight): Exponentials with rates in 10^U(-170, 170), half of them under a
+    tilt gamma = U(-1, 0.9) times the smaller rate."""
+    rp, rq = (10.0 ** draw(st.floats(-170.0, 170.0)) for _ in range(2))
+    gamma = draw(st.floats(-1.0, 0.9)) * min(rp, rq)
+    weight = ConstWeight() if draw(st.booleans()) else ExpTiltWeight([gamma])
+    return Exponential(rp), Exponential(rq), weight
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(extreme_exponential_pairs())
+def test_quadrature_identities_on_extreme_exponential_rates(pair):
+    # (iii), (v) and (vii) read the quadrature of phi p^a q^b, whose one tail decays at
+    # c = a rate_p + b rate_q - gamma, up to 1e170 times faster or slower than 1/rate
+    report = verify_identities(*pair)["identities"]
+    for name in ("chernoff_kl", "one_parameter_alpha", "jensen_decomposition"):
+        if report[name]["applicable"]:
+            assert report[name]["residual"] <= 1e-10, name
 
 
 def _log_density(m):

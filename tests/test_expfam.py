@@ -108,6 +108,34 @@ class TestExpFamily1D:
                 assert weighted_normaliser(model, ExpTiltWeight([g])) == pytest.approx(
                     mgf, rel=1e-12)
 
+    @pytest.mark.parametrize("fam, model", [
+        (poisson_family(0.3), Poisson(2.0)),
+        (exponential_family(-0.4), Exponential(2.0)),
+        (gaussian_mean_family(1.5, 0.25), Gaussian([0.6], [[1.5]])),
+    ], ids=["poisson", "exponential", "gaussian_mean"])
+    def test_draw_sum_has_the_law_of_s(self, fam, model):
+        # S = x_1 + ... + x_n has mean n F'(theta) and variance n F''(theta); the tilt
+        # does not enter the law of S under the model itself
+        n, count = 7, 200_000
+        theta = fam.theta_of_model(model)
+        s = fam.draw_sum(model, n, np.random.default_rng(3), count)
+        mean, var = n * fam.dF(theta), n * fam.d2F(theta)
+        dev = (s - s.mean()) ** 2
+        assert abs(s.mean() - mean) <= 4.0 * math.sqrt(var / count)
+        assert abs(dev.mean() - var) <= 4.0 * dev.std() / math.sqrt(count)
+
+    def test_lattice_holds_the_law_of_s(self):
+        # the Poisson S = 0..K of a mean carries all but 1e-16 of the law; the
+        # continuous families have none
+        fam, model, n = poisson_family(0.0), Poisson(3.5), 40
+        s = fam.lattice(n * model.lam)
+        assert np.array_equal(s, np.arange(poisson_truncation(n * model.lam) + 1.0))
+        assert stats.poisson.sf(s[-1], n * 3.5) < 1e-16
+        assert np.allclose(fam.sum_logpmf(model, n, s), stats.poisson.logpmf(s, n * 3.5),
+                           rtol=1e-12, atol=0.0)
+        for other in (exponential_family(0.0), gaussian_mean_family(1.0)):
+            assert other.lattice is None and other.sum_logpmf is None
+
     @pytest.mark.parametrize("gamma", [-0.4, 0.0, 0.25, 0.5])
     def test_derived_members_match_literal_formulas(self, gamma):
         # the weighted members read F at theta + gamma; the references are the
