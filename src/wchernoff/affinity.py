@@ -9,9 +9,10 @@ which is convex on [0, 1] with F(1) = ln E_phi(p) and F(0) = ln E_phi(q);
 The weighted Chernoff information is -min F over [0, 1]; the minimiser is
 the optimal skewing parameter alpha*.  Closed forms are used for
 Gaussian/Poisson/Exponential pairs under constant or exponential-tilt
-weights, read off the exponential-family embedding where the pair has one
-(see `AffinityCurve`).  Everything else goes to the generic solver:
-Newton's method on F', safeguarded by bisection inside a bracket (rtsafe).
+weights, read off the exponential-family embedding where the pair has one,
+else coordinate by coordinate where p = N(0, I) and q's covariance is
+diagonal (see `AffinityCurve`).  Everything else goes to the generic
+solver: Newton's method on F', safeguarded by bisection in a bracket (rtsafe).
 F' and F'' are the mean and the variance of ln p/q under the normalised
 (pq)_alpha, so every step takes F, F' and F'' from one evaluation: a
 closed form, or one pass of the generic integral.  The bracket and the
@@ -175,8 +176,8 @@ class AffinityCurve:
     (1-a) F(theta2) off it, +inf where theta_a = a theta1 + (1-a) theta2
     leaves the weighted domain; Fhat(theta) = F(theta + gamma), so
     F''(a) = (theta1 - theta2)^2 F''(theta_a + gamma).  Other Gaussian pairs
-    use the tilted Gaussian N(mu_t, Sigma_a), under which ln p/q is a
-    quadratic form.
+    are whitened by p and diagonalised by q once, and F is then a sum of
+    one-dimensional closed forms, one per coordinate (`_gaussian`).
 
     `rho` is the one place that exponentiates ln rho.  `_log_rho` and
     `moments` continue the curve past [0, 1] for the cumulants, with
@@ -201,7 +202,7 @@ class AffinityCurve:
                 f"no closed-form curve for {type(model_p).__name__} against"
                 f" {type(model_q).__name__} under {type(weight).__name__}")
         self.mode = mode
-        self._cov_inv = None
+        self._whitened = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -255,40 +256,32 @@ class AffinityCurve:
                 (t1 - t2) * (t1 - t2) * fam.d2F(t + fam.gamma))
 
     def _gaussian(self, alpha, moments):
-        """`_values` of a Gaussian pair, from the tilted Gaussian N(mu_t, Sigma_a).
+        """`_values` of a Gaussian pair, a sum of d one-dimensional closed forms.
 
-        ln p/q = const - d1' S1^-1 d1 / 2 + d2' S2^-1 d2 / 2 at x = mu_t + z,
-        with d_i = x - mu_i, is a quadratic form in z: its variance is
-        tr((A Sigma_a)^2) / 2 + b' Sigma_a b, with A = S2^-1 - S1^-1 and b the
-        gradient of ln p/q at mu_t.
+        Once per curve, x = mu_p + L U z, with L = chol(Sigma_p) and U diag(lam) U' =
+        eigh(L^-1 Sigma_q L^-T), makes p = N(0, I), q = N(m, diag lam) and gamma'x =
+        gamma'mu_p + g'z (Fukunaga, 1990, section 2.2).  Under (pq)_alpha z_k is
+        N(mu_k, 1/h_k), h = alpha + (1 - alpha)/lam, and F' and F'' are the mean and the
+        variance of ln p/q = sum ((z - m)^2/lam - z^2 + ln lam)/2.  F = +inf where h <= 0.
         """
-        p, q = self.model_p, self.model_q
-        if self._cov_inv is None:
-            self._cov_inv = p.cov_inv(), q.cov_inv()
-        s1inv, s2inv = self._cov_inv
-        prec = alpha * s1inv + (1.0 - alpha) * s2inv
-        if not 0.0 <= alpha <= 1.0 and np.linalg.eigvalsh(prec)[0] <= 0.0:
-            # past [0, 1] the tilted precision can be indefinite
+        if self._whitened is None:
+            p, q, chol = self.model_p, self.model_q, self.model_p._chol
+            lam, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, q.cov).T))
+            gamma = tilt_gamma(self.weight, p.dim)
+            self._whitened = (lam, u.T @ np.linalg.solve(chol, q.mean - p.mean),
+                              u.T @ (chol.T @ gamma), float(gamma @ p.mean))
+        lam, m, g, shift = self._whitened
+        h = alpha + (1.0 - alpha) / lam
+        if np.any(h <= 0.0):  # only past [0, 1]
             return (math.inf, math.nan, math.nan)[:1 + 2 * moments]
-        sigma_a = np.linalg.inv(prec)
-        g = tilt_gamma(self.weight, p.dim)
-        mu_t = sigma_a @ (alpha * s1inv @ p.mean + (1.0 - alpha) * s2inv @ q.mean + g)
-        _, logdet_a = np.linalg.slogdet(sigma_a)
-        quad = (alpha * p.mean @ s1inv @ p.mean
-                + (1.0 - alpha) * q.mean @ s2inv @ q.mean
-                - mu_t @ prec @ mu_t)
-        f = float(0.5 * logdet_a - 0.5 * alpha * p._log_det
-                  - 0.5 * (1.0 - alpha) * q._log_det - 0.5 * quad)
+        mu = ((1.0 - alpha) * m / lam + g) / h
+        f = shift + 0.5 * float(np.sum(h * mu * mu - (1.0 - alpha) * (m * m / lam + np.log(lam))
+                                       - np.log(h)))
         if not moments:
             return (f,)
-        d1 = mu_t - p.mean
-        d2 = mu_t - q.mean
-        slope = float(0.5 * (q._log_det - p._log_det)
-                      - 0.5 * (np.trace(s1inv @ sigma_a) + d1 @ s1inv @ d1)
-                      + 0.5 * (np.trace(s2inv @ sigma_a) + d2 @ s2inv @ d2))
-        a_sigma = (s2inv - s1inv) @ sigma_a
-        grad = s2inv @ d2 - s1inv @ d1
-        return f, slope, float(0.5 * np.sum(a_sigma * a_sigma.T) + grad @ sigma_a @ grad)
+        k, grad = (1.0 / lam - 1.0) / h, (mu - m) / lam - mu  # grad: d ln(p/q) / dz at mu
+        return (f, 0.5 * float(np.sum((mu - m) * (mu - m) / lam - mu * mu + np.log(lam) + k)),
+                float(np.sum(0.5 * k * k + grad * grad / h)))
 
 
 def _check_alpha(alpha):

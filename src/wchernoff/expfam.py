@@ -36,9 +36,7 @@ from .models import (
     Cauchy,
     ConstWeight,
     ExpFamily1D,
-    Gaussian,
     check_models,
-    embed_pair,
     exp_or_raise,
     exponential_family,
     family_of_pair,
@@ -69,13 +67,13 @@ __all__ = [
 def weighted_kl(model_p, model_q, weight):
     """D^w_KL(p || q) = integral phi p ln(p/q), the package's one KL.
 
-    For the closed-form pairs of `AffinityCurve` this is E_phi(p) F'(1),
-    both read off one `moments(1)`: F(1) = ln E_phi(p), and F'(1) is the
-    mean of ln(p/q) under the tilted p, so the weight is checked against p
-    alone.  Exact summation for categorical models, quadrature otherwise.
-    A Cauchy p (constant weight only) takes the closed form against a
-    Cauchy q, and is +inf against a Gaussian q, whose ln q ~ -x^2 has no
-    mean under Cauchy tails.
+    Exact summation for categorical models.  Every other pair without a Cauchy
+    model has a closed-form `AffinityCurve`, whose `moments(1)` give F(1) =
+    ln E_phi(p) and F'(1), the mean of ln(p/q) under the tilted p: the KL is
+    E_phi(p) F'(1).  A Gaussian p against a Cauchy q takes quadrature, which
+    checks the weight against p alone.  A Cauchy p (constant weight only)
+    takes the closed form against a Cauchy q, and is +inf against a Gaussian
+    q, whose ln q ~ -x^2 has no mean under Cauchy tails.
     """
     check_models((model_p,), weight)
     check_models((model_p, model_q), ConstWeight())
@@ -93,12 +91,11 @@ def weighted_kl(model_p, model_q, weight):
         return kl
     if isinstance(model_p, Cauchy):
         return cauchy_kl(model_p, model_q) if isinstance(model_q, Cauchy) else math.inf
-    if ((isinstance(model_p, Gaussian) and isinstance(model_q, Gaussian))
-            or embed_pair(model_p, model_q, weight) is not None):
-        log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
-    else:  # the curve would also check the weight against q
+    if isinstance(model_q, Cauchy):  # the curve would also check the weight against q
         log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
                                                           moments=True)
+    else:
+        log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
     return exp_or_raise(log_e, "E_phi") * mean
 
 
@@ -180,8 +177,11 @@ IDENTITY_NAMES = (
 )
 
 
-def _entry(residual):
-    return {"applicable": True, "residual": float(residual)}
+def _entry(*pairs):
+    """An applicable identity, whose residual is the largest |a - b| / max(1, |a|, |b|) of
+    its compared pairs (a, b)."""
+    return {"applicable": True,
+            "residual": float(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))}
 
 
 def _na():
@@ -209,14 +209,14 @@ def verify_identities(model_p, model_q, weight):
 
     # (i) weighted KL as weighted Bregman: D^w_KL(p||q) = B^w(theta2, theta1)
     kl = weighted_kl(model_p, model_q, weight)
-    report["kl_as_bregman"] = _entry(abs(kl - weighted_bregman(fam, t2, t1)))
+    report["kl_as_bregman"] = _entry((kl, weighted_bregman(fam, t2, t1)))
 
     if interior:
         theta_star = alpha_star * t1 + (1.0 - alpha_star) * t2
 
         # (ii) Bregman bisector at theta_{alpha*}, on the gaps: both B^w carry E_phi(theta*)
-        report["bisector"] = _entry(abs(_bregman_gap(fam, t1, theta_star)
-                                        - _bregman_gap(fam, t2, theta_star)))
+        report["bisector"] = _entry((_bregman_gap(fam, t1, theta_star),
+                                     _bregman_gap(fam, t2, theta_star)))
 
         # (iii) Chernoff--KL on the normalised arc
         arc = ChernoffArc(curve)
@@ -224,7 +224,7 @@ def verify_identities(model_p, model_q, weight):
         lhs = result.d_c_w
         r1 = arc.kl(alpha_star, 1.0) - ln_ep
         r0 = arc.kl(alpha_star, 0.0) - ln_eq
-        report["chernoff_kl"] = _entry(max(abs(lhs - r1), abs(lhs - r0)))
+        report["chernoff_kl"] = _entry((lhs, r1), (lhs, r0))
 
         # (iv) Bregman divergence of the scalar log-affinity F_pq
         def breg_curve(a, b):
@@ -233,11 +233,11 @@ def verify_identities(model_p, model_q, weight):
 
         c1 = breg_curve(1.0, alpha_star) - ln_ep
         c0 = breg_curve(0.0, alpha_star) - ln_eq
-        report["bregman_arc"] = _entry(max(abs(lhs - c1), abs(lhs - c0)))
+        report["bregman_arc"] = _entry((lhs, c1), (lhs, c0))
 
         # (v) one-parameter formula for alpha*: F' vanishes there
         alpha_formula = fam.alpha_tilde(t1, t2)
-        report["one_parameter_alpha"] = _entry(abs(numeric.derivative(alpha_formula)))
+        report["one_parameter_alpha"] = _entry((numeric.derivative(alpha_formula), 0.0))
     else:  # boundary or flat, one member of the family (theta1 = theta2) among them
         for name in ("bisector", "chernoff_kl", "bregman_arc", "one_parameter_alpha"):
             report[name] = _na()
@@ -249,17 +249,15 @@ def verify_identities(model_p, model_q, weight):
     t1s, t2s = fam.dF(t1), fam.dF(t2)
     rhs_pd = (fam.Fstar(t2s) - fam.Fstar(t1s) - (t2s - t1s) * fam.dFstar(t1s)
               - (t1 - t2) * fam.dlnE(t2))
-    report["primal_dual"] = _entry(abs(_bregman_gap(fam, t1, t2) - rhs_pd))
+    report["primal_dual"] = _entry((_bregman_gap(fam, t1, t2), rhs_pd))
 
     # (vii) Jensen / Burbea--Rao decomposition at alpha probes
-    worst = 0.0
-    probes = [0.25, 0.5, 0.75] + ([alpha_star] if interior else [])
-    for a in probes:
+    pairs = []
+    for a in [0.25, 0.5, 0.75] + ([alpha_star] if interior else []):
         theta_a = a * t1 + (1.0 - a) * t2
         u = a * fam.F(t1) + (1.0 - a) * fam.F(t2) - fam.F(theta_a)
-        d_b = -numeric.log_rho(a)
-        worst = max(worst, abs(d_b - (u - fam.lnE(theta_a))))
-    report["jensen_decomposition"] = _entry(worst)
+        pairs.append((-numeric.log_rho(a), u - fam.lnE(theta_a)))
+    report["jensen_decomposition"] = _entry(*pairs)
 
     applicable = [v["residual"] for v in report.values() if v["applicable"]]
     return {

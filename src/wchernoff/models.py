@@ -12,7 +12,8 @@ model's affinity curve against itself.
 The constructor declares the JSON form: a model is {"family": its class
 name in lower case} and a weight {"kind": its `kind`}, plus each
 constructor argument by name (Poisson's `lam` as "lambda"); other keys are
-ignored.  Every parameter must be finite (PreconditionError).
+ignored.  Every parameter must be finite, and an Exponential rate and each squared
+Cholesky pivot of a Gaussian covariance at least sys.float_info.min (PreconditionError).
 
 All model and weight objects are immutable after construction and all
 operations are pure given an explicit rng stream, so they are safe to share
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -180,6 +182,9 @@ class Gaussian(_ByValue):
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise PreconditionError("gaussian covariance must be positive definite") from exc
+        if float(np.diag(chol).min()) ** 2 < sys.float_info.min:
+            raise PreconditionError(
+                f"gaussian covariance has a squared Cholesky pivot below {sys.float_info.min}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
@@ -190,9 +195,6 @@ class Gaussian(_ByValue):
     @property
     def dim(self):
         return self.mean.shape[0]
-
-    def cov_inv(self):
-        return np.linalg.inv(self.cov)
 
     def logpdf(self, x):
         """Unchecked ln density at float or array points (dim 1) or at one point."""
@@ -253,8 +255,8 @@ class Exponential:
     support = "halfline"
 
     def __post_init__(self):
-        if not (float(self.rate) > 0.0):
-            raise PreconditionError("exponential rate must be strictly positive")
+        if not (float(self.rate) >= sys.float_info.min):
+            raise PreconditionError(f"exponential rate must be at least {sys.float_info.min}")
         object.__setattr__(self, "rate", _finite(float(self.rate), "exponential rate"))
         object.__setattr__(self, "_log_rate", math.log(self.rate))
 
@@ -453,10 +455,9 @@ def validate_combination(model, weight):
         if weight.gamma.shape[0] != getattr(model, "dim", 1):
             if isinstance(model, Gaussian):
                 return ["exp_tilt gamma dimension does not match gaussian dimension"]
-            if isinstance(model, Exponential):
-                return ["exp_tilt gamma must be scalar for exponential models"]
             if isinstance(model, (Poisson, Categorical)):
                 return ["exp_tilt gamma must be scalar for discrete models"]
+            return [f"exp_tilt gamma must be scalar for {type(model).__name__.lower()} models"]
         if isinstance(model, Cauchy) and not weight.is_null():
             return ["exponential tilt is not integrable against Cauchy tails;"
                     " only gamma=0 is admissible"]

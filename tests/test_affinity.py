@@ -35,6 +35,10 @@ E2, E1 = Exponential(2.0), Exponential(1.0)
 G1 = Gaussian([1.0], [[1.0]])
 G0 = Gaussian([0.0], [[1.0]])
 CONST = ConstWeight()
+# an unequal-variance 1-D pair and a correlated 2-D pair, each under a tilt
+G_VAR = (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3]))
+G_2D = (Gaussian([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]]),
+        Gaussian([1.0, -1.0], [[2.0, -0.4], [-0.4, 1.0]]), ExpTiltWeight([0.3, -0.2]))
 
 
 class TestLogMean:
@@ -237,6 +241,17 @@ class TestChernoff:
         res = chernoff(G1, G0, ExpTiltWeight([0.25]))
         assert res.alpha_star == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("pair,alpha_star,d_c_w", [
+        # the root of F' in 40-digit arithmetic (mpmath 1.3.0), as in TestMoments
+        (G_VAR, 0.73873775359814078576, -0.020785624453383231023),
+        (G_2D, 0.67023902965491682776, 0.39129376241007083605),
+    ])
+    def test_tilted_gaussian_pairs_match_high_precision_optimum(self, pair, alpha_star, d_c_w):
+        res = chernoff(*pair)
+        assert res.boundary == "interior"
+        assert res.alpha_star == pytest.approx(alpha_star, rel=1e-12)
+        assert res.d_c_w == pytest.approx(d_c_w, rel=1e-12)
+
     def test_flat_for_identical_models(self):
         res = chernoff(P2, P2, CONST)
         assert res.boundary == "flat"
@@ -399,7 +414,7 @@ class TestMoments:
         (P2, P1, ExpTiltWeight([0.25])),
         (E2, E1, ExpTiltWeight([0.5])),
         (G1, G0, ExpTiltWeight([-0.25])),
-        (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3])),
+        G_VAR,
         (G8_P, G8_Q, CONST),
     ]
 
@@ -415,10 +430,42 @@ class TestMoments:
         assert slope == pytest.approx((f_hi - f_lo) / (2.0 * h), rel=1e-6, abs=1e-9)
         assert f == curve._log_rho(alpha)
 
+    # F(alpha) = ln of the tilted Gaussian integral and its alpha-derivatives, in
+    # 40-digit arithmetic (mpmath 1.3.0) at the doubles of the parameters; past
+    # the alpha where alpha S_p^-1 + (1 - alpha) S_q^-1 turns indefinite F = +inf
+    @pytest.mark.parametrize("pair,alpha,expected", [
+        (G_VAR, -0.4, ("1.433450042437673013322156574990212504060",
+                       "-4.681204187497805421184603514544442036879",
+                       "17.03703703703703860985298858934224173022")),
+        (G_VAR, 0.3, ("0.1227899448502462652660704613447587407818",
+                      "-0.5380417943354119639606828286944518044390",
+                      "1.834319526627218953103335860949310807461")),
+        (G_VAR, 1.3, ("0.1188737145920646339457040529905775858872",
+                      "0.3097115864992543402156226305213721717187",
+                      "0.3723185666146132737794086356664467271196")),
+        (G_VAR, -1.5, None),
+        (G_2D, -0.4, ("3.952049329579831731383358859854984679917",
+                      "-17.73191014859948829142405559842300531265",
+                      "99.28641072711147518349282946197975366081")),
+        (G_2D, 0.3, ("-0.1162061397603980790777269437840506886079",
+                     "-1.544298829376789219157672951597643427376",
+                     "5.012232910417278291630263295960912566516")),
+        (G_2D, 1.3, ("0.9656347662899937101674848834574463109627",
+                     "6.790468634634688193374746087756768408302",
+                     "35.14223767494769738727340881564729052097")),
+        (G_2D, 2.0, None),
+    ])
+    def test_gaussian_moments_match_high_precision_values(self, pair, alpha, expected):
+        f, slope, curv = AffinityCurve(*pair).moments(alpha)
+        if expected is None:
+            assert f == math.inf
+        else:
+            assert (f, slope, curv) == pytest.approx([float(v) for v in expected], rel=1e-12)
+
     @pytest.mark.parametrize("p,q,w,mode", [
         (P2, P1, ExpTiltWeight([0.25]), "summation"),
         (E2, E1, ExpTiltWeight([0.5]), "quadrature"),
-        (G0, Gaussian([1.0], [[2.0]]), ExpTiltWeight([0.3]), "quadrature"),
+        (*G_VAR, "quadrature"),
     ])
     def test_generic_pass_matches_closed_form(self, p, q, w, mode):
         closed = AffinityCurve(p, q, w)

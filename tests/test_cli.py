@@ -633,6 +633,25 @@ class TestExtremeParameters:
         (["curve", "--model-p", '{"family": "categorical", "probs": [1, 0]}',
           "--model-q", '{"family": "categorical", "probs": [0, 1]}'], 3,
          "error: affinity evaluated to a non-positive value\n"),
+        # a null tilt of the wrong length: simulate's statistic failed in a numpy matmul
+        (["simulate", "--model-p", CAUCHY_P,
+          "--model-q", '{"family": "cauchy", "location": 1, "scale": 1}',
+          "--weight", '{"kind": "exp_tilt", "gamma": [0, 0]}', "--n", "3",
+          "--replicates", "1000"], 2, "error: exp_tilt gamma must be scalar for cauchy models\n"),
+        # subnormal parameters: the weighted KL read Infinity and NaN with exit 0, and
+        # whitening by the 2-D p would read D = -Infinity
+        (["divergence", "--model-p", '{"family": "exponential", "rate": 1e-310}',
+          "--model-q", '{"family": "exponential", "rate": 1e-300}'], 2,
+         "error: exponential rate must be at least 2.2250738585072014e-308\n"),
+        (["divergence", "--model-p", '{"family": "gaussian", "mean": [0], "cov": [[1e-310]]}',
+          "--model-q", '{"family": "gaussian", "mean": [0], "cov": [[1]]}'], 2,
+         "error: gaussian covariance has a squared Cholesky pivot below"
+         " 2.2250738585072014e-308\n"),
+        (["chernoff", "--model-p",
+          '{"family": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1e-310]]}',
+          "--model-q", '{"family": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}'], 2,
+         "error: gaussian covariance has a squared Cholesky pivot below"
+         " 2.2250738585072014e-308\n"),
     ])
     def test_typed_error(self, runner, args, status, message):
         result = runner.invoke(main, args)

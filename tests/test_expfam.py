@@ -256,6 +256,15 @@ class TestWeightedKL:
         oracle = marg[0][0] * marg[1][1] + marg[1][0] * marg[0][1]
         assert weighted_kl(p, q, ExpTiltWeight(g)) == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize("p,q,g,expected", [
+        (G0, Gaussian([1.0], [[2.0]]), [0.3], 0.1820858251071866342919085),
+        (Gaussian([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]]),
+         Gaussian([1.0, -1.0], [[2.0, -0.4], [-0.4, 1.0]]), [0.3, -0.2], 1.548007530879907904),
+    ], ids=["unequal_variance", "correlated_2d"])
+    def test_tilted_gaussian_vs_high_precision_value(self, p, q, g, expected):
+        # E_phi(p) F'(1) of the tilted Gaussian integral in 40-digit arithmetic (mpmath 1.3.0)
+        assert weighted_kl(p, q, ExpTiltWeight(g)) == pytest.approx(expected, rel=1e-13)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.7, -1.2])
     def test_gaussian_against_cauchy_vs_quadrature_oracle(self, gamma):
         # the direct-integral branch: no closed form, and under a tilt the
@@ -421,6 +430,19 @@ class TestVerifyIdentities:
         for name, entry in report["identities"].items():
             if entry["applicable"]:
                 assert entry["residual"] < 1e-8, name
+
+    @pytest.mark.parametrize("rate_p, rate_q, gamma", [
+        # the KL is 1.45e16 and the Bregman gap of (vi) 6.71e268: absolute
+        # residuals read 2.0 and 1.47e253, about 1e-16 of each
+        (1.725e8, 6.55e24, -1.066e8),
+        (1.9207515969529325e126, 2.4982874599203663e-143, -3.6610888312308955e-144),
+    ])
+    def test_residuals_are_relative_at_large_magnitudes(self, rate_p, rate_q, gamma):
+        report = verify_identities(Exponential(rate_p), Exponential(rate_q),
+                                   ExpTiltWeight([gamma]))
+        assert report["identities"]["kl_as_bregman"]["residual"] <= 1e-15
+        assert report["identities"]["primal_dual"]["residual"] <= 1e-15
+        assert report["max_applicable_residual"] <= 1e-10
 
     def test_boundary_case_marks_not_applicable(self):
         report = verify_identities(P2, P1, ExpTiltWeight([math.log(2.0)]))

@@ -148,6 +148,17 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             TableWeight([0.0, 0.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: Exponential(1e-310),
+        lambda: Gaussian([0.0], [[1e-310]]),
+        # the second Cholesky pivot is subnormal, the first is not
+        lambda: Gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, 1e-310]]),
+    ], ids=["exponential_rate", "gaussian_variance", "gaussian_second_pivot"])
+    def test_subnormal_parameters_rejected(self, build):
+        # 1/rate and the inverse variance overflow a double: the answers read inf or nan
+        with pytest.raises(PreconditionError, match="2.2250738585072014e-308"):
+            build()
+
     @pytest.mark.parametrize("build, message", [
         (lambda: Poisson(math.inf), "poisson rate must be finite"),
         (lambda: Poisson(math.nan), "poisson rate must be strictly positive"),
@@ -260,6 +271,12 @@ class TestValidateCombination:
     def test_cauchy_tilt_diagnostic(self):
         diags = validate_combination(Cauchy(0.0, 1.0), ExpTiltWeight([0.1]))
         assert len(diags) == 1 and "Cauchy" in diags[0]
+
+    @pytest.mark.parametrize("model", [Cauchy(0.0, 1.0), Exponential(1.0), Poisson(1.0)])
+    def test_tilt_dimension_for_every_model(self, model):
+        # a null tilt of the wrong length used to pass the Cauchy rule
+        diags = validate_combination(model, ExpTiltWeight([0.0, 0.0]))
+        assert diags and "must be scalar" in diags[0]
 
     def test_exponential_gamma_bound(self):
         diags = validate_combination(Exponential(1.0), ExpTiltWeight([1.5]))
