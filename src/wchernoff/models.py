@@ -288,11 +288,12 @@ class Cauchy:
         if not (float(self.scale) > 0.0):
             raise PreconditionError("cauchy scale must be strictly positive")
         object.__setattr__(self, "scale", _finite(float(self.scale), "cauchy scale"))
-        object.__setattr__(self, "_log_norm", -math.log(math.pi * self.scale))
+        object.__setattr__(self, "_log_norm", math.log(self.scale) - math.log(math.pi))
 
     def logpdf(self, x):
-        """Unchecked ln density at float or array points."""
-        return self._log_norm - np.log1p(np.square((x - self.location) / self.scale))
+        """Unchecked ln density at float or array points: ln s/(pi (s^2 + (x - l)^2)), with
+        s^2 + (x - l)^2 taken as hypot(s, x - l)^2, which no square overflows."""
+        return self._log_norm - 2.0 * np.log(np.hypot(self.scale, x - self.location))
 
     def log_density(self, x):
         return float(self.logpdf(float(x)))
@@ -520,7 +521,8 @@ class ExpFamily1D:
     dual, functions of y = F'(theta).  Every weighted member reads F at
     theta + gamma: the tilted log-normaliser is Fhat(theta) = F(theta +
     gamma), ln E_phi = Fhat - F, and the weighted `domain` is where both
-    theta and theta + gamma are natural.  S = x_1 + ... + x_n has log-normaliser
+    theta and theta + gamma are natural.  `model_at(theta)` is the family's
+    model of natural parameter theta.  S = x_1 + ... + x_n has log-normaliser
     n F: `draw_sum(model, n, rng, count)` draws it; where it lives on a lattice,
     `lattice(mean)` is S = 0..K, past which no law of mean <= `mean` keeps 1e-16
     of its mass, and `sum_logpmf(model, n, s)` is ln P(S = s); else both are None.
@@ -535,6 +537,7 @@ class ExpFamily1D:
     Fstar: callable = field(repr=False)
     dFstar: callable = field(repr=False)
     theta_of_model: callable = field(repr=False)
+    model_at: callable = field(repr=False)
     draw_sum: callable = field(repr=False)
     lattice: callable = field(default=None, repr=False)
     sum_logpmf: callable = field(default=None, repr=False)
@@ -608,6 +611,9 @@ def poisson_family(gamma=0.0):
         Fstar=lambda y: y * math.log(y) - y,
         dFstar=math.log,
         theta_of_model=lambda m: math.log(m.lam),
+        # a mean e^theta below the least normal double is raised to it: either draws S = 0
+        # but with a chance of about n e^-708
+        model_at=lambda t: Poisson(max(_poisson_mean(t), sys.float_info.min)),
         draw_sum=_draw_poisson_sum,
         lattice=lambda mean: np.arange(poisson_truncation(mean) + 1.0),
         sum_logpmf=lambda m, n, s: s * math.log(n * m.lam) - n * m.lam - log_factorial(s),
@@ -631,6 +637,7 @@ def exponential_family(gamma=0.0):
         Fstar=lambda y: -1.0 - math.log(y),
         dFstar=lambda y: -1.0 / y,
         theta_of_model=lambda m: -m.rate,
+        model_at=lambda t: Exponential(-t),
         draw_sum=lambda m, n, rng, count: rng.gamma(n, 1.0 / m.rate, count),
     )
 
@@ -651,6 +658,7 @@ def gaussian_mean_family(sigma2, gamma=0.0):
         Fstar=lambda y: y * y / (2.0 * s2),
         dFstar=lambda y: y / s2,
         theta_of_model=lambda m: float(m.mean[0]) / s2,
+        model_at=lambda t: Gaussian([s2 * t], [[s2]]),
         draw_sum=lambda m, n, rng, k: rng.normal(n * m.mean[0], math.sqrt(n * m.cov[0, 0]), k),
     )
 

@@ -11,16 +11,29 @@ of the n-sample that carries phi and every likelihood: S = sum x_i for
 Poisson, Exponential and shared-variance Gaussian models under a constant
 or exponential-tilt weight, the symbol counts for categorical models, and
 the sample itself otherwise.  Exact sums run over the states of T
-(S = 0..K for Poisson, every count vector for categorical models); Monte
-Carlo draws T from its law under each hypothesis (Poi(n lam), Gamma(n,
-1/rate), N(n mu, n sigma^2), or Multinomial(n, probs)).  Where T is
+(S = 0..K for Poisson, every count vector for categorical models).
+
+Monte Carlo on two models draws T once, under the member of the Chernoff
+arc at alpha* from `chernoff`, g = phi^n p^a q^(1-a) / rho(a)^n at a =
+alpha*, where T has a family law: S under the member theta_a + gamma of
+its family (Poi, Gamma or N of that member, summed over n), the counts
+under Multinomial(n, pi), pi proportional to phi p^a q^(1-a).  With d =
+ln p^n - ln q^n, a draw scores exp(min(ln w_1 + (1-a) d, ln w_2 - a d))
+<= 1 and ln L = -n D + ln(mean score): the Chernoff bound e^(-n D) is the
+prefactor, and Monte Carlo estimates only the factor it leaves
+(Siegmund, Ann. Statist. 4(4), 1976; Sadowsky & Bucklew, IEEE Trans. IT
+36(3), 1990).  Direct Monte Carlo, which draws T under each hypothesis
+and scores phi 1{error}, remains where no member can be drawn: the sample
+itself, three or more models, and the tail frequency.  Where T is
 discrete (S of a Poisson pair, the counts) and has no more states than a
 chunk of replicates, the chunk is drawn as one histogram over the states
 of T instead, c ~ Multinomial(replicates, law of T).  Each discrete T
-writes its law once, and its exact sums read that same law.  The tilted
-log-likelihood section implements the cumulants psi_P/psi_Q, their
-Legendre transforms, and the Bennett-type martingale tail bound, all for
-the shifted statistic
+writes its law once, and its exact sums and histograms read that same
+law.
+
+The tilted log-likelihood section implements the cumulants psi_P/psi_Q,
+their Legendre transforms, and the Bennett-type martingale tail bound,
+all for the shifted statistic
 
     L* = sum ln(q/p) + n (ln E_phi(p) - ln E_phi(q)).
 
@@ -223,14 +236,14 @@ class _SampleStatistic:
     """T = the n-sample itself, for pairs without a smaller statistic."""
 
     support_size = math.inf
-    law = None
+    states = member = None
 
     def __init__(self, models, weight, n):
         _numeric.check_scalar(*models)
         self.models, self.weight, self.n = models, weight, n
 
-    def draw(self, i, rng, count):
-        x = self.models[i].sample(rng, count * self.n)
+    def draw(self, model, rng, count):
+        x = model.sample(rng, count * self.n)
         return np.asarray(x, dtype=float).reshape(count, self.n)
 
     def log_weight(self, t):
@@ -254,8 +267,14 @@ class _SumStatistic:
         if family.lattice is not None:  # the largest mean of S, n F'(theta_i) or its tilt's
             self.top_mean = n * max(family.dF(t + max(family.gamma, 0.0)) for t in self.thetas)
 
-    def draw(self, i, rng, count):
-        return self.family.draw_sum(self.models[i], self.n, rng, count)
+    def member(self, alpha):
+        """The model whose S has the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n:
+        the member theta_alpha + gamma, theta_alpha = alpha theta_p + (1 - alpha) theta_q."""
+        t_p, t_q = self.thetas
+        return self.family.model_at(alpha * t_p + (1.0 - alpha) * t_q + self.family.gamma)
+
+    def draw(self, model, rng, count):
+        return self.family.draw_sum(model, self.n, rng, count)
 
     def log_weight(self, t):
         return self.family.gamma * t
@@ -269,19 +288,20 @@ class _SumStatistic:
         """K + 1 states S = 0..K, or inf for a continuous S or a mean past what a chunk holds."""
         if self.family.lattice is None or self.top_mean > MC_CHUNK:
             return math.inf
-        return self.law[0].size
+        return self.states.size
 
     @functools.cached_property
-    def law(self):
-        """S = 0..K and ln P_i(S) for each model i, None for a continuous S; K is cut for
-        the largest mean, of P_i or of phi^n P_i (member theta_i + gamma's law)."""
-        if self.family.lattice is None:
-            return None
-        s = self.family.lattice(self.top_mean)
-        return s, [self.family.sum_logpmf(m, self.n, s) for m in self.models]
+    def states(self):
+        """S = 0..K, cut for the largest mean, of P_i or of phi^n P_i (member theta_i +
+        gamma's law), past every arc member's; None for a continuous S."""
+        return None if self.family.lattice is None else self.family.lattice(self.top_mean)
+
+    def log_law(self, model):
+        """ln P(S = s) under `model` at each of the states."""
+        return self.family.sum_logpmf(model, self.n, self.states)
 
     def check_second_moments(self):
-        """Raise where a Monte Carlo score phi 1{error} has infinite variance.
+        """Raise where a direct Monte Carlo score phi 1{error} has infinite variance.
 
         Under model i, E e^(2 gamma S) = exp n(F(theta_i + 2 gamma) - F(theta_i))
         is finite where theta_i + gamma lies in the weighted domain (whose
@@ -300,13 +320,21 @@ class _CountStatistic:
     """T = the symbol counts of an n-sample, ~ Multinomial(n, probs)."""
 
     def __init__(self, models, weight, n):
-        symbols = np.arange(models[0].size)
+        self.symbols = np.arange(models[0].size)
         self.models, self.n = models, n
-        self.log_phi = weight.log_value(symbols)
-        self.log_probs = [_numeric.logpdf_vec(m, symbols) for m in models]
+        self.log_phi = weight.log_value(self.symbols)
+        self.log_probs = [_numeric.logpdf_vec(m, self.symbols) for m in models]
 
-    def draw(self, i, rng, count):
-        return rng.multinomial(self.n, self.models[i].probs, size=count).astype(float)
+    def member(self, alpha):
+        """Categorical(pi), pi proportional to phi p^alpha q^(1-alpha): its counts have
+        the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n."""
+        log_pi = _numeric.log_bump(self.log_phi, alpha, self.log_probs[0],
+                                   1.0 - alpha, self.log_probs[1])
+        pi = np.exp(log_pi - log_sum_exp(log_pi))
+        return Categorical(pi / pi.sum())
+
+    def draw(self, model, rng, count):
+        return rng.multinomial(self.n, model.probs, size=count).astype(float)
 
     def log_weight(self, t):
         return _counts_dot(t, self.log_phi)
@@ -322,23 +350,34 @@ class _CountStatistic:
         return rows if rows * k <= STATE_BUDGET else math.inf
 
     @functools.cached_property
-    def law(self):
-        """Every count vector, as floats, and its ln Multinomial(n, probs_i) mass per model."""
+    def _counts(self):
+        """Every count vector, as floats, and ln of its multinomial coefficient."""
         counts = _count_matrix(self.n, self.log_phi.size)
         ln_fact = log_factorial(np.arange(self.n + 1.0))
         log_mult = ln_fact[-1] - ln_fact[counts].sum(axis=1)
-        counts = counts.astype(float)
-        return counts, [log_mult + self.log_lik(i, counts) for i in range(len(self.models))]
+        return counts.astype(float), log_mult
+
+    @property
+    def states(self):
+        return self._counts[0]
+
+    def log_law(self, model):
+        """ln Multinomial(n, probs) under `model` at each count vector."""
+        states, log_mult = self._counts
+        return log_mult + _counts_dot(states, model.logpdf(self.symbols))
 
 
 def _statistic(models, weight, n):
     """The smallest built-in statistic of an n-sample that carries every loss.
 
-    Each statistic T offers draw(i, rng, count) under models[i],
-    log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n up to a term shared
-    by all models, support_size (the number of states, inf for a continuous
-    T or one past what a chunk or the state budget holds) and law =
-    (states, [ln P_i(T = state)]), None where T is continuous.  The models
+    Each statistic T offers draw(model, rng, count), T drawn under `model`,
+    log_weight(t) = ln phi^n, log_lik(i, t) = ln p_i^n of models[i] up to a
+    term shared by all models, support_size (the number of states, inf for a
+    continuous T or one past what a chunk or the state budget holds), states
+    (None where T is continuous) and log_law(model) = ln P(T = state) over
+    them, and member(alpha), the model under which T has the law phi^n
+    p^alpha q^(1-alpha) / rho(alpha)^n of a pair (None for the sample, whose
+    arc member no built-in model draws).  The models
     and weight have passed `check_models`, so every pair either embeds in
     one family or has no such reading.
     """
@@ -364,13 +403,12 @@ def _state_logs(models, weight, n):
     sum of phi^n f(p_1^n, ..., p_M^n) is the sum over states of f of these.
     """
     stat = _statistic(models, weight, n)
-    if stat.law is None:
+    if stat.states is None:
         raise UnsupportedCombinationError(
             "exact sums need categorical models, or Poisson models under a constant"
             " or exponential-tilt weight; use Monte Carlo")
-    states, logs = stat.law
-    log_phi = stat.log_weight(states)
-    return [log_phi + log for log in logs]
+    log_phi = stat.log_weight(stat.states)
+    return [log_phi + stat.log_law(m) for m in models]
 
 
 def optimal_loss_exact(problem):
@@ -394,8 +432,11 @@ def mary_optimal_loss(problem, n, method=EXACT_ENUMERATION, replicates=None, see
     return _loss(problem.models, problem.weight, n, problem.priors, method, replicates, seed)
 
 
-def _loss(models, weight, n, priors, method, replicates=None, seed=0):
-    """L_{n,M}* of the module docstring, exactly or by Monte Carlo."""
+def _loss(models, weight, n, priors, method, replicates=None, seed=0, ref=None):
+    """L_{n,M}* of the module docstring, exactly or by Monte Carlo.
+
+    `ref` is `chernoff` of a pair, read by the arc estimator; None computes it.
+    """
     n = _sample_size(n)
     w = priors if priors is not None else (1.0,) * len(models)
     log_w = [math.log(wi) for wi in w]
@@ -414,16 +455,60 @@ def _loss(models, weight, n, priors, method, replicates=None, seed=0):
     if replicates is None or replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
     stat = _statistic(models, weight, n)
+    if len(models) == 2 and stat.member is not None:
+        return _arc_loss(stat, log_w, replicates, seed,
+                         ref if ref is not None else chernoff(*models, weight))
     if isinstance(stat, _SumStatistic):
         stat.check_second_moments()
     total, var = 0.0, 0.0
-    for i in range(len(models)):
-        mean_i, var_i = _mc_mean(stat, i, replicates, seed, i,
-                                 lambda t, i=i: _decision_errors(stat, log_w, i, t))
+    for i, model in enumerate(models):
+        error_fn = functools.partial(_decision_errors, stat, log_w, i)
+        mean_i, var_i = _mc_mean(stat, model, replicates, seed, i,
+                                 functools.partial(_scores, stat, error_fn))
         total += w[i] * mean_i
         var += (w[i] ** 2) * var_i / replicates
     exponent = math.inf if total <= 0.0 else -math.log(total) / n
     return LossEstimate(total, math.sqrt(var), MONTE_CARLO, replicates, exponent)
+
+
+def _arc_loss(stat, log_w, replicates, seed, ref):
+    """A pair's loss from draws of T under the member of the Chernoff arc at alpha*.
+
+    With g = phi^n p^a q^(1-a) / rho(a)^n, a = alpha* and rho(a)^n = e^(-n D),
+    L = E_g[phi^n min(w_1 p^n, w_2 q^n) / g] = e^(-n D) E_g[score], where
+    score = exp(min(ln w_1 + (1 - a) d, ln w_2 - a d)) for d = ln p^n - ln q^n.
+    One of the two exponents is <= 0 whatever d is, so the score is at most
+    max(w_1, w_2) <= 1: Monte Carlo estimates only the factor that e^(-n D)
+    leaves, with a bounded variance, and ln L = -n D + ln(mean) stays exact
+    where L leaves the range of a double.  A state where p or q has no mass
+    scores 0.  Where every drawn score underflows (d spread over far more
+    than 745 around 0), the same stream is scored again, scaled by e^-top
+    for the largest log-score top, so that ln L stays finite.
+    """
+    a, n, member = ref.alpha_star, stat.n, stat.member(ref.alpha_star)
+    shift, top = 0.0, -math.inf
+
+    def score(t):
+        nonlocal top
+        with np.errstate(invalid="ignore"):  # -inf - -inf on a state off both supports
+            d = stat.log_lik(0, t) - stat.log_lik(1, t)
+        live = np.isfinite(d)
+        d = np.where(live, d, 0.0)
+        log_score = np.where(live, np.minimum(log_w[0] + (1.0 - a) * d, log_w[1] - a * d),
+                             -np.inf)
+        top = max(top, float(log_score.max()))
+        return np.exp(log_score - shift)
+
+    mean, var = _mc_mean(stat, member, replicates, seed, 0, score)
+    if mean == 0.0 and top > -math.inf:
+        shift = top
+        mean, var = _mc_mean(stat, member, replicates, seed, 0, score)
+    if mean == 0.0:
+        return LossEstimate(0.0, 0.0, MONTE_CARLO, replicates, math.inf)
+    log_value = math.log(mean) + shift - n * ref.d_c_w
+    value = exp_or_raise(log_value, "monte carlo loss")
+    std_error = value * math.sqrt(var / replicates) / mean
+    return LossEstimate(value, std_error, MONTE_CARLO, replicates, -log_value / n)
 
 
 def _decision_errors(stat, log_w, i, t):
@@ -458,14 +543,14 @@ def _scores(stat, error_fn, t):
         return np.exp(stat.log_weight(t), out=np.zeros(hit.size), where=hit)
 
 
-def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
-    """Mean and variance of phi(x_1..n) 1{error_fn(T)} over draws of T under model i.
+def _mc_mean(stat, model, replicates, seed, stream_id, score_fn):
+    """Mean and variance of score_fn(T) over draws of T under `model`.
 
     Chunked with a fixed chunk size so results are deterministic in
     (seed, stream_id) regardless of the replicate total.  A chunk of a
     discrete T with no more states than the chunk has replicates is drawn
     as a histogram over the states, c ~ Multinomial(count, law of T under
-    model i), and adds sum c score and sum c score^2: the same law as the
+    `model`), and adds sum c score and sum c score^2: the same law as the
     sums over `count` rows, with the score evaluated once per state.  Every
     other chunk draws `count` rows of T.
     """
@@ -474,16 +559,16 @@ def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
         count = min(MC_CHUNK, replicates - done)
         rng = rng_stream(seed, stream_id, chunk_idx)
         if stat.support_size <= count:
-            if hist is None:  # the law under model i and every state's score, once
-                states, log_laws = stat.law
-                probs = np.exp(log_laws[i] - log_sum_exp(log_laws[i]))
-                hist = probs / probs.sum(), _scores(stat, error_fn, states)
+            if hist is None:  # the law under the model and every state's score, once
+                log_law = stat.log_law(model)
+                probs = np.exp(log_law - log_sum_exp(log_law))
+                hist = probs / probs.sum(), score_fn(stat.states)
             probs, scores = hist
             c = rng.multinomial(count, probs)
             drawn = c > 0
             score, copies = scores[drawn], c[drawn]
         else:
-            score, copies = _scores(stat, error_fn, stat.draw(i, rng, count)), 1
+            score, copies = score_fn(stat.draw(model, rng, count)), 1
         with np.errstate(over="ignore"):  # the sum of squares is the largest, and is checked
             weighted = copies * score
             total += float(weighted.sum())
@@ -499,11 +584,13 @@ def _mc_mean(stat, i, replicates, seed, stream_id, error_fn):
 
 
 def optimal_loss_mc(problem, replicates, seed=0):
-    """Monte Carlo estimate of the optimal total loss.
+    """Monte Carlo estimate of the optimal total loss L_n* = integral phi min{p, q}.
 
-    Decision rule: declare H1 when q(x_1..n) >= p(x_1..n).  The loss is
-    E_P[phi 1{decide H1}] + E_Q[phi 1{decide H0}], each term estimated by
-    drawing the statistic of the n-sample under its own hypothesis.
+    Where the statistic has an arc member (the sum of a family pair, the
+    counts of a categorical pair), T is drawn under the member at alpha*
+    (`_arc_loss`).  For the sample itself, the loss is E_P[phi 1{decide H1}]
+    + E_Q[phi 1{decide H0}] under the rule "H1 when q(x_1..n) >= p(x_1..n)",
+    each term estimated by drawing the sample under its own hypothesis.
     """
     return _loss((problem.model_p, problem.model_q), problem.weight, problem.n, None,
                  MONTE_CARLO, replicates, seed)
@@ -511,20 +598,21 @@ def optimal_loss_mc(problem, replicates, seed=0):
 
 def simulate(problem, replicates, seed=0):
     """SimReport: Monte Carlo loss plus the closed/solver Chernoff reference."""
-    est = optimal_loss_mc(problem, replicates, seed)
     ref = chernoff(problem.model_p, problem.model_q, problem.weight)
+    est = _loss((problem.model_p, problem.model_q), problem.weight, problem.n, None,
+                MONTE_CARLO, replicates, seed, ref)
     return SimReport(est.value, est.std_error, est.exponent_estimate,
                      ref.d_c_w, problem.n, replicates, seed, est.method)
 
 
 def convergence_rows(model_p, model_q, weight, ns, replicates, seed=0):
     """(n, exponent_estimate, d_c_w) triples for convergence tables."""
-    ref = chernoff(model_p, model_q, weight).d_c_w
+    ref = chernoff(model_p, model_q, weight)
     rows = []
     for n in ns:
-        est = optimal_loss_mc(BinaryTestProblem(model_p, model_q, weight, n),
-                              replicates, seed)
-        rows.append((int(n), est.exponent_estimate, ref))
+        n = BinaryTestProblem(model_p, model_q, weight, n).n
+        est = _loss((model_p, model_q), weight, n, None, MONTE_CARLO, replicates, seed, ref)
+        rows.append((n, est.exponent_estimate, ref.d_c_w))
     return rows
 
 
@@ -705,5 +793,6 @@ def tail_frequency(problem, beta, n, replicates, seed=0):
             lstar = stat.log_lik(1, t) - stat.log_lik(0, t) + n * shift
         return lstar >= float(beta) * n
 
-    freq, _ = _mc_mean(stat, 1, replicates, seed, 2, exceeds)
+    freq, _ = _mc_mean(stat, problem.model_q, replicates, seed, 2,
+                       functools.partial(_scores, stat, exceeds))
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)

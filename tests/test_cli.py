@@ -599,6 +599,17 @@ class TestExtremeParameters:
         assert res["cauchy_rho_half"] == pytest.approx(rho_half, rel=1e-15, abs=0.0)
         assert res["cauchy_d_c"] == pytest.approx(-math.log(rho_half), rel=1e-15)
 
+    def test_loss_past_the_range_of_a_double_keeps_its_exponent(self, runner):
+        # ln L = -n D + ln(mean score) is finite although L = e^(-1.8e19) is 0 in a double;
+        # d = ln p^n/q^n spreads over 4e10 here, so no draw scores above e^-745 and the
+        # stream is scored again relative to its largest score
+        rep = run_json(runner, ["simulate", "--model-p", '{"family": "poisson", "lambda": 1e18}',
+                                "--model-q", POISSON_Q, "--n", "20", "--replicates", "1000"])
+        res = rep["results"]
+        assert (res["loss"], res["std_error"]) == (0.0, 0.0)
+        assert res["exponent_estimate"] == 8.8601207357189606e+17
+        assert res["exponent_estimate"] > res["d_c_w_reference"]
+
     def test_identities_on_rates_past_the_square_of_a_double(self, runner):
         # F''(theta) = 1/theta^2 underflows to 0 at theta = -1e162, so no identity may
         # divide by it; the closed-form identities hold to rounding
@@ -619,10 +630,11 @@ class TestExtremeParameters:
         (["divergence", "--model-p", '{"family": "cauchy", "location": 0, "scale": 1e-300}',
           "--model-q", '{"family": "cauchy", "location": 1e300, "scale": 1e-300}'], 3,
          "error: cauchy rho_1/2 underflows a double\n"),
-        # numpy draws no Poisson mean past about 9.2e18
-        (["simulate", "--model-p", '{"family": "poisson", "lambda": 1e18}',
+        # numpy draws no Poisson mean past about 9.2e18: the arc member at alpha* has
+        # lambda = (1e20 - 1) / ln(1e20), and S its sum over n = 20
+        (["simulate", "--model-p", '{"family": "poisson", "lambda": 1e20}',
           "--model-q", POISSON_Q, "--n", "20", "--replicates", "1000"], 3,
-         "error: cannot draw S ~ Poi(2e+19): lam value too large\n"),
+         "error: cannot draw S ~ Poi(4.34294e+19): lam value too large\n"),
         (["tailbound", "--model-p", BERN_P, "--model-q", BERN_Q, "--beta", "0.23", "--n", "0"],
          2, "error: sample size n must be an integer >= 1, not 0\n"),
         # 2-D Gaussians have no scalar statistic and no vectorised log-density to draw
@@ -652,6 +664,12 @@ class TestExtremeParameters:
           "--model-q", '{"family": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}'], 2,
          "error: gaussian covariance has a squared Cholesky pivot below"
          " 2.2250738585072014e-308\n"),
+        # the Chernoff reference of two Cauchy laws 1e150 scales apart is out of the
+        # quadrature's reach (a numpy overflow warning in Cauchy.logpdf came first)
+        (["simulate", "--model-p", '{"family": "cauchy", "location": 1, "scale": 1}',
+          "--model-q", '{"family": "cauchy", "location": 1, "scale": 1e150}', "--n", "10",
+          "--replicates", "1000"], 3,
+         "error: quadrature did not converge: more than 200 intervals on one piece\n"),
     ])
     def test_typed_error(self, runner, args, status, message):
         result = runner.invoke(main, args)

@@ -1,6 +1,7 @@
 """Exponential-family structure, weighted Bregman geometry, identity suite."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,23 @@ class TestExpFamily1D:
         dev = (s - s.mean()) ** 2
         assert abs(s.mean() - mean) <= 4.0 * math.sqrt(var / count)
         assert abs(dev.mean() - var) <= 4.0 * dev.std() / math.sqrt(count)
+
+    @pytest.mark.parametrize("fam, model", [
+        (poisson_family(0.3), Poisson(2.0)),
+        (exponential_family(-0.4), Exponential(2.0)),
+        (gaussian_mean_family(1.5, 0.25), Gaussian([0.6], [[1.5]])),
+    ], ids=["poisson", "exponential", "gaussian_mean"])
+    def test_model_at_inverts_theta_of_model(self, fam, model):
+        theta = fam.theta_of_model(model)
+        assert fam.model_at(theta) == model
+        assert fam.theta_of_model(fam.model_at(theta - 0.5)) == pytest.approx(theta - 0.5,
+                                                                              rel=1e-15)
+
+    def test_poisson_model_at_an_underflowing_mean(self):
+        # e^-800 is 0 in a double: the member keeps the least positive rate, and draws S = 0
+        member = poisson_family().model_at(-800.0)
+        assert member.lam == sys.float_info.min
+        assert not member.sample(np.random.default_rng(0), 1000).any()
 
     def test_lattice_holds_the_law_of_s(self):
         # the Poisson S = 0..K of a mean carries all but 1e-16 of the law; the

@@ -83,6 +83,17 @@ class TestLogDensity:
     def test_poisson_mass_at_zero(self):
         assert log_density(Poisson(2.0), 0) == pytest.approx(-2.0, abs=1e-12)
 
+    def test_cauchy_far_from_its_location(self):
+        # ((x - l) / s)^2 overflowed past 1.3e154 scales; ln s / (pi (s^2 + (x - l)^2)) does not
+        cau = Cauchy(1.0, 1.0)
+        x = np.array([1e155, -1e200, 1e300])
+        np.testing.assert_allclose(cau.logpdf(x), -math.log(math.pi) - 2.0 * np.log(np.abs(x)),
+                                   rtol=1e-15)
+        wide = Cauchy(1.0, 1e150)
+        assert wide.logpdf(1.0) == pytest.approx(-math.log(math.pi * 1e150), rel=1e-15)
+        assert wide.logpdf(1e300) == pytest.approx(
+            math.log(1e150 / math.pi) - 2.0 * math.log(1e300), rel=1e-15)
+
     def test_cauchy_central_value(self):
         assert log_density(Cauchy(0.0, 1.0), 0.0) == pytest.approx(math.log(1.0 / math.pi), abs=1e-12)
 

@@ -187,6 +187,15 @@ class TestMonteCarloOnTheStatistic:
         e_phi = (2.0 / 1.5) ** 5
         assert est.value == pytest.approx(e_phi, abs=4.0 * est.std_error + 1e-12)
 
+    def test_arc_member_with_a_mean_below_the_least_double(self):
+        # phi = e^(-800 S) leaves S = 0 alone: L = e^(-n max lam), which direct draws missed
+        # (0 +- 0); the member's mean e^(theta + gamma) underflows, and it draws S = 0
+        prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ExpTiltWeight([-800.0]), 10)
+        est = optimal_loss_mc(prob, 2000, seed=0)
+        assert est.std_error == 0.0
+        assert est.value == pytest.approx(math.exp(-20.0), rel=1e-12)
+        assert est.value == pytest.approx(optimal_loss_exact(prob).value, rel=1e-12)
+
     def test_unequal_variances_keep_the_sample(self):
         prob = BinaryTestProblem(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), CONST, 3)
         assert isinstance(testing._statistic((prob.model_p, prob.model_q), CONST, 3),
@@ -223,13 +232,21 @@ class TestOneEngine:
 
 
 class TestInfiniteVarianceGuard:
-    """Monte Carlo refuses a score e^(gamma S) 1{error} with no second moment."""
+    """Direct Monte Carlo refuses a score e^(gamma S) 1{error} with no second moment;
+    the arc estimator of a pair has a score of at most 1, and answers."""
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5])
-    def test_binary_raises(self, gamma):
-        prob = BinaryTestProblem(Exponential(2.0), Exponential(1.0), ExpTiltWeight([gamma]), 5)
-        with pytest.raises(ConvergenceError, match="infinite variance"):
-            optimal_loss_mc(prob, 20_000, seed=1)
+    def test_binary_is_answered(self, gamma):
+        # 2 gamma reaches the rate of P = Exponential(2): direct draws under P had no variance
+        rp, rq, n = 2.0, 1.0, 5
+        oracle = _loss_over_law_of_s(
+            lambda s: stats.gamma.logpdf(s, n, scale=1.0 / rp),
+            lambda s: stats.gamma.logpdf(s, n, scale=1.0 / rq),
+            gamma, 0.0, n * math.log(rp / rq) / (rp - rq))
+        prob = BinaryTestProblem(Exponential(rp), Exponential(rq), ExpTiltWeight([gamma]), n)
+        est = optimal_loss_mc(prob, 20_000, seed=1)
+        assert est.std_error > 0.0
+        assert abs(est.value - oracle) <= 4.0 * est.std_error
 
     def test_mary_raises(self):
         models = (Exponential(4.0), Exponential(3.0), Exponential(2.0))
@@ -267,8 +284,11 @@ class TestCategoricalCounts:
         exact = optimal_loss_exact(prob).value
         assert exact == pytest.approx(loss, rel=1e-12)
         assert weighted_tv(prob) == pytest.approx(tv, rel=1e-12)
+        # alpha* = 0: the arc member draws no symbol 2, and p^n / q^n = 2^n on what it draws,
+        # so every replicate scores the same and the estimate is the loss itself
         est = optimal_loss_mc(prob, 100_000, seed=2)
-        assert abs(est.value - exact) <= 4.0 * est.std_error
+        assert est.std_error == 0.0
+        assert est.value == pytest.approx(exact, rel=1e-12)
 
     def test_zero_weight_symbol(self):
         # a zero table entry removes the states that use the symbol, not all of them
@@ -278,8 +298,10 @@ class TestCategoricalCounts:
         loss, tv = _categorical_oracle(p, q, w, 3)
         assert optimal_loss_exact(prob).value == pytest.approx(loss, rel=1e-12)
         assert weighted_tv(prob) == pytest.approx(tv, rel=1e-12)
+        # alpha* = 1: q^n >= p^n on every state the arc member draws, so each scores 1
         est = optimal_loss_mc(prob, 100_000, seed=3)
-        assert abs(est.value - loss) <= 4.0 * est.std_error
+        assert est.std_error == 0.0
+        assert est.value == pytest.approx(loss, rel=1e-12)
 
     def test_tail_frequency_on_counts(self):
         # two symbols: L* is a function of the count of symbol 1, Binomial(n, q_1)
@@ -336,19 +358,29 @@ class TestCountMatrix:
 
 
 class TestFrozenOutputs:
-    """Reference outputs of the statistic layer, from the itertools-built count matrix and
-    fancy-indexed Monte Carlo scores: rows must match to the bit, exact sums to 1e-13."""
+    """Reference outputs of the statistic layer: Monte Carlo rows of the arc estimator
+    must match to the bit (and sit within 4 SE of a quadrature over the law of S), exact
+    sums of the itertools-built count matrix to 1e-13."""
 
     def test_monte_carlo_rows_to_the_bit(self):
         # a full row chunk and a short one of 7: T is continuous, so no histogram
-        reps = testing.MC_CHUNK + 7
+        reps, n = testing.MC_CHUNK + 7, 20
         exp = optimal_loss_mc(BinaryTestProblem(Exponential(2.0), Exponential(1.0),
-                                                ExpTiltWeight([0.5]), 20), reps, seed=5)
+                                                ExpTiltWeight([0.5]), n), reps, seed=5)
         gauss = optimal_loss_mc(BinaryTestProblem(Gaussian([0.0], [[1.0]]),
-                                                  Gaussian([1.0], [[1.0]]), TILT, 20),
+                                                  Gaussian([1.0], [[1.0]]), TILT, n),
                                 reps, seed=6)
-        assert (exp.value, exp.std_error) == (168.9354553636853, 3.1985023133834387)
-        assert (gauss.value, gauss.std_error) == (0.6436564315140775, 0.015901378558448892)
+        assert (exp.value, exp.std_error) == (167.20674678280713, 0.36201703342023883)
+        assert (gauss.value, gauss.std_error) == (0.628354102179181, 0.001581749031099668)
+        exp_oracle = _loss_over_law_of_s(
+            lambda s: stats.gamma.logpdf(s, n, scale=0.5),
+            lambda s: stats.gamma.logpdf(s, n, scale=1.0), 0.5, 0.0, n * math.log(2.0))
+        sd = math.sqrt(n)
+        gauss_oracle = _loss_over_law_of_s(
+            lambda s: stats.norm.logpdf(s, 0.0, sd), lambda s: stats.norm.logpdf(s, n, sd),
+            0.3, -math.inf, 0.5 * n)
+        assert abs(exp.value - exp_oracle) <= 4.0 * exp.std_error
+        assert abs(gauss.value - gauss_oracle) <= 4.0 * gauss.std_error
 
     def test_exact_categorical_sums(self):
         p, q = Categorical([0.1, 0.2, 0.3, 0.4]), Categorical([0.25] * 4)
@@ -400,7 +432,8 @@ class TestHistogramDraws:
     @pytest.mark.parametrize("n", [1, 10, 50, 200])
     def test_poisson_law(self, n):
         models = (Poisson(2.0), Poisson(1.0), Poisson(4.0))
-        s, logs = testing._statistic(models, TILT, n).law
+        stat = testing._statistic(models, TILT, n)
+        s, logs = stat.states, [stat.log_law(m) for m in models]
         # cut for the tilted mean 4 n e^0.3, where phi^n Poi(S; 4 n) puts its mass
         assert s[0] == 0 and s.size == poisson_truncation(4.0 * n * math.exp(0.3)) + 1
         for m, log_pi in zip(models, logs):
@@ -409,7 +442,8 @@ class TestHistogramDraws:
     @pytest.mark.parametrize("n", [1, 6, 30])
     def test_multinomial_law_with_a_zero_mass_symbol(self, n):
         models = (Categorical([0.5, 0.5, 0.0]), Categorical([0.25, 0.25, 0.5]))
-        counts, logs = testing._statistic(models, TableWeight([1.0, 2.0, 3.0]), n).law
+        stat = testing._statistic(models, TableWeight([1.0, 2.0, 3.0]), n)
+        counts, logs = stat.states, [stat.log_law(m) for m in models]
         assert counts.shape == (math.comb(n + 2, n), 3)
         for m, log_pi in zip(models, logs):
             ref = stats.multinomial.logpmf(counts, n, m.probs)
@@ -427,11 +461,16 @@ class TestHistogramDraws:
             assert testing._statistic(models, CONST, 10).support_size == math.inf
 
     def test_support_larger_than_the_chunk_draws_rows(self):
-        # 2.1e8 count vectors against 2000 replicates: the parent's row draws, to the bit
+        # 2.1e8 count vectors against 2000 replicates: rows of the arc member, to the bit
         p, q = Categorical([0.1] * 10), Categorical([0.08] * 5 + [0.12] * 5)
         assert testing._statistic((p, q), CONST, 30).support_size > 2000
         est = optimal_loss_mc(BinaryTestProblem(p, q, CONST, 30), 2000, seed=1)
-        assert (est.value, est.std_error) == (0.5814999999999999, 0.01436016625948321)
+        assert (est.value, est.std_error) == (0.5739797295220226, 0.00367050669003988)
+        # p^n / q^n depends only on the count K of the first five symbols, Binomial(30, 1/2)
+        # under P and Binomial(30, 2/5) under Q
+        k = np.arange(31)
+        oracle = float(np.minimum(stats.binom.pmf(k, 30, 0.5), stats.binom.pmf(k, 30, 0.4)).sum())
+        assert abs(est.value - oracle) <= 4.0 * est.std_error
 
     def test_poisson_mean_past_the_summation_limit_draws_rows(self):
         # n lam = 2e6 is past MAX_SUM_TERMS: no truncation is asked for
@@ -439,7 +478,12 @@ class TestHistogramDraws:
         stat = testing._statistic((prob.model_p, prob.model_q), CONST, prob.n)
         assert stat.support_size == math.inf
         est = optimal_loss_mc(prob, 2000, seed=1)
+        # L = e^(-86078) underflows, but ln L does not: the exponent sits about ln(n)/(2n)
+        # above D = 0.0860713 (the Bahadur-Rao gap of TestPoissonLargeN)
         assert (est.value, est.std_error) == (0.0, 0.0)
+        assert est.exponent_estimate == 0.08607780245662268
+        d_c = chernoff(Poisson(2.0), Poisson(1.0), CONST).d_c_w
+        assert 0.0 < est.exponent_estimate - d_c < 2e-5
 
     @pytest.mark.parametrize("prob", [
         BinaryTestProblem(Poisson(2.0), Poisson(1.0), TILT, 10),
@@ -456,26 +500,38 @@ class TestHistogramDraws:
         assert abs(a.value - exact) <= 4.0 * a.std_error
 
     def test_overflow_is_raised_only_where_drawn(self):
-        # equal models tie everywhere, so P errs on every state and scores e^(gamma S)
-        def loss(gamma, n):
-            prob = BinaryTestProblem(Poisson(2.0), Poisson(2.0), ExpTiltWeight([gamma]), n)
-            return optimal_loss_mc(prob, 2000, seed=0)
+        # equal models tie everywhere, so direct draws err on every state and score e^(gamma S)
+        def loss(gamma, n, models=(Poisson(2.0), Poisson(2.0))):
+            return mary_optimal_loss(MAryProblem(models, ExpTiltWeight([gamma])), n,
+                                     "monte_carlo", 2000, 0)
 
-        # e^(7 S) overflows from S = 102 on, which Poi(20) never reaches
-        assert math.isfinite(loss(7.0, 10).value)
+        # three models draw directly: e^(7 S) overflows from S = 102 on, which Poi(20) never
+        # reaches
+        assert math.isfinite(loss(7.0, 10, (Poisson(2.0),) * 3).value)
         with pytest.raises(ConvergenceError, match="overflows on a sampled replicate"):
-            loss(10.0, 50)  # histogram: S ~ Poi(100)
+            loss(10.0, 50, (Poisson(2.0),) * 3)  # histogram: S ~ Poi(100)
         with pytest.raises(ConvergenceError, match="overflows on a sampled replicate"):
-            loss(0.01, 10 ** 6)  # rows: S ~ Poi(2e6)
+            loss(0.01, 10 ** 6, (Poisson(2.0),) * 3)  # rows: S ~ Poi(2e6)
+        # a pair reads its loss E_phi^n = e^(n 2 (e^gamma - 1)) off the arc: at gamma = 7 and
+        # n = 10 that is e^21912.7, which no draw has to reach to overflow
+        exact = BinaryTestProblem(Poisson(2.0), Poisson(2.0), ExpTiltWeight([7.0]), 10)
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            optimal_loss_exact(exact)
+        for gamma, n in ((7.0, 10), (10.0, 50), (0.01, 10 ** 6)):
+            with pytest.raises(ConvergenceError, match="monte carlo loss = e.* overflows a double"):
+                loss(gamma, n)
 
     @pytest.mark.parametrize("prob", [
         BinaryTestProblem(Poisson(2.0), Poisson(1.0), TILT, 10),
         BinaryTestProblem(Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]),
                           TableWeight([1.0, 1.2, 0.8]), 30),
-    ], ids=["poisson_tilt", "categorical_table"])
+        BinaryTestProblem(Categorical([0.2, 0.3, 0.5]), Categorical([0.4, 0.4, 0.2]),
+                          TableWeight([1.0, 2.0, 0.5]), 30),
+    ], ids=["poisson_tilt", "categorical_table", "categorical_heavy_table"])
     def test_z_scores_against_the_exact_loss(self, prob):
-        # a table weight far from 1 makes phi^30 heavy-tailed (2^30 against 0.5^30),
-        # and then rows and histograms alike sit below the loss on most seeds
+        # a table weight far from 1 makes phi^30 heavy-tailed (2^30 against 0.5^30): draws
+        # under each hypothesis sat below the loss on most seeds (z mean -2.49, sd 4.01),
+        # while the arc member draws where phi^n min(p^n, q^n) has its mass
         exact = optimal_loss_exact(prob).value
         z = np.array([(est.value - exact) / est.std_error for est in
                       (optimal_loss_mc(prob, 2000, seed=s) for s in range(400))])

@@ -180,13 +180,16 @@ class TestOptimalLossMC:
         with pytest.raises(ConvergenceError):
             optimal_loss_mc(prob, 10000, seed=3)
 
-    def test_weight_square_overflow_is_typed(self):
-        # phi^26 = 1e156 on the likely states is a double, its square is not
+    def test_weight_square_overflow_is_answered(self):
+        # phi^26 = 1e156 on the likely states is a double, its square is not: direct draws
+        # raised.  The arc member scores min(p^n, q^n) / (p^n)^a (q^n)^(1-a) instead, and
+        # p/q = 12/11 on both symbols that P can draw, so every replicate scores the same
         prob = BinaryTestProblem(Categorical([0.0, 10.0 / 11.0, 1.0 / 11.0]),
                                  Categorical([1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0]),
                                  TableWeight([1.0, 1e6, 1.0]), 26)
-        with pytest.raises(ConvergenceError, match="or its square overflows"):
-            optimal_loss_mc(prob, 1000)
+        est = optimal_loss_mc(prob, 1000)
+        assert est.std_error == 0.0
+        assert est.value == pytest.approx(optimal_loss_exact(prob).value, rel=1e-12)
 
     def test_cauchy_pair_draws_the_sample(self):
         # Cauchy(0, 1) vs Cauchy(2, 1) cross at 1: L_1* = 2 P(X > 1) = 1/2
@@ -194,6 +197,14 @@ class TestOptimalLossMC:
         est = optimal_loss_mc(prob, 20000, seed=4)
         assert abs(est.value - 0.5) <= 4.0 * est.std_error
         assert est == optimal_loss_mc(prob, 20000, seed=4)
+
+    def test_cauchy_pair_far_apart_in_scale_draws_without_overflow(self):
+        # draws of Cauchy(1, 1e150) pass 1.3e154 often; their density under Cauchy(1, 1)
+        # squared them (a numpy overflow warning, an error here).  The laws cross at
+        # |x - 1| = 1e75, so L_1* = (4 / pi) atan(1e-75), which no 100,000 draws see
+        prob = BinaryTestProblem(Cauchy(1.0, 1.0), Cauchy(1.0, 1e150), CONST, 1)
+        est = optimal_loss_mc(prob, 100_000, seed=2)
+        assert (est.value, est.std_error) == (0.0, 0.0)
 
     def test_simulate_report(self):
         rep = simulate(BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10),
