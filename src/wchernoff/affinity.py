@@ -11,8 +11,10 @@ the optimal skewing parameter alpha*.  Closed forms are used for
 Gaussian/Poisson/Exponential pairs under constant or exponential-tilt
 weights, read off the exponential-family embedding where the pair has one,
 else coordinate by coordinate where p = N(0, I) and q's covariance is
-diagonal (see `AffinityCurve`).  Everything else goes to the generic
-solver: Newton's method on F', safeguarded by bisection in a bracket (rtsafe).
+diagonal (see `AffinityCurve`).  Two Cauchy laws have F(alpha) =
+F(1 - alpha) (Nielsen and Okamura, 2021): alpha* = 1/2 and D = -ln rho_{1/2}
+in closed form (`cauchy_bhattacharyya_half`).  Everything else goes to the
+generic solver: Newton's method on F', safeguarded by bisection (rtsafe).
 F' and F'' are the mean and the variance of ln p/q under the normalised
 (pq)_alpha, so every step takes F, F' and F'' from one evaluation: a
 closed form, or one pass of the generic integral.  The bracket and the
@@ -133,7 +135,7 @@ def cauchy_kl(p, q):
 
 
 def cauchy_bhattacharyya_half(p, q, weight=None):
-    """rho_{1/2} for two Cauchy laws at phi == 1.
+    """rho_{1/2} for two Cauchy laws at phi == 1; ConvergenceError where it underflows a double.
 
     Closed form k' / AGM(1, k') = 2 k' K(1 - k'^2) / pi in the complementary
     modulus k' = sqrt(s1 s2) / hypot(s1/2 + s2/2, l1/2 - l2/2): unlike
@@ -149,7 +151,10 @@ def cauchy_bhattacharyya_half(p, q, weight=None):
         )
     s1, s2, dl = p.scale, q.scale, p.location / 2.0 - q.location / 2.0
     k = math.sqrt(s1) * math.sqrt(s2) / math.hypot(s1 / 2.0 + s2 / 2.0, dl)
-    return k / _agm(1.0, k)
+    rho = k / _agm(1.0, k)
+    if rho == 0.0:
+        raise ConvergenceError("cauchy rho_1/2 underflows a double")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,7 @@ class AffinityCurve:
         """(F,) or (F, F', F'') at alpha, as `_numeric.weighted_power_integral` returns them."""
         if self.mode != CLOSED_FORM:
             return _numeric.weighted_power_integral(
-                self.model_p, self.model_q, self.weight, alpha, 1.0 - alpha, moments=moments)
+                self.model_p, self.model_q, self.weight, alpha, moments=moments)
         if self.embedding is None:
             return self._gaussian(alpha, moments)
         fam, t1, t2 = self.embedding
@@ -350,31 +355,23 @@ class ChernoffResult:
         return asdict(self)
 
 
-def _closed_alpha_tilde(curve):
-    """Unconstrained critical point of F, when a closed form exists.
-
-    In a 1-D family it is the family's `alpha_tilde`; a Cauchy pair under
-    the constant weight is symmetric about 1/2.  Other Gaussian pairs take
-    `_root_find` on their closed moments.  One member (theta1 = theta2) is
-    FLAT in `chernoff` before it asks.
-    """
-    if curve.embedding is not None:
-        fam, t1, t2 = curve.embedding
-        return fam.alpha_tilde(t1, t2)
-    return 0.5 if isinstance(curve.model_p, Cauchy) and isinstance(curve.model_q, Cauchy) else None
-
-
 def chernoff(model_p, model_q, weight, solver="auto", mode=None):
     """Maximise the weighted Bhattacharyya distance over alpha in [0, 1].
 
-    `solver="auto"` uses the closed-form critical point when available
-    (projected onto [0, 1]); `solver="generic"` forces the safeguarded
-    Newton iteration on the derivative of the log-affinity (`_root_find`),
-    which decides the boundary cases from values and slopes just inside
-    [0, 1] rather than from the sign of an endpoint derivative.  The curve
-    evaluation `mode` is independent of the solver choice.
+    `solver="auto"` reads the critical point of a family pair (`alpha_tilde`,
+    projected onto [0, 1]) and, unless `mode` is forced, of two Cauchy laws:
+    F(alpha) = F(1 - alpha) puts it at 1/2, and D = -ln rho_{1/2} takes no
+    integral.  Other pairs, and `solver="generic"`, take the safeguarded
+    Newton iteration on F' (`_root_find`), which decides the boundary cases
+    from values and slopes just inside [0, 1], not from endpoint slopes.
     """
+    if solver not in ("auto", "generic"):
+        raise PreconditionError(f"unknown solver '{solver}'")
     curve = AffinityCurve(model_p, model_q, weight, mode=mode)
+    auto = solver == "auto"
+    if auto and mode is None and isinstance(model_p, Cauchy) and isinstance(model_q, Cauchy):
+        f = math.log(cauchy_bhattacharyya_half(model_p, model_q, weight))
+        return ChernoffResult(0.5, -f, FLAT if abs(f) < FLAT_TOL else INTERIOR, 0, 0.0)
     f0 = curve._log_rho(0.0)
     f1 = curve._log_rho(1.0)
     # +inf endpoints (weight integrable against only one hypothesis) are
@@ -390,17 +387,14 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
                       and abs(f0 - fh) < FLAT_TOL and abs(f1 - fh) < FLAT_TOL):
         return ChernoffResult(0.5, -fh, FLAT, 0, 0.0)
 
-    if solver == "auto":
-        tilde = _closed_alpha_tilde(curve)
-        if tilde is not None:
-            alpha = min(1.0, max(0.0, tilde))
-            if alpha in (0.0, 1.0):
-                return ChernoffResult(alpha, -(f1 if alpha else f0),
-                                      AT_ONE if alpha else AT_ZERO, 0, 0.0)
-            f, slope, _ = half if alpha == 0.5 else curve.moments(alpha)
-            return ChernoffResult(alpha, -f, INTERIOR, 0, abs(slope))
-    elif solver != "generic":
-        raise PreconditionError(f"unknown solver '{solver}'")
+    if auto and curve.embedding is not None:
+        fam, t1, t2 = curve.embedding
+        alpha = min(1.0, max(0.0, fam.alpha_tilde(t1, t2)))
+        if alpha in (0.0, 1.0):
+            return ChernoffResult(alpha, -(f1 if alpha else f0),
+                                  AT_ONE if alpha else AT_ZERO, 0, 0.0)
+        f, slope, _ = half if alpha == 0.5 else curve.moments(alpha)
+        return ChernoffResult(alpha, -f, INTERIOR, 0, abs(slope))
     return _root_find(curve, f0, f1, half)
 
 
@@ -424,15 +418,15 @@ def _root_find(curve, f0, f1, half):
         if f_end <= at_inner[0]:
             return ChernoffResult(end, -f_end, AT_ZERO if end == 0.0 else AT_ONE, 0, 0.0)
         return ChernoffResult(inner, -at_inner[0], INTERIOR, 0, abs(at_inner[1]))
-    alpha, (f, slope, _), steps = newton_minimise(curve.moments, 0.5, half, inner, at_inner)
+    alpha, (f, slope, _), steps = newton_minimise(curve.moments, 0.5, half, inner)
     return ChernoffResult(alpha, -f, INTERIOR, steps, abs(slope))
 
 
-def newton_minimise(fn, x, at_x, y, at_y):
+def newton_minimise(fn, x, at_x, y):
     """Minimise a convex function between x and y by Newton's method on its slope.
 
-    `fn(t)` gives (F, F', F'') at t, and `at_x`, `at_y` are its values at
-    x and y, where the slopes have opposite signs; a point past the end of
+    `fn(t)` gives (F, F', F'') at t, and `at_x` is its value at x; the slope
+    at y has the opposite sign to the slope at x.  A point past the end of
     the function's domain has F = +inf and an infinite slope pointing back
     into it.  The safeguard is rtsafe's (Press et al., Numerical Recipes,
     3rd ed., section 9.4): a Newton step that leaves the bracket, or that

@@ -225,8 +225,6 @@ def cmd_divergence(p, q, w, alpha):
         results["d_b_alpha"] = -log_rho
     if isinstance(p, Cauchy) and isinstance(q, Cauchy):
         rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
-        if rho_half == 0.0:
-            raise ConvergenceError("cauchy rho_1/2 underflows a double")
         results["cauchy_kl"] = affinity.cauchy_kl(p, q)
         results["cauchy_rho_half"] = rho_half
         results["cauchy_d_c"] = -math.log(rho_half)

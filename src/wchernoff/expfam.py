@@ -92,7 +92,7 @@ def weighted_kl(model_p, model_q, weight):
     if isinstance(model_p, Cauchy):
         return cauchy_kl(model_p, model_q) if isinstance(model_q, Cauchy) else math.inf
     if isinstance(model_q, Cauchy):  # the curve would also check the weight against q
-        log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0, 0.0,
+        log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0,
                                                           moments=True)
     else:
         log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
@@ -137,13 +137,12 @@ class ChernoffArc:
         """Vectorised ln (pq)_alpha over 1-D sample points."""
         c = self.curve
         return _numeric.log_bump(c.weight.log_value(x), alpha, _numeric.logpdf_vec(c.model_p, x),
-                                 1.0 - alpha, _numeric.logpdf_vec(c.model_q, x)) - c.log_rho(alpha)
+                                 _numeric.logpdf_vec(c.model_q, x)) - c.log_rho(alpha)
 
     def total_mass(self, alpha):
         """Integral of (pq)_alpha; equals 1 by construction, recomputed numerically."""
         c = self.curve
-        log_z = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight,
-                                                 alpha, 1.0 - alpha)[0]
+        log_z = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight, alpha)[0]
         return math.exp(log_z - c.log_rho(alpha))
 
     def kl(self, alpha, beta):
@@ -155,8 +154,8 @@ class ChernoffArc:
         underflows.
         """
         c = self.curve
-        mean = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight,
-                                                alpha, 1.0 - alpha, moments=True)[1]
+        mean = _numeric.weighted_power_integral(c.model_p, c.model_q, c.weight, alpha,
+                                                moments=True)[1]
         return (alpha - beta) * mean + c.log_rho(beta) - c.log_rho(alpha)
 
 

@@ -328,8 +328,7 @@ class _CountStatistic:
     def member(self, alpha):
         """Categorical(pi), pi proportional to phi p^alpha q^(1-alpha): its counts have
         the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n."""
-        log_pi = _numeric.log_bump(self.log_phi, alpha, self.log_probs[0],
-                                   1.0 - alpha, self.log_probs[1])
+        log_pi = _numeric.log_bump(self.log_phi, alpha, self.log_probs[0], self.log_probs[1])
         pi = np.exp(log_pi - log_sum_exp(log_pi))
         return Categorical(pi / pi.sum())
 
@@ -719,7 +718,7 @@ def _legendre(curve, end, s, half):
     at_edge = neg_objective(edge)
     if math.isfinite(at_edge[0]) and at_edge[1] * at_start[1] > 0.0:
         raise RateInfiniteError("Legendre supremum unbounded on [-20, 20]")
-    _, (value, _, _), _ = newton_minimise(neg_objective, start, at_start, edge, at_edge)
+    _, (value, _, _), _ = newton_minimise(neg_objective, start, at_start, edge)
     return -value
 
 

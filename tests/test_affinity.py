@@ -13,6 +13,7 @@ from wchernoff import (
     Categorical,
     Cauchy,
     ConstWeight,
+    ConvergenceError,
     Exponential,
     ExpTiltWeight,
     Gaussian,
@@ -389,7 +390,7 @@ class TestNewtonSolver:
             u = 1.5 - t
             return -2.0 * math.log(u) - 10.0 * t, 2.0 / u - 10.0, 2.0 / u ** 2
 
-        t, (f, slope, _), steps = newton_minimise(fn, 0.0, fn(0.0), 5.0, fn(5.0))
+        t, (f, slope, _), steps = newton_minimise(fn, 0.0, fn(0.0), 5.0)
         assert t == pytest.approx(1.3, abs=1e-12)
         assert f == pytest.approx(-2.0 * math.log(0.2) - 13.0, abs=1e-12)
         assert abs(slope) <= 1e-9
@@ -582,6 +583,68 @@ class TestCauchy:
         assert abs(res.alpha_star - 0.5) <= 1e-6
         assert res.d_c_w == pytest.approx(-math.log(cauchy_bhattacharyya_half(p, q)),
                                           abs=1e-8)
+
+
+class TestCauchyChernoff:
+    """Two Cauchy laws under the auto solver: alpha* = 1/2 and D = -ln rho_1/2, no integral."""
+
+    def test_takes_no_integral(self, monkeypatch):
+        calls = []
+        integral = _numeric.weighted_power_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integral(*args, **kwargs)
+
+        monkeypatch.setattr(_numeric, "weighted_power_integral", counted)
+        res = chernoff(Cauchy(0.0, 1.0), Cauchy(2.0, 1.5), CONST)
+        assert (res.alpha_star, res.boundary, res.iterations, res.residual) == (
+            0.5, "interior", 0, 0.0)
+        assert calls == []
+        chernoff(Cauchy(0.0, 1.0), Cauchy(2.0, 1.5), CONST, mode="quadrature")
+        assert calls
+
+    def test_fifty_digit_values(self):
+        # near rho = 1 the error of D is the absolute rounding of rho, not a relative one
+        for p, q, _, rho in CAUCHY_FIFTY_DIGITS:
+            res = chernoff(p, q, CONST)
+            assert res.alpha_star == 0.5
+            assert res.d_c_w == pytest.approx(-math.log(rho), rel=1e-15, abs=1e-15), (p, q)
+            assert res.boundary == ("flat" if -math.log(rho) < 1e-12 else "interior")
+
+    @pytest.mark.parametrize("scale, d", [(1e10, 8.7694274039705213),
+                                          (1e150, 167.29679124076142)])
+    def test_scales_out_of_the_quadrature_reach(self, scale, d):
+        res = chernoff(Cauchy(1.0, 1.0), Cauchy(1.0, scale), CONST)
+        assert (res.alpha_star, res.boundary) == (0.5, "interior")
+        assert res.d_c_w == pytest.approx(d, rel=1e-15)
+        with pytest.raises(ConvergenceError, match="more than 200 intervals"):
+            chernoff(Cauchy(1.0, 1.0), Cauchy(1.0, scale), CONST, mode="quadrature")
+
+    def test_identical_pair_is_flat(self):
+        # sqrt(2) sqrt(2) rounds above 2, so rho_1/2 reads 1 + 2.2e-16
+        res = chernoff(Cauchy(1.0, 2.0), Cauchy(1.0, 2.0), CONST)
+        assert (res.alpha_star, res.boundary) == (0.5, "flat")
+        assert abs(res.d_c_w) <= 1e-15
+
+    def test_underflowing_rho_half_is_typed(self):
+        p, q = Cauchy(0.0, 1e-300), Cauchy(1e300, 1e-300)
+        for call in (cauchy_bhattacharyya_half, lambda p, q: chernoff(p, q, CONST)):
+            with pytest.raises(ConvergenceError, match="cauchy rho_1/2 underflows a double"):
+                call(p, q)
+
+    @pytest.mark.parametrize("p, q", [
+        (Cauchy(0.0, 1.0), Cauchy(2.0, 1.5)),
+        (Cauchy(0.0, 1.0), Cauchy(2.0, 3.0)),
+        (Cauchy(-1.0, 0.5), Cauchy(3.0, 4.0)),
+        (Cauchy(0.0, 1.0), Cauchy(0.0, 100.0)),
+    ])
+    def test_generic_quadrature_agrees(self, p, q):
+        closed = chernoff(p, q, CONST)
+        generic = chernoff(p, q, CONST, solver="generic", mode="quadrature")
+        assert generic.boundary == "interior"
+        assert generic.alpha_star == pytest.approx(0.5, abs=1e-9)
+        assert generic.d_c_w == pytest.approx(closed.d_c_w, rel=1e-12)
 
 
 class TestPreconditions:

@@ -599,6 +599,17 @@ class TestExtremeParameters:
         assert res["cauchy_rho_half"] == pytest.approx(rho_half, rel=1e-15, abs=0.0)
         assert res["cauchy_d_c"] == pytest.approx(-math.log(rho_half), rel=1e-15)
 
+    def test_cauchy_reference_past_the_quadrature_reach(self, runner):
+        # the Chernoff reference of two Cauchy laws 1e150 scales apart is -ln rho_1/2 in
+        # closed form, where the quadrature the curve takes runs out of intervals
+        pair = ["--model-p", '{"family": "cauchy", "location": 1, "scale": 1}',
+                "--model-q", '{"family": "cauchy", "location": 1, "scale": 1e150}']
+        closed = run_json(runner, ["chernoff"] + pair)["results"]
+        rep = run_json(runner, ["simulate"] + pair + ["--n", "10", "--replicates", "1000"])
+        assert (closed["alpha_star"], closed["boundary"]) == (0.5, "interior")
+        assert closed["d_c_w"] == pytest.approx(167.29679124076142, rel=1e-15)
+        assert rep["results"]["d_c_w_reference"] == closed["d_c_w"]
+
     def test_loss_past_the_range_of_a_double_keeps_its_exponent(self, runner):
         # ln L = -n D + ln(mean score) is finite although L = e^(-1.8e19) is 0 in a double;
         # d = ln p^n/q^n spreads over 4e10 here, so no draw scores above e^-745 and the
@@ -664,11 +675,9 @@ class TestExtremeParameters:
           "--model-q", '{"family": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}'], 2,
          "error: gaussian covariance has a squared Cholesky pivot below"
          " 2.2250738585072014e-308\n"),
-        # the Chernoff reference of two Cauchy laws 1e150 scales apart is out of the
-        # quadrature's reach (a numpy overflow warning in Cauchy.logpdf came first)
-        (["simulate", "--model-p", '{"family": "cauchy", "location": 1, "scale": 1}',
-          "--model-q", '{"family": "cauchy", "location": 1, "scale": 1e150}', "--n", "10",
-          "--replicates", "1000"], 3,
+        # the curve of two Cauchy laws 1e150 scales apart is out of the quadrature's reach
+        (["curve", "--model-p", '{"family": "cauchy", "location": 1, "scale": 1}',
+          "--model-q", '{"family": "cauchy", "location": 1, "scale": 1e150}'], 3,
          "error: quadrature did not converge: more than 200 intervals on one piece\n"),
     ])
     def test_typed_error(self, runner, args, status, message):

@@ -89,7 +89,7 @@ def test_chernoff_matches_generic_solver(pair):
 @given(pairs())
 def test_weighted_kl_matches_numeric_integral(pair):
     p, q, w, _ = pair
-    log_e, mean, _ = _numeric.weighted_power_integral(p, q, w, 1.0, 0.0, moments=True)
+    log_e, mean, _ = _numeric.weighted_power_integral(p, q, w, 1.0, moments=True)
     assert _close(weighted_kl(p, q, w), math.exp(log_e) * mean, 1e-8)
 
 

@@ -485,7 +485,7 @@ class TestCumulants:
         w = ExpTiltWeight([0.25])
         grid = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w)
         for a in (0.0, 0.3, 1.0):
-            same = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w, a, 1.0 - a)
+            same = _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), w, a)
             assert np.array_equal(same, grid)
         assert _numeric.discrete_grid(Poisson(2.0), Poisson(1.0), CONST).size == 50
 
