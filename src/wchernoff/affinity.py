@@ -117,18 +117,18 @@ def elliptic_k(m):
     return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
 
 
-def cauchy_kl(p, q):
-    """KL divergence between Cauchy laws: log1p(((s1-s2)^2 + delta^2) / (4 s1 s2))."""
+def _cauchy_spread(p, q):
+    """(h, g) = (hypot(s1/2 - s2/2, l1/2 - l2/2), sqrt(s1) sqrt(s2)) of two Cauchy laws:
+    (h/g)^2 = ((s1 - s2)^2 + (l1 - l2)^2)/(4 s1 s2), from halved terms that do not overflow."""
     if not (isinstance(p, Cauchy) and isinstance(q, Cauchy)):
-        raise PreconditionError("cauchy_kl requires two Cauchy models")
-    dl, s1, s2 = p.location - q.location, p.scale, q.scale
-    num = (s1 - s2) * (s1 - s2) + dl * dl
-    ratio = num / (4.0 * s1) / s2
-    if num > 1e-300 and ratio < math.inf:
-        return math.log1p(ratio)
-    # a square under- or overflows: read the ratio as (h/g)^2 of halved terms, in logs past 1e300
-    h = math.hypot(s1 / 2.0 - s2 / 2.0, p.location / 2.0 - q.location / 2.0)
-    g = math.sqrt(s1) * math.sqrt(s2)
+        raise PreconditionError("the Cauchy closed forms require two Cauchy models")
+    return (math.hypot(p.scale / 2.0 - q.scale / 2.0, p.location / 2.0 - q.location / 2.0),
+            math.sqrt(p.scale) * math.sqrt(q.scale))
+
+
+def cauchy_kl(p, q):
+    """KL divergence between Cauchy laws: log1p((h/g)^2), in logs from h >= 1e150 g."""
+    h, g = _cauchy_spread(p, q)
     if h < 1e150 * g:
         return math.log1p((h / g) * (h / g))
     return 2.0 * (math.log(h) - math.log(g))
@@ -137,20 +137,17 @@ def cauchy_kl(p, q):
 def cauchy_bhattacharyya_half(p, q, weight=None):
     """rho_{1/2} for two Cauchy laws at phi == 1; ConvergenceError where it underflows a double.
 
-    Closed form k' / AGM(1, k') = 2 k' K(1 - k'^2) / pi in the complementary
-    modulus k' = sqrt(s1 s2) / hypot(s1/2 + s2/2, l1/2 - l2/2): unlike
-    1 - k'^2 it does not round to 1 far apart, and the halved sums do not
-    overflow.  -ln of it is the Cauchy Chernoff information (alpha* = 1/2 by
-    symmetry); non-constant weights break that symmetry and are rejected.
+    Closed form k' / AGM(1, k') = 2 k' K(1 - k'^2) / pi in the complementary modulus
+    k' = g / hypot(g, h) <= 1 of `_cauchy_spread`, which unlike 1 - k'^2 does not round
+    to 1 far apart and is 1 for equal laws.  -ln of it is the Cauchy Chernoff information
+    (alpha* = 1/2 by symmetry); non-constant weights break that symmetry and are rejected.
     """
-    if not (isinstance(p, Cauchy) and isinstance(q, Cauchy)):
-        raise PreconditionError("cauchy_bhattacharyya_half requires two Cauchy models")
+    h, g = _cauchy_spread(p, q)
     if weight is not None and not _is_const(weight):
         raise UnsupportedCombinationError(
             "cauchy closed form is only available for the constant weight"
         )
-    s1, s2, dl = p.scale, q.scale, p.location / 2.0 - q.location / 2.0
-    k = math.sqrt(s1) * math.sqrt(s2) / math.hypot(s1 / 2.0 + s2 / 2.0, dl)
+    k = g / math.hypot(g, h)
     rho = k / _agm(1.0, k)
     if rho == 0.0:
         raise ConvergenceError("cauchy rho_1/2 underflows a double")
@@ -285,8 +282,9 @@ class AffinityCurve:
         if not moments:
             return (f,)
         k, grad = (1.0 / lam - 1.0) / h, (mu - m) / lam - mu  # grad: d ln(p/q) / dz at mu
-        return (f, 0.5 * float(np.sum((mu - m) * (mu - m) / lam - mu * mu + np.log(lam) + k)),
-                float(np.sum(0.5 * k * k + grad * grad / h)))
+        with np.errstate(over="ignore"):  # an F'' past the largest double reads +inf
+            curv = float(np.sum(0.5 * k * k + grad * grad / h))
+        return f, 0.5 * float(np.sum((mu - m) * (mu - m) / lam - mu * mu + np.log(lam) + k)), curv
 
 
 def _check_alpha(alpha):
@@ -351,6 +349,9 @@ class ChernoffResult:
     iterations: int
     residual: float
 
+    def __post_init__(self):  # D = -F reads -0.0 where F rounds to +0
+        object.__setattr__(self, "d_c_w", self.d_c_w + 0.0)
+
     def to_dict(self):
         return asdict(self)
 
@@ -372,8 +373,7 @@ def chernoff(model_p, model_q, weight, solver="auto", mode=None):
     if auto and mode is None and isinstance(model_p, Cauchy) and isinstance(model_q, Cauchy):
         f = math.log(cauchy_bhattacharyya_half(model_p, model_q, weight))
         return ChernoffResult(0.5, -f, FLAT if abs(f) < FLAT_TOL else INTERIOR, 0, 0.0)
-    f0 = curve._log_rho(0.0)
-    f1 = curve._log_rho(1.0)
+    f0, f1 = curve._log_rho(0.0), curve._log_rho(1.0)
     # +inf endpoints (weight integrable against only one hypothesis) are
     # harmless for a minimiser of F; -inf or nan endpoints are not.
     for f in (f0, f1):
@@ -425,18 +425,18 @@ def _root_find(curve, f0, f1, half):
 def newton_minimise(fn, x, at_x, y):
     """Minimise a convex function between x and y by Newton's method on its slope.
 
-    `fn(t)` gives (F, F', F'') at t, and `at_x` is its value at x; the slope
-    at y has the opposite sign to the slope at x.  A point past the end of
-    the function's domain has F = +inf and an infinite slope pointing back
-    into it.  The safeguard is rtsafe's (Press et al., Numerical Recipes,
-    3rd ed., section 9.4): a Newton step that leaves the bracket, or that
-    is longer than half the step before last, becomes a bisection.
-    F'' only sets the step; the iteration ends when F' is 0 or the next
-    step is shorter than XTOL.  Returns the last point evaluated at which
-    F is finite (x if none is), its (F, F', F'') and the number of steps:
-    where the minimum sits at a jump of F to +inf, the last point evaluated
-    can lie past the jump.  Near the minimum the rise of F is below the
-    noise of a quadrature, so the lowest F would be a worse minimiser.
+    `fn(t)` gives (F, F', F'') at t, and `at_x` is its value at x; the slope at
+    y has the opposite sign to the slope at x.  A point past the end of the
+    function's domain has F = +inf and an infinite slope pointing back into it.
+    The safeguard is rtsafe's (Press et al., Numerical Recipes, 3rd ed., section
+    9.4): a Newton step that leaves the bracket, that is longer than half the
+    step before last, or whose F'' is not finite and positive, becomes a
+    bisection.  F'' only sets the step; the iteration ends when F' is 0 or the
+    next step is shorter than XTOL.  Returns the last point evaluated at which F
+    is finite (x if none is), its (F, F', F'') and the number of steps: where
+    the minimum sits at a jump of F to +inf, the last point evaluated can lie
+    past the jump.  Near the minimum the rise of F is below the noise of a
+    quadrature, so the lowest F would be a worse minimiser.
     """
     neg, pos = (x, y) if at_x[1] < 0.0 else (y, x)  # the slope's sign at each end
     t, (f, slope, curv) = best = x, at_x
@@ -444,7 +444,7 @@ def newton_minimise(fn, x, at_x, y):
     for steps in range(MAX_STEPS):
         if slope == 0.0:
             break
-        new = t - slope / curv if curv > 0.0 else math.nan
+        new = t - slope / curv if 0.0 < curv < math.inf else math.nan
         if not min(neg, pos) <= new <= max(neg, pos) or abs(new - t) > 0.5 * step_old:
             new = 0.5 * (neg + pos)
         step_old, step = step, abs(new - t)

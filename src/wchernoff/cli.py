@@ -225,9 +225,8 @@ def cmd_divergence(p, q, w, alpha):
         results["d_b_alpha"] = -log_rho
     if isinstance(p, Cauchy) and isinstance(q, Cauchy):
         rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
-        results["cauchy_kl"] = affinity.cauchy_kl(p, q)
-        results["cauchy_rho_half"] = rho_half
-        results["cauchy_d_c"] = -math.log(rho_half)
+        results.update(cauchy_kl=results["weighted_kl"],  # weighted_kl is cauchy_kl here
+                       cauchy_rho_half=rho_half, cauchy_d_c=-math.log(rho_half))
     return results
 
 

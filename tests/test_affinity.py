@@ -12,6 +12,7 @@ from wchernoff import (
     AffinityCurve,
     Categorical,
     Cauchy,
+    ChernoffResult,
     ConstWeight,
     ConvergenceError,
     Exponential,
@@ -273,6 +274,22 @@ class TestChernoff:
         with pytest.raises(PreconditionError):
             chernoff(P2, P1, CONST, solver="newton")
 
+    @pytest.mark.parametrize("p, q", [(P2, P2), (Cauchy(0.0, 1.0), Cauchy(1e-9, 1.0)),
+                                      (Cauchy(1.0, 2.0), Cauchy(1.0, 2.0))])
+    def test_flat_pair_reads_plus_zero(self, p, q):
+        # D = -F, and F rounds to +0 on these pairs
+        res = chernoff(p, q, CONST)
+        assert res.boundary == "flat"
+        assert math.copysign(1.0, res.d_c_w) == 1.0
+        assert res.d_c_w == 0.0
+
+    def test_result_changes_no_other_value(self):
+        assert ChernoffResult(0.5, -0.0, "flat", 0, 0.0).d_c_w == 0.0
+        assert math.copysign(1.0, ChernoffResult(0.5, -0.0, "flat", 0, 0.0).d_c_w) == 1.0
+        for d in (-1.5, 5e-324, -5e-324, math.inf, -math.inf):
+            assert ChernoffResult(0.5, d, "interior", 0, 0.0).d_c_w == d
+        assert math.isnan(ChernoffResult(0.5, math.nan, "interior", 0, 0.0).d_c_w)
+
 
 class TestGenericSolverAgreement:
     """The generic root-finding path must reproduce every closed-form answer."""
@@ -395,6 +412,39 @@ class TestNewtonSolver:
         assert f == pytest.approx(-2.0 * math.log(0.2) - 13.0, abs=1e-12)
         assert abs(slope) <= 1e-9
         assert 0 < steps < 20
+
+    def test_bisects_where_the_curvature_is_infinite(self):
+        # F(t) = (t - 1)^2 reporting F'' = inf: a Newton step -F'/F'' of 0 would
+        # end the iteration at its start
+        def fn(t):
+            return (t - 1.0) ** 2, 2.0 * (t - 1.0), math.inf
+
+        t, (f, slope, _), steps = newton_minimise(fn, 0.0, fn(0.0), 3.0)
+        assert t == pytest.approx(1.0, abs=1e-11)
+        assert abs(slope) <= 1e-10
+        assert steps > 0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-155, 1e160])
+    def test_exponential_rates_whose_curvature_is_not_a_double(self, scale):
+        # F'' = (theta1 - theta2)^2 / theta^2 reads inf (or 0 times inf) at these
+        # scales; F(alpha) = alpha ln 2 - ln(1 + alpha) at any common scale
+        res = chernoff(Exponential(2.0 * scale), Exponential(scale), CONST, solver="generic")
+        assert res.boundary == "interior"
+        assert res.iterations > 0
+        assert res.alpha_star == pytest.approx(1.0 / math.log(2.0) - 1.0, abs=1e-9)
+        assert res.d_c_w == pytest.approx(math.log(2.0) - 1.0 - math.log(math.log(2.0)),
+                                          rel=1e-12)
+
+    def test_gaussian_curvature_past_the_largest_double(self):
+        # F'' reads +inf near the edges, with no numpy warning (the suite makes warnings
+        # errors); D = a(1 - a) delta^2 / (2 (1 + 9 a)), least at 1 - 2a - 9a^2 = 0,
+        # up to a log-determinant term below the rounding of D
+        res = chernoff(Gaussian([1.0], [[1.0]]), Gaussian([1e154], [[10.0]]), CONST)
+        a = (math.sqrt(40.0) - 2.0) / 18.0
+        assert res.boundary == "interior"
+        assert res.alpha_star == pytest.approx(a, rel=1e-12)
+        assert res.d_c_w == pytest.approx(a * (1.0 - a) / (2.0 * (1.0 + 9.0 * a)) * 1e308,
+                                          rel=1e-12)
 
 
 def _spd(rng, d):
@@ -547,6 +597,15 @@ class TestCauchy:
     def test_rho_half_identical(self):
         assert cauchy_bhattacharyya_half(Cauchy(1.0, 2.0), Cauchy(1.0, 2.0)) == pytest.approx(
             1.0, rel=1e-12)
+        # k' = g / hypot(g, 0) is 1 exactly, although sqrt(2) sqrt(2) rounds above 2
+        assert cauchy_bhattacharyya_half(Cauchy(1.0, 2.0), Cauchy(1.0, 2.0)) == 1.0
+
+    @pytest.mark.parametrize("other", [G0, Poisson(2.0), Exponential(1.0)])
+    def test_closed_forms_need_two_cauchy_laws(self, other):
+        for call in (cauchy_kl, cauchy_bhattacharyya_half):
+            for p, q in ((Cauchy(0.0, 1.0), other), (other, Cauchy(0.0, 1.0))):
+                with pytest.raises(PreconditionError, match="two Cauchy models"):
+                    call(p, q)
 
     def test_rho_half_example(self):
         val = cauchy_bhattacharyya_half(Cauchy(0.0, 1.0), Cauchy(2.0, 1.0))
@@ -622,10 +681,11 @@ class TestCauchyChernoff:
             chernoff(Cauchy(1.0, 1.0), Cauchy(1.0, scale), CONST, mode="quadrature")
 
     def test_identical_pair_is_flat(self):
-        # sqrt(2) sqrt(2) rounds above 2, so rho_1/2 reads 1 + 2.2e-16
+        # sqrt(2) sqrt(2) rounds above 2, but k' = g / hypot(g, 0) is 1, so D is +0
         res = chernoff(Cauchy(1.0, 2.0), Cauchy(1.0, 2.0), CONST)
         assert (res.alpha_star, res.boundary) == (0.5, "flat")
         assert abs(res.d_c_w) <= 1e-15
+        assert math.copysign(1.0, res.d_c_w) == 1.0 and res.d_c_w == 0.0
 
     def test_underflowing_rho_half_is_typed(self):
         p, q = Cauchy(0.0, 1e-300), Cauchy(1e300, 1e-300)

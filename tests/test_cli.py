@@ -564,6 +564,41 @@ class TestExtremeParameters:
         assert rep["results"]["alpha_star"] == pytest.approx(1.0 / log_r, rel=1e-12)
         assert rep["results"]["d_c_w"] == pytest.approx(log_r - 1.0 - math.log(log_r), rel=1e-12)
 
+    def test_generic_solver_where_the_curvature_is_not_a_double(self, runner):
+        # F'' = (theta1 - theta2)^2 / theta^2 overflows; the Newton step it sets is 0
+        rep = run_json(runner, ["chernoff", "--solver", "generic",
+                                "--model-p", '{"family": "exponential", "rate": 2e-160}',
+                                "--model-q", '{"family": "exponential", "rate": 1e-160}'])
+        res = rep["results"]
+        assert res["iterations"] > 0
+        assert res["alpha_star"] == pytest.approx(1.0 / math.log(2.0) - 1.0, abs=1e-9)
+        assert res["d_c_w"] == pytest.approx(math.log(2.0) - 1.0 - math.log(math.log(2.0)),
+                                             rel=1e-12)
+
+    @pytest.mark.parametrize("command, q, key, value", [
+        # D = a(1 - a) delta^2 / (2 (1 + 9 a)) at 1 - 2a - 9a^2 = 0, with delta = 1e154
+        ("chernoff", '{"family": "gaussian", "mean": [1e154], "cov": [[10]]}', "d_c_w",
+         2.886076962755087e+306),
+        # KL = (1/v + ln v - 1)/2 = 5e154 for v = 1e-155
+        ("divergence", '{"family": "gaussian", "mean": [1], "cov": [[1e-155]]}', "weighted_kl",
+         5e154),
+    ], ids=["chernoff_means_1e154_apart", "divergence_variance_1e-155"])
+    def test_gaussian_curvature_past_the_largest_double(self, runner, command, q, key, value):
+        # F'' reads +inf with no numpy warning, which the suite makes an error (exit 1)
+        rep = run_json(runner, [command, "--model-p", '{"family": "gaussian", "mean": [1], '
+                                '"cov": [[1]]}', "--model-q", q])
+        assert rep["results"][key] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [
+        '{"family": "poisson", "lambda": 2}',
+        '{"family": "cauchy", "location": 1, "scale": 2}',
+    ], ids=["poisson", "cauchy"])
+    def test_flat_pair_prints_zero_not_minus_zero(self, runner, p):
+        result = runner.invoke(main, ["chernoff", "--model-p", p, "--model-q", p])
+        assert result.exit_code == 0, result.output
+        assert '"d_c_w": 0,' in result.output
+        assert '"boundary": "flat"' in result.output
+
     def test_equal_tiny_exponential_rates_are_flat(self, runner):
         # F'' = 1/theta^2 overflows to inf instead of dividing by an underflowed 0
         tiny = '{"family": "exponential", "rate": 1e-300}'

@@ -565,6 +565,19 @@ class TestRateFunction:
         # psi_Q(a) = psi_P(a + 1) under the constant weight
         assert abs(i_q - (a * r - psi - r)) <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e160])
+    def test_exponential_legendre_at_any_common_scale(self, scale):
+        # the law of ln q/p does not depend on the common scale of the rates, but
+        # F'' = (theta1 - theta2)^2 / theta^2 is not a double at these
+        lp, lq, r = 2.0, 1.0, 0.1
+        big_l = (lq - lp) / (math.log(lq / lp) - r)
+        a = (big_l - lp) / (lq - lp)
+        psi = (1.0 - a) * math.log(lp) + a * math.log(lq) - math.log(big_l)
+        i_p, i_q = rate_function(
+            BinaryTestProblem(Exponential(lp * scale), Exponential(lq * scale), CONST, 1), r)
+        assert abs(i_p - (a * r - psi)) <= 1e-9
+        assert abs(i_q - (a * r - psi - r)) <= 1e-9
+
     @pytest.mark.parametrize("r", [-0.3, 0.0, 0.1, 0.5])
     @pytest.mark.parametrize("swap", [False, True])
     def test_supremum_at_a_jump_of_psi(self, r, swap):
