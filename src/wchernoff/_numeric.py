@@ -55,7 +55,6 @@ from .errors import ConvergenceError, UnsupportedCombinationError
 from .models import (
     Categorical,
     Cauchy,
-    ConstWeight,
     Exponential,
     Gaussian,
     embed_pair,
@@ -92,11 +91,12 @@ def _power(a, log_p):
     return a * log_p if a else np.where(log_p > -np.inf, 0.0, -np.inf)
 
 
-def discrete_grid(model_p, model_q, weight=ConstWeight(), alpha=1.0):
+def discrete_grid(model_p, model_q, weight, alpha=1.0):
     """Support points for exact summation of phi p^alpha q^(1 - alpha) over a discrete pair.
 
-    A Poisson pair is cut on its family's lattice at the largest member mean
-    and at the bump's member alpha theta_p + (1 - alpha) theta_q + gamma.
+    A categorical pair sums over all its symbols, whatever the weight.  A Poisson pair is cut
+    on its family's lattice at the largest member mean and at the bump's member
+    alpha theta_p + (1 - alpha) theta_q + gamma, gamma the weight's tilt.
     """
     if isinstance(model_p, Categorical):
         return np.arange(model_p.size)

@@ -222,7 +222,7 @@ class AffinityCurve:
         return exp_or_raise(self.log_rho(alpha), "rho")
 
     def bhattacharyya(self, alpha):
-        return -self.log_rho(alpha)
+        return 0.0 - self.log_rho(alpha)  # +0, not -0, where ln rho = +0
 
     def derivative(self, alpha):
         """F'(alpha): the mean of ln(p/q) under the tilted density (pq)_alpha."""

@@ -204,7 +204,7 @@ def cmd_curve(p, q, w, grid, fmt):
     rows = []
     for alpha in np.linspace(0.0, 1.0, grid).tolist():
         log_rho = curve.log_rho(alpha)
-        rows.append((alpha, exp_or_raise(log_rho, "rho"), -log_rho))
+        rows.append((alpha, exp_or_raise(log_rho, "rho"), 0.0 - log_rho))
     if fmt == "csv":
         return _csv("alpha,rho_w,d_b_alpha", rows)
     return {"rows": [list(r) for r in rows]}
@@ -222,7 +222,7 @@ def cmd_divergence(p, q, w, alpha):
         log_rho = curve.log_rho(alpha)
         results["alpha"] = float(alpha)
         results["rho_w"] = exp_or_raise(log_rho, "rho")
-        results["d_b_alpha"] = -log_rho
+        results["d_b_alpha"] = 0.0 - log_rho
     if isinstance(p, Cauchy) and isinstance(q, Cauchy):
         rho_half = affinity.cauchy_bhattacharyya_half(p, q, w)
         results.update(cauchy_kl=results["weighted_kl"],  # weighted_kl is cauchy_kl here

@@ -67,36 +67,35 @@ __all__ = [
 def weighted_kl(model_p, model_q, weight):
     """D^w_KL(p || q) = integral phi p ln(p/q), the package's one KL.
 
-    Exact summation for categorical models.  Every other pair without a Cauchy
-    model has a closed-form `AffinityCurve`, whose `moments(1)` give F(1) =
-    ln E_phi(p) and F'(1), the mean of ln(p/q) under the tilted p: the KL is
-    E_phi(p) F'(1).  A Gaussian p against a Cauchy q takes quadrature, which
-    checks the weight against p alone.  A Cauchy p (constant weight only)
-    takes the closed form against a Cauchy q, and is +inf against a Gaussian
-    q, whose ln q ~ -x^2 has no mean under Cauchy tails.
+    Every pair but two Cauchy laws reads it off its `AffinityCurve`, whose
+    `moments(1)` give F(1) = ln E_phi(p) and F'(1), the mean of ln(p/q) under
+    the tilted p: the KL is E_phi(p) F'(1), ConvergenceError where that is
+    not a finite double.  A categorical p is 0 where phi p has no mass, and
+    +inf where it has mass on a symbol that q lacks.  A Gaussian p against a
+    Cauchy q takes the generic integral, which checks the weight against p
+    alone.  A Cauchy p (constant weight only) takes the closed form against a
+    Cauchy q, and is +inf against a Gaussian q, whose ln q ~ -x^2 has no mean
+    under Cauchy tails.
     """
     check_models((model_p,), weight)
     check_models((model_p, model_q), ConstWeight())
-    if isinstance(model_p, Categorical):
-        k = _numeric.discrete_grid(model_p, model_q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = weight.value(k)
-            live = (model_p.probs > 0.0) & (phi > 0.0)
-            if np.any(model_q.probs[live] == 0.0):
-                return math.inf
-            kl = float(np.sum(phi[live] * model_p.probs[live]
-                              * (model_p.logpdf(k[live]) - model_q.logpdf(k[live]))))
-        if not math.isfinite(kl):
-            raise ConvergenceError("weighted KL overflows a double: phi does on some symbol")
-        return kl
     if isinstance(model_p, Cauchy):
         return cauchy_kl(model_p, model_q) if isinstance(model_q, Cauchy) else math.inf
+    if isinstance(model_p, Categorical):
+        mass = (model_p.probs > 0.0) & (weight.log_value(np.arange(model_p.size)) > -np.inf)
+        if not mass.any():  # phi p = 0: the tilted p, and so the curve, does not exist
+            return 0.0
+        if np.any(model_q.probs[mass] == 0.0):
+            return math.inf
     if isinstance(model_q, Cauchy):  # the curve would also check the weight against q
         log_e, mean, _ = _numeric.weighted_power_integral(model_p, model_q, weight, 1.0,
                                                           moments=True)
     else:
         log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
-    return exp_or_raise(log_e, "E_phi") * mean
+    kl = exp_or_raise(log_e, "E_phi") * mean
+    if not math.isfinite(kl):
+        raise ConvergenceError(f"weighted KL = e^{log_e:.6g} * {mean:.6g} overflows a double")
+    return kl
 
 
 def weighted_bregman(family, theta1, theta2):
@@ -164,16 +163,6 @@ class ChernoffArc:
 # ---------------------------------------------------------------------------
 
 NOT_APPLICABLE = "not_applicable"
-
-IDENTITY_NAMES = (
-    "kl_as_bregman",
-    "bisector",
-    "chernoff_kl",
-    "bregman_arc",
-    "one_parameter_alpha",
-    "primal_dual",
-    "jensen_decomposition",
-)
 
 
 def _entry(*pairs):

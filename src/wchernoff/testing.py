@@ -644,23 +644,21 @@ def tilted_llr(problem, x):
 def tilted_stats(problem):
     """Moments of the per-coordinate increment ln(q/p) under Q.
 
-    kl_qp = KL(Q||P) is `expfam.weighted_kl` under phi = 1.  d_bound =
-    sup |ln(q/p) - KL(Q||P)| over the support of Q; finite only for
-    categorical models (every other built-in family has unbounded
-    log-ratio), in which case the tail bound is unavailable.  sigma2 =
-    Var_Q(ln(q/p)): over the symbols of a categorical Q, else F''(0) on
-    the phi = 1 curve.  Where KL(Q||P) is infinite, d_bound and sigma2 are
-    inf too.
+    kl_qp = KL(Q||P) is `expfam.weighted_kl` under phi = 1, and sigma2 =
+    Var_Q(ln(q/p)) is F''(0) on the phi = 1 curve.  d_bound = sup |ln(q/p)
+    - KL(Q||P)| over the support of Q; finite only for categorical models
+    (every other built-in family has unbounded log-ratio), in which case the
+    tail bound is unavailable.  Where KL(Q||P) is infinite, d_bound and
+    sigma2 are inf too.
     """
     p, q = problem.model_p, problem.model_q
     kl = weighted_kl(q, p, ConstWeight())
     d = sigma2 = math.inf
-    if isinstance(q, Categorical) and math.isfinite(kl):
-        k = np.flatnonzero(q.probs > 0.0)
-        dev = q.logpdf(k) - p.logpdf(k) - kl
-        d, sigma2 = float(np.max(np.abs(dev))), float(np.sum(q.probs[k] * dev ** 2))
-    elif math.isfinite(kl):
+    if math.isfinite(kl):
         sigma2 = AffinityCurve(p, q, ConstWeight()).moments(0.0)[2]
+        if isinstance(q, Categorical):
+            k = np.flatnonzero(q.probs > 0.0)
+            d = float(np.max(np.abs(q.logpdf(k) - p.logpdf(k) - kl)))
     return TiltedLikelihoodStats(kl, d, sigma2, problem.shift)
 
 

@@ -111,6 +111,11 @@ class TestRhoW:
         with pytest.raises(PreconditionError):
             rho_w(P2, P1, CONST, 1.2)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_bhattacharyya_reads_plus_zero(self, alpha):
+        # ln rho = +0 at both ends under phi = 1, and D_B = 0 - ln rho is +0, not -0
+        assert math.copysign(1.0, weighted_bhattacharyya(P2, P1, CONST, alpha)) == 1.0
+
 
 class TestClosedVsGeneric:
     """Closed-form evaluation against quadrature/summation on a fixture grid."""

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wchernoff.cli import main
+from wchernoff.cli import dumps, main
 
 POISSON_P = '{"family": "poisson", "lambda": 2.0}'
 POISSON_Q = '{"family": "poisson", "lambda": 1.0}'
@@ -99,6 +99,13 @@ class TestCurveCommand:
                                 "--format", "json"])
         assert len(rep["results"]["rows"]) == 5
 
+    def test_d_b_prints_zero_not_minus_zero(self, runner):
+        result = runner.invoke(main, ["curve", "--model-p", POISSON_P,
+                                      "--model-q", POISSON_Q, "--grid", "3"])
+        assert result.exit_code == 0
+        rows = result.output.strip().split("\n")
+        assert rows[1] == "0,1,0" and rows[3] == "1,1,0"
+
     def test_grid_floor(self, runner):
         result = runner.invoke(main, ["curve", "--model-p", POISSON_P,
                                       "--model-q", POISSON_Q, "--grid", "2"])
@@ -131,6 +138,20 @@ class TestDivergenceCommand:
         result = runner.invoke(main, ["divergence", "--model-p", EXP_Q, "--model-q", EXP_P,
                                       "--weight", tilt])
         assert result.exit_code == 2
+
+    def test_d_b_alpha_prints_zero_not_minus_zero(self, runner):
+        result = runner.invoke(main, ["divergence", "--model-p", POISSON_P,
+                                      "--model-q", POISSON_Q, "--alpha", "1"])
+        assert result.exit_code == 0
+        assert '"d_b_alpha": 0\n' in result.output
+
+    def test_categorical_tilt_past_the_range_of_phi(self, runner):
+        # phi = e^800 is not a double, phi p = e^109 is: the KL is -1.8814230554515146e50
+        rep = run_json(runner, ["divergence",
+                                "--model-p", '{"family": "categorical", "probs": [1.0, 1e-300]}',
+                                "--model-q", BERN_P,
+                                "--weight", '{"kind": "exp_tilt", "gamma": [800]}'])
+        assert rep["results"]["weighted_kl"] == pytest.approx(-1.8814230554515146e50, rel=1e-12)
 
     def test_infinite_kl_serialises(self, runner):
         rep = run_json(runner, ["divergence",
@@ -414,6 +435,10 @@ def test_malformed_spec(runner, name):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+def test_dumps_nan_and_empty_containers():
+    assert dumps({"x": math.nan, "d": {}, "l": []}) == '{\n  "x": NaN,\n  "d": {},\n  "l": []\n}'
 
 
 def test_command_parameter_order():
@@ -714,6 +739,14 @@ class TestExtremeParameters:
         (["curve", "--model-p", '{"family": "cauchy", "location": 1, "scale": 1}',
           "--model-q", '{"family": "cauchy", "location": 1, "scale": 1e150}'], 3,
          "error: quadrature did not converge: more than 200 intervals on one piece\n"),
+        # E_phi(p) = e^706.88 is a double, the KL E_phi(p) F'(1) = -3.66e308 is not
+        (["divergence", "--model-p", '{"family": "gaussian", "mean": [0], "cov": [[1]]}',
+          "--model-q", '{"family": "gaussian", "mean": [1], "cov": [[1]]}',
+          "--weight", '{"kind": "exp_tilt", "gamma": [37.6]}'], 3,
+         "error: weighted KL = e^706.88 * -37.1 overflows a double\n"),
+        (["mary", "--models", '[{"family": "poisson", "lambda": 1}, {"family": "poisson",'
+          ' "lambda": 2}]', "--priors", "a,b"], 2,
+         "error: --priors: could not convert string to float: 'a'\n"),
     ])
     def test_typed_error(self, runner, args, status, message):
         result = runner.invoke(main, args)

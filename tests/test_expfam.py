@@ -336,6 +336,57 @@ class TestWeightedKL:
         q = Categorical([1.0, 0.0])
         assert weighted_kl(p, q, CONST) == math.inf
 
+    def test_categorical_tilt_past_the_range_of_phi(self):
+        # phi = e^800 overflows a double at k = 1, phi p = e^109 does not: the value is
+        # -1.8814230554515146e50 in 40-digit arithmetic (mpmath)
+        kl = weighted_kl(Categorical([1.0, 1e-300]), Categorical([0.5, 0.5]),
+                         ExpTiltWeight([800.0]))
+        assert kl == pytest.approx(-1.8814230554515146e50, rel=1e-12)
+
+    def test_product_past_the_largest_double_is_typed(self):
+        # E_phi(p) = e^(gamma^2/2) is a double at gamma = 37.6, E_phi(p) F'(1) = -3.66e308 is not
+        with pytest.raises(ConvergenceError, match="weighted KL .* overflows a double"):
+            weighted_kl(G0, G1, ExpTiltWeight([37.6]))
+        assert weighted_kl(G0, G1, ExpTiltWeight([37.0])) == pytest.approx(
+            -6.868560488259079e298, rel=1e-14)
+
+    def test_categorical_fuzz_against_the_symbol_sum(self, probs_with_zeros):
+        # the sum over the symbols where phi p > 0, +inf where q vanishes on one of them
+        def oracle(p, q, w):
+            k = np.arange(p.size)
+            with np.errstate(over="ignore", divide="ignore"):
+                phi = w.value(k)
+                live = (p.probs > 0.0) & (phi > 0.0)
+                if np.any(q.probs[live] == 0.0):
+                    return math.inf, math.inf
+                terms = phi[live] * p.probs[live] * (np.log(p.probs[live])
+                                                     - np.log(q.probs[live]))
+            return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+        rng = np.random.default_rng(27)
+        worst, infinite = 0.0, 0
+        for _ in range(2000):
+            size = int(rng.integers(2, 13))
+            p = Categorical(probs_with_zeros(rng, size))
+            q = Categorical(probs_with_zeros(rng, size, 0.03))
+            kind = rng.integers(3)
+            w = (CONST if kind == 0 else ExpTiltWeight([rng.uniform(-3.0, 3.0)]) if kind == 1
+                 else TableWeight(probs_with_zeros(rng, p.size) * p.size))
+            expected, scale = oracle(p, q, w)
+            kl = weighted_kl(p, q, w)
+            if expected == math.inf:
+                infinite += 1
+                assert kl == math.inf
+            else:
+                worst = max(worst, abs(kl - expected) / scale if scale else abs(kl))
+        assert worst <= 1e-13
+        assert 100 < infinite < 500
+
+    def test_categorical_weight_without_mass_under_p(self):
+        # phi p = 0 on every symbol: the integral is 0, though no tilted p exists
+        p, q = Categorical([0.5, 0.5, 0.0]), Categorical([0.2, 0.3, 0.5])
+        assert weighted_kl(p, q, TableWeight([0.0, 0.0, 1.0])) == 0.0
+
 
 class TestWeightedBregman:
     def test_zero_at_equal_arguments(self):
@@ -384,6 +435,10 @@ class TestChernoffArc:
         arc = ChernoffArc(AffinityCurve(p, q, w))
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert arc.total_mass(alpha) == pytest.approx(1.0, abs=1e-8)
+
+    def test_needs_a_curve(self):
+        with pytest.raises(PreconditionError, match="ChernoffArc needs an AffinityCurve"):
+            ChernoffArc((P2, P1, CONST))
 
     def test_endpoints_are_tilted_densities(self):
         w = ExpTiltWeight([0.25])

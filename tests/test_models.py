@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wchernoff import (
     TableWeight,
     TiltedDensity,
     UnsupportedCombinationError,
+    gaussian_mean_family,
     log_density,
     log_weighted_normaliser,
     model_from_json,
@@ -159,6 +161,19 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             TableWeight([0.0, 0.0])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Gaussian(np.zeros(65), np.eye(65)), "gaussian dimension 65 exceeds limit 64"),
+        (lambda: Categorical([]), "categorical probs must be a non-empty vector"),
+        (lambda: ExpTiltWeight([1.0, 2.0]).scalar, "exp_tilt gamma is not scalar"),
+        (lambda: TableWeight([]), "table weight values must be a non-empty vector"),
+        (lambda: gaussian_mean_family(0.0), "gaussian mean family needs a positive variance"),
+        (lambda: model_to_json(ConstWeight()), "cannot serialise ConstWeight"),
+    ], ids=["gaussian_dimension", "empty_categorical", "vector_tilt_scalar", "empty_table",
+            "mean_family_variance", "serialise_a_weight_as_a_model"])
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("build", [
         lambda: Exponential(1e-310),
         lambda: Gaussian([0.0], [[1e-310]]),
@@ -263,6 +278,12 @@ class TestWeightedNormaliser:
             weighted_normaliser(Exponential(1.0), ExpTiltWeight([1.0]))
         with pytest.raises(NonIntegrableWeightError):
             weighted_normaliser(Cauchy(0.0, 1.0), ExpTiltWeight([0.1]))
+
+    @pytest.mark.parametrize("normaliser", [0.0, math.inf])
+    def test_tilted_density_needs_a_finite_positive_normaliser(self, normaliser):
+        with pytest.raises(NonIntegrableWeightError,
+                           match="tilted density requires a finite positive normaliser"):
+            TiltedDensity(Poisson(2.0), ConstWeight(), normaliser)
 
     def test_tilted_density_normalises(self):
         td = TiltedDensity(Exponential(2.0), ExpTiltWeight([0.5]))

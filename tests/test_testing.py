@@ -287,6 +287,18 @@ class TestMAry:
         with pytest.raises(PreconditionError):
             MAryProblem((BERN_P,), CONST)
 
+    @pytest.mark.parametrize("priors, message", [
+        ((0.5, 0.3, 0.2), "priors length must match the model count"),
+        ((1.0, 0.0), "priors must be strictly positive"),
+    ], ids=["length", "zero"])
+    def test_priors_checked_one_by_one(self, priors, message):
+        with pytest.raises(PreconditionError, match=message):
+            MAryProblem((BERN_P, BERN_Q), CONST, priors)
+
+    def test_unknown_method(self):
+        with pytest.raises(PreconditionError, match="unknown method 'bogus'"):
+            mary_optimal_loss(MAryProblem((BERN_P, BERN_Q), CONST), 3, method="bogus")
+
     def test_priors_validated(self):
         with pytest.raises(PreconditionError):
             MAryProblem(self.TRIPLE, CONST, (0.5, 0.5, 0.5))
@@ -396,6 +408,27 @@ class TestTiltedStats:
         st = tilted_stats(BinaryTestProblem(p, q, TableWeight([1.0, 2.0])
                                             if isinstance(p, Categorical) else CONST, 3))
         assert st.kl_qp == weighted_kl(q, p, CONST)
+
+    def test_categorical_fuzz_against_the_symbol_sums(self, probs_with_zeros):
+        # sigma2 = F''(0) of the phi = 1 curve against Var_Q ln(q/p) summed over the symbols
+        rng = np.random.default_rng(27)
+        worst, infinite = 0.0, 0
+        for _ in range(400):
+            size = int(rng.integers(2, 13))
+            p, q = (Categorical(probs_with_zeros(rng, size, rate)) for rate in (0.03, 0.2))
+            st = tilted_stats(BinaryTestProblem(p, q, CONST, 3))
+            k = np.flatnonzero(q.probs > 0.0)
+            if np.any(p.probs[k] == 0.0):
+                infinite += 1
+                assert st.kl_qp == st.d_bound == st.sigma2 == math.inf
+                continue
+            lr = np.log(q.probs[k]) - np.log(p.probs[k])
+            dev = lr - float(np.sum(q.probs[k] * lr))
+            assert st.d_bound == pytest.approx(float(np.max(np.abs(dev))), rel=1e-13)
+            sigma2 = float(np.sum(q.probs[k] * dev ** 2))
+            worst = max(worst, abs(st.sigma2 - sigma2) / sigma2 if sigma2 else st.sigma2)
+        assert worst <= 1e-14
+        assert 20 < infinite < 100
 
     def test_martingale_increments_centre(self):
         st = tilted_stats(bern_problem(1))
@@ -740,3 +773,7 @@ class TestTailBound:
         a = tail_frequency(prob, 0.2, 50, 5000, seed=9)
         b = tail_frequency(prob, 0.2, 50, 5000, seed=9)
         assert a == b
+
+    def test_frequency_replicate_floor(self):
+        with pytest.raises(PreconditionError, match="monte carlo needs replicates >= 1000"):
+            tail_frequency(bern_problem(50), 0.2, 50, 999)
