@@ -177,7 +177,9 @@ class AffinityCurve:
     (family, theta1, theta2) and reads F(a) = Fhat(theta_a) - a F(theta1) -
     (1-a) F(theta2) off it, +inf where theta_a = a theta1 + (1-a) theta2
     leaves the weighted domain; Fhat(theta) = F(theta + gamma), so
-    F''(a) = (theta1 - theta2)^2 F''(theta_a + gamma).  Other Gaussian pairs
+    F''(a) = ((theta1 - theta2) sqrt F''(theta_a + gamma))^2, the square of one
+    product that is a double where either factor alone need not be (Exponential
+    rates 2s and s at s = 1e160).  Other Gaussian pairs
     are whitened by p and diagonalised by q once, and F is then a sum of
     one-dimensional closed forms, one per coordinate (`_gaussian`).
 
@@ -254,8 +256,8 @@ class AffinityCurve:
         f = fam.Fhat(t) - alpha * fam.F(t1) - (1.0 - alpha) * fam.F(t2)
         if not moments:
             return (f,)
-        return (f, (t1 - t2) * fam.dFhat(t) - fam.F(t1) + fam.F(t2),
-                (t1 - t2) * (t1 - t2) * fam.d2F(t + fam.gamma))
+        root = (t1 - t2) * fam.root_d2F(t + fam.gamma)
+        return f, (t1 - t2) * fam.dFhat(t) - fam.F(t1) + fam.F(t2), root * root
 
     def _gaussian(self, alpha, moments):
         """`_values` of a Gaussian pair, a sum of d one-dimensional closed forms.

@@ -284,7 +284,7 @@ def cmd_mary(models_spec, weight, priors, out):
                click.option("--replicates", default=100000, type=int),
                click.option("--seed", default=0, type=int))
 def cmd_tailbound(p, q, w, beta, n, replicates, seed):
-    """Martingale tail bound for L* versus its empirical frequency under Q."""
+    """Martingale tail bound for L* versus its importance-sampled estimate under Q."""
     problem = testing.BinaryTestProblem(p, q, w, n)
     bound = testing.tail_bound(problem, beta, n)
     stats = testing.tilted_stats(problem)

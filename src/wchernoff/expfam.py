@@ -37,7 +37,6 @@ from .models import (
     ConstWeight,
     ExpFamily1D,
     check_models,
-    exp_or_raise,
     exponential_family,
     family_of_pair,
     gaussian_mean_family,
@@ -69,8 +68,9 @@ def weighted_kl(model_p, model_q, weight):
 
     Every pair but two Cauchy laws reads it off its `AffinityCurve`, whose
     `moments(1)` give F(1) = ln E_phi(p) and F'(1), the mean of ln(p/q) under
-    the tilted p: the KL is E_phi(p) F'(1), ConvergenceError where that is
-    not a finite double.  A categorical p is 0 where phi p has no mass, and
+    the tilted p: the KL is E_phi(p) F'(1), read as sign(F'(1)) e^(F(1) +
+    ln|F'(1)|) where E_phi(p) alone overflows, and ConvergenceError where it
+    is not a finite double.  A categorical p is 0 where phi p has no mass, and
     +inf where it has mass on a symbol that q lacks.  A Gaussian p against a
     Cauchy q takes the generic integral, which checks the weight against p
     alone.  A Cauchy p (constant weight only) takes the closed form against a
@@ -92,7 +92,11 @@ def weighted_kl(model_p, model_q, weight):
                                                           moments=True)
     else:
         log_e, mean, _ = AffinityCurve(model_p, model_q, weight).moments(1.0)
-    kl = exp_or_raise(log_e, "E_phi") * mean
+    try:
+        kl = math.exp(log_e) * mean
+    except OverflowError:  # E_phi(p) alone is not a double; the KL may be
+        with np.errstate(over="ignore", divide="ignore"):  # ln 0 = -inf: F'(1) = 0 gives 0
+            kl = float(np.copysign(np.exp(log_e + np.log(abs(mean))), mean))
     if not math.isfinite(kl):
         raise ConvergenceError(f"weighted KL = e^{log_e:.6g} * {mean:.6g} overflows a double")
     return kl

@@ -515,10 +515,11 @@ def _is_const(weight):
 class ExpFamily1D:
     """Natural 1-D exponential family under the tilt phi(x) = e^(gamma x).
 
-    The fields are the unweighted family: `F`, `dF` and `d2F` are scalar
-    callables of the natural parameter theta, finite on the open interval
-    `natural`; `Fstar` and `dFstar` (the inverse of `dF`) are its Legendre
-    dual, functions of y = F'(theta).  Every weighted member reads F at
+    The fields are the unweighted family: `F`, `dF` and `root_d2F` (the
+    square root of F'', so that a product with it stays a double where F''
+    alone does not) are scalar callables of the natural parameter theta,
+    finite on the open interval `natural`; `Fstar` and `dFstar` (the inverse
+    of `dF`) are its Legendre dual, functions of y = F'(theta).  Every weighted member reads F at
     theta + gamma: the tilted log-normaliser is Fhat(theta) = F(theta +
     gamma), ln E_phi = Fhat - F, and the weighted `domain` is where both
     theta and theta + gamma are natural.  `model_at(theta)` is the family's
@@ -533,7 +534,7 @@ class ExpFamily1D:
     natural: tuple
     F: callable = field(repr=False)
     dF: callable = field(repr=False)
-    d2F: callable = field(repr=False)
+    root_d2F: callable = field(repr=False)
     Fstar: callable = field(repr=False)
     dFstar: callable = field(repr=False)
     theta_of_model: callable = field(repr=False)
@@ -607,7 +608,7 @@ def poisson_family(gamma=0.0):
         natural=(-math.inf, math.inf),
         F=_poisson_mean,
         dF=_poisson_mean,
-        d2F=_poisson_mean,
+        root_d2F=lambda t: math.exp(0.5 * t),  # overflows past t = 1419, where F has raised
         Fstar=lambda y: y * math.log(y) - y,
         dFstar=math.log,
         theta_of_model=lambda m: math.log(m.lam),
@@ -633,7 +634,7 @@ def exponential_family(gamma=0.0):
         natural=(-math.inf, 0.0),
         F=lambda t: -math.log(-t),
         dF=lambda t: -1.0 / t,
-        d2F=lambda t: 1.0 / t / t,  # 1 / (t * t) would divide by an underflowed 0
+        root_d2F=lambda t: -1.0 / t,
         Fstar=lambda y: -1.0 - math.log(y),
         dFstar=lambda y: -1.0 / y,
         theta_of_model=lambda m: -m.rate,
@@ -654,7 +655,7 @@ def gaussian_mean_family(sigma2, gamma=0.0):
         natural=(-math.inf, math.inf),
         F=lambda t: 0.5 * s2 * t * t,
         dF=lambda t: s2 * t,
-        d2F=lambda t: s2,
+        root_d2F=lambda t: math.sqrt(s2),
         Fstar=lambda y: y * y / (2.0 * s2),
         dFstar=lambda y: y / s2,
         theta_of_model=lambda m: float(m.mean[0]) / s2,

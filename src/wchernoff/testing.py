@@ -22,9 +22,13 @@ ln p^n - ln q^n, a draw scores exp(min(ln w_1 + (1-a) d, ln w_2 - a d))
 <= 1 and ln L = -n D + ln(mean score): the Chernoff bound e^(-n D) is the
 prefactor, and Monte Carlo estimates only the factor it leaves
 (Siegmund, Ann. Statist. 4(4), 1976; Sadowsky & Bucklew, IEEE Trans. IT
-36(3), 1990).  Direct Monte Carlo, which draws T under each hypothesis
-and scores phi 1{error}, remains where no member can be drawn: the sample
-itself, three or more models, and the tail frequency.  Where T is
+36(3), 1990).  The tail frequency P_Q(L* >= beta n) makes the same move
+on the phi = 1 curve: T is drawn under its member at a = -alpha, alpha
+the maximiser of the Legendre transform I_Q(beta), a <= 0 past Q, and
+each draw scores at most 1 against the prefactor e^(-n I_Q(beta)).
+Direct Monte Carlo, which draws T under each hypothesis and scores phi
+1{error} (or 1{L* >= beta n} under Q), remains where no member can be
+drawn: the sample itself and three or more models.  Where T is
 discrete (S of a Poisson pair, the counts) and has no more states than a
 chunk of replicates, the chunk is drawn as one histogram over the states
 of T instead, c ~ Multinomial(replicates, law of T).  Each discrete T
@@ -261,17 +265,23 @@ class _SumStatistic:
     and its lattice and log-mass where S is discrete.
     """
 
-    def __init__(self, models, family, n):
+    def __init__(self, models, family, n, reach=0.0):
         self.models, self.family, self.n = models, family, n
         self.thetas = [family.theta_of_model(m) for m in models]
         if family.lattice is not None:  # the largest mean of S, n F'(theta_i) or its tilt's
-            self.top_mean = n * max(family.dF(t + max(family.gamma, 0.0)) for t in self.thetas)
+            tops = [t + max(family.gamma, 0.0) for t in self.thetas]
+            if reach:  # or that of the member drawn at alpha = reach < 0, past them all
+                tops.append(self._member_theta(reach))
+            self.top_mean = n * max(family.dF(t) for t in tops)
 
     def member(self, alpha):
         """The model whose S has the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n:
         the member theta_alpha + gamma, theta_alpha = alpha theta_p + (1 - alpha) theta_q."""
+        return self.family.model_at(self._member_theta(alpha))
+
+    def _member_theta(self, alpha):
         t_p, t_q = self.thetas
-        return self.family.model_at(alpha * t_p + (1.0 - alpha) * t_q + self.family.gamma)
+        return alpha * t_p + (1.0 - alpha) * t_q + self.family.gamma
 
     def draw(self, model, rng, count):
         return self.family.draw_sum(model, self.n, rng, count)
@@ -293,7 +303,8 @@ class _SumStatistic:
     @functools.cached_property
     def states(self):
         """S = 0..K, cut for the largest mean, of P_i or of phi^n P_i (member theta_i +
-        gamma's law), past every arc member's; None for a continuous S."""
+        gamma's law), past every arc member's on [0, 1] and the one at `reach`; None for
+        a continuous S."""
         return None if self.family.lattice is None else self.family.lattice(self.top_mean)
 
     def log_law(self, model):
@@ -328,7 +339,9 @@ class _CountStatistic:
     def member(self, alpha):
         """Categorical(pi), pi proportional to phi p^alpha q^(1-alpha): its counts have
         the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n."""
-        log_pi = _numeric.log_bump(self.log_phi, alpha, self.log_probs[0], self.log_probs[1])
+        with np.errstate(invalid="ignore"):  # nan where p = q = 0 at alpha < 0: no mass, as on the curve
+            log_pi = _numeric.log_bump(self.log_phi, alpha, self.log_probs[0], self.log_probs[1])
+        log_pi = np.where(np.isnan(log_pi), -np.inf, log_pi)
         pi = np.exp(log_pi - log_sum_exp(log_pi))
         return Categorical(pi / pi.sum())
 
@@ -366,7 +379,7 @@ class _CountStatistic:
         return log_mult + _counts_dot(states, model.logpdf(self.symbols))
 
 
-def _statistic(models, weight, n):
+def _statistic(models, weight, n, reach=0.0):
     """The smallest built-in statistic of an n-sample that carries every loss.
 
     Each statistic T offers draw(model, rng, count), T drawn under `model`,
@@ -376,16 +389,17 @@ def _statistic(models, weight, n):
     (None where T is continuous) and log_law(model) = ln P(T = state) over
     them, and member(alpha), the model under which T has the law phi^n
     p^alpha q^(1-alpha) / rho(alpha)^n of a pair (None for the sample, whose
-    arc member no built-in model draws).  The models
-    and weight have passed `check_models`, so every pair either embeds in
-    one family or has no such reading.
+    arc member no built-in model draws).  A discrete S keeps its states past
+    the mean of the member at alpha = `reach` as well, where one is drawn
+    below alpha = 0.  The models and weight have passed `check_models`, so
+    every pair either embeds in one family or has no such reading.
     """
     if isinstance(models[0], Categorical):
         return _CountStatistic(models, weight, n)
     embeddings = [embed_pair(models[0], m, weight) for m in models[1:]]
     if None in embeddings:
         return _SampleStatistic(models, weight, n)
-    return _SumStatistic(models, embeddings[0][0], n)
+    return _SumStatistic(models, embeddings[0][0], n, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -683,26 +697,26 @@ def cumulants(problem, alpha):
 _LEGENDRE_SPAN = 20.0
 
 
-def _legendre(curve, end, s, half):
-    """sup over alpha in [-20, 20] of alpha s - F(end - alpha).
+def _legendre(curve, end, s, start, start_moments):
+    """(sup, argmax) over alpha in [-20, 20] of alpha s - F(end - alpha).
 
     With s = r - shift this is I_P(r) at end 1 and I_Q(r) at end 0 (the
     module docstring's psi_P and psi_Q).  The objective is concave; its
     negative is minimised by `newton_minimise`, with F(end - alpha) and its
-    slope and curvature from `AffinityCurve.moments`.  The start is
-    F(1/2), given as `half`: its moments are finite for every admissible
-    pair, while those at an end of [0, 1] need not be (ln p/q has no mean
-    under a Cauchy q against a Gaussian p).  Only the edge on the uphill
-    side is checked: a finite objective still climbing there means the
-    supremum is not attained inside.  A point where F is +inf, or its
+    slope and curvature from `AffinityCurve.moments`.  The search starts at
+    alpha = `start`, where `start_moments` = moments(end - start) is given: the
+    rate function starts at F(1/2), whose moments are finite for every
+    admissible pair, while those at an end of [0, 1] need not be (ln p/q has
+    no mean under a Cauchy q against a Gaussian p).  Only the edge on the
+    uphill side is checked: a finite objective still climbing there means
+    the supremum is not attained inside.  A point where F is +inf, or its
     moments fail, lies at or past the end of F's domain and moves the
     bracket back toward the start.
     """
-    start = end - 0.5
 
     def neg_objective(a):
         try:
-            f, slope, curv = curve.moments(end - a) if a != start else half
+            f, slope, curv = curve.moments(end - a) if a != start else start_moments
         except ConvergenceError:
             f = math.inf
         if not math.isfinite(f):
@@ -711,13 +725,13 @@ def _legendre(curve, end, s, half):
 
     at_start = neg_objective(start)
     if at_start[1] == 0.0:
-        return -at_start[0]
+        return -at_start[0], start
     edge = math.copysign(_LEGENDRE_SPAN, -at_start[1])
     at_edge = neg_objective(edge)
     if math.isfinite(at_edge[0]) and at_edge[1] * at_start[1] > 0.0:
         raise RateInfiniteError("Legendre supremum unbounded on [-20, 20]")
-    _, (value, _, _), _ = newton_minimise(neg_objective, start, at_start, edge)
-    return -value
+    alpha, (value, _, _), _ = newton_minimise(neg_objective, start, at_start, edge)
+    return -value, alpha
 
 
 def rate_function(problem, r):
@@ -729,7 +743,7 @@ def rate_function(problem, r):
     """
     curve = AffinityCurve(problem.model_p, problem.model_q, ConstWeight())
     s, half = float(r) - problem.shift, curve.moments(0.5)
-    return _legendre(curve, 1.0, s, half), _legendre(curve, 0.0, s, half)
+    return _legendre(curve, 1.0, s, 0.5, half)[0], _legendre(curve, 0.0, s, -0.5, half)[0]
 
 
 def bernoulli_kl(a, b):
@@ -777,19 +791,56 @@ def tail_bound(problem, beta, n):
     return min(math.exp(-n * bernoulli_kl(a, b)), 1.0)
 
 
+def _tail_tilt(problem, stat, s):
+    """(a, F(a) + a s): a = -alpha for the maximiser alpha of I_Q = sup alpha s - F(-alpha).
+
+    The solve starts at alpha = 0, where moments(0) = (0, -KL(Q||P), Var_Q ln q/p).  It is
+    (0, 0), the draws staying under Q, where the event is not rare (s <= KL(Q||P)), where T
+    has no member, where the supremum is not attained, and where KL(Q||P) = inf (F is +inf
+    at every a < 0, and the solve ends at alpha = 0).
+    """
+    if stat.member is None:
+        return 0.0, 0.0
+    curve = AffinityCurve(problem.model_p, problem.model_q, ConstWeight())
+    at_q = curve.moments(0.0)
+    if not s > -at_q[1]:
+        return 0.0, 0.0
+    try:
+        value, alpha = _legendre(curve, 0.0, s, 0.0, at_q)
+    except RateInfiniteError:
+        return 0.0, 0.0
+    return (-alpha, -value) if alpha else (0.0, 0.0)
+
+
 def tail_frequency(problem, beta, n, replicates, seed=0):
-    """Empirical P_Q(L* >= beta n) with its binomial standard error."""
+    """P_Q(L* >= beta n) and its standard error, drawn on the phi = 1 curve.
+
+    L* >= beta n is d >= n s for d = ln q^n - ln p^n and s = beta - shift.  T is drawn
+    under the member g = p^a q^(1-a) / rho(a)^n at the a <= 0 of `_tail_tilt`, where
+    dQ/dg = e^(n F(a) + a d), so P = e^(n (F(a) + a s)) E_g[exp(a (d - n s)) 1{d >= n s}]
+    and each score is at most 1 (references in the module docstring).  Unbiased at any
+    a; at a = 0 it is the frequency of the event under Q, drawn on stream 2.
+    """
     n = _sample_size(n)
     if replicates < 1000:
         raise PreconditionError("monte carlo needs replicates >= 1000")
-    stat = _statistic((problem.model_p, problem.model_q), ConstWeight(), n)
+    pair = (problem.model_p, problem.model_q)
+    stat = _statistic(pair, ConstWeight(), n)
     shift = problem.shift
+    s = float(beta) - shift
+    a, log_factor = _tail_tilt(problem, stat, s)
+    if a:  # a Poisson member at a < 0 has its mean past the models'
+        stat = _statistic(pair, ConstWeight(), n, reach=a)
 
-    def exceeds(t):
+    def score(t):
         with np.errstate(invalid="ignore"):  # nan on a state off both supports, which has no mass
-            lstar = stat.log_lik(1, t) - stat.log_lik(0, t) + n * shift
-        return lstar >= float(beta) * n
+            d = stat.log_lik(1, t) - stat.log_lik(0, t)
+        hit = d + n * shift >= float(beta) * n
+        if not a:  # untilted: each hit scores 1, also where d = +inf
+            return hit.astype(float)
+        return np.exp(a * (d - n * s), out=np.zeros(hit.size), where=hit)
 
-    freq, _ = _mc_mean(stat, problem.model_q, replicates, seed, 2,
-                       functools.partial(_scores, stat, exceeds))
-    return freq, math.sqrt(freq * (1.0 - freq) / replicates)
+    mean, var = _mc_mean(stat, stat.member(a) if a else problem.model_q, replicates, seed, 2,
+                         score)
+    factor = math.exp(n * log_factor)
+    return factor * mean, factor * math.sqrt(var / replicates)

@@ -120,7 +120,7 @@ class TestExpFamily1D:
         n, count = 7, 200_000
         theta = fam.theta_of_model(model)
         s = fam.draw_sum(model, n, np.random.default_rng(3), count)
-        mean, var = n * fam.dF(theta), n * fam.d2F(theta)
+        mean, var = n * fam.dF(theta), n * fam.root_d2F(theta) ** 2
         dev = (s - s.mean()) ** 2
         assert abs(s.mean() - mean) <= 4.0 * math.sqrt(var / count)
         assert abs(dev.mean() - var) <= 4.0 * dev.std() / math.sqrt(count)
@@ -326,10 +326,25 @@ class TestWeightedKL:
         assert 0.0 < weighted_kl(Gaussian([0.5], [[1.0]]), Cauchy(0.0, 1.0), CONST) < math.inf
 
     def test_categorical_weight_overflow_is_typed(self):
-        # phi = e^(1000 k) overflows a double at k = 1
+        # phi = e^(1000 k) overflows a double at k = 1, and so does E_phi(p) = e^999.3:
+        # the KL of p against itself is still F'(1) = 0, that against q is e^999.3 F'(1)
         p = Categorical([0.5, 0.5])
-        with pytest.raises(ConvergenceError, match="overflows a double"):
-            weighted_kl(p, p, ExpTiltWeight([1000.0]))
+        assert weighted_kl(p, p, ExpTiltWeight([1000.0])) == 0.0
+        with pytest.raises(ConvergenceError, match="weighted KL .* overflows a double"):
+            weighted_kl(p, Categorical([0.25, 0.75]), ExpTiltWeight([1000.0]))
+
+    def test_normaliser_past_the_largest_double_with_a_finite_kl(self):
+        # E_phi(p) = e^710.3 is not a double, E_phi(p) F'(1) = 6.07e298 is: the KL reads
+        # sign(F'(1)) e^(F(1) + ln|F'(1)|).  6.0726278807886980e298 is the 40-digit value
+        # (mpmath) for these doubles; ln p/q ~ 2e-10 is formed as ln p - ln q, whose
+        # rounding leaves about 1e-10 of it
+        kl = weighted_kl(Categorical([0.5, 0.5]), Categorical([0.5000000001, 0.4999999999]),
+                         ExpTiltWeight([711.0]))
+        assert kl == pytest.approx(6.0726278807886980e298, rel=1e-9)
+        # e^711 phi(1) p(1) ln(p/q)(1) = -e^709.4, the symbol 0 term 0.5 ln 2 below its ulp
+        kl = weighted_kl(Categorical([0.5, 0.5]), Categorical([0.25, 0.75]),
+                         ExpTiltWeight([711.0]))
+        assert kl == pytest.approx(-math.exp(711.0 + math.log(0.5 * math.log(1.5))), rel=1e-12)
 
     def test_categorical_infinite_when_q_vanishes(self):
         p = Categorical([0.5, 0.5])

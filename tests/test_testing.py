@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from wchernoff import _numeric
+from wchernoff import _numeric, testing
 from wchernoff import (
     BinaryTestProblem,
     Categorical,
@@ -695,6 +696,14 @@ class TestTiltedStatsInfiniteKL:
         assert (st.kl_qp, st.d_bound, st.sigma2) == (math.inf, math.inf, math.inf)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_exponential_variance_at_any_common_scale(scale):
+    # F''(0) = ((theta_p - theta_q) sqrt F''(theta_q))^2 = 1 for rates 2s and s; the
+    # factors (theta_p - theta_q)^2 = s^2 and F''(-s) = 1/s^2 are not both doubles
+    st = tilted_stats(BinaryTestProblem(Exponential(2.0 * scale), Exponential(scale), CONST, 1))
+    assert abs(st.sigma2 - 1.0) <= 1e-15
+
+
 BAD_SIZES = [2.5, 0, -3, math.nan, "3"]
 
 
@@ -777,3 +786,99 @@ class TestTailBound:
     def test_frequency_replicate_floor(self):
         with pytest.raises(PreconditionError, match="monte carlo needs replicates >= 1000"):
             tail_frequency(bern_problem(50), 0.2, 50, 999)
+
+
+def _bernoulli_tail(n, beta):
+    """P_Q(L* >= beta n) for BERN_P against BERN_Q: L* = k ln 3/2 + (n - k) ln 1/2 with
+    k ~ Binomial(n, 3/4) under Q."""
+    k = np.arange(n + 1)
+    llr = k * math.log(1.5) + (n - k) * math.log(0.5)
+    return float(stats.binom.pmf(k[llr >= beta * n], n, 0.75).sum())
+
+
+# (problem, beta, exact P_Q(L* >= beta n)); the padded pair adds a symbol that neither
+# model has, whose p^a q^(1-a) reads nan at a < 0; the Poisson tails at beta 4 and 6 put
+# the drawn member's mean (144 and 202) past the states cut for the models' means (40)
+TAILS = [(bern_problem(200), beta, _bernoulli_tail(200, beta)) for beta in (0.19, 0.23, 0.30)] + [
+    (BinaryTestProblem(Categorical([0.5, 0.0, 0.5]), Categorical([0.25, 0.0, 0.75]), CONST, 200),
+     0.23, _bernoulli_tail(200, 0.23))] + [
+    # L* = S ln 2 - n with S ~ Poi(2 n) under Q
+    (BinaryTestProblem(Poisson(1.0), Poisson(2.0), CONST, 20), beta,
+     float(stats.poisson.sf(math.ceil((beta + 1.0) * 20 / math.log(2.0)) - 1, 40)))
+    for beta in (1.5, 4.0, 6.0)] + [
+    # L* = S - n ln 2 with S ~ Gamma(n, 1) under Q
+    (BinaryTestProblem(Exponential(2.0), Exponential(1.0), CONST, 20), beta,
+     float(stats.gamma.sf(20 * (beta + math.log(2.0)), 20)))
+    for beta in (0.5, 1.0, 2.0)]
+
+
+class TestTailFrequency:
+    """Importance sampling of P_Q(L* >= beta n) under the member of the phi = 1 curve."""
+
+    @pytest.mark.parametrize("prob, beta, exact", TAILS, ids=[
+        f"{type(t[0].model_p).__name__}{getattr(t[0].model_p, 'size', '')}-{t[1]}"
+        for t in TAILS])
+    def test_calibrated_against_the_exact_tail(self, prob, beta, exact):
+        z = []
+        for seed in range(400):
+            freq, se = tail_frequency(prob, beta, prob.n, 4000, seed)
+            z.append((freq - exact) / se)
+        assert abs(np.mean(z)) <= 0.2
+        assert 0.85 <= np.std(z) <= 1.15
+
+    def test_readme_case_to_one_percent(self):
+        freq, se = tail_frequency(bern_problem(200), 0.23, 200, 100_000, seed=0)
+        assert se / freq <= 0.01
+        assert abs(freq - _bernoulli_tail(200, 0.23)) <= 4.0 * se
+
+    def test_rare_tail_is_not_read_as_zero(self):
+        # direct draws under Q see no replicate past beta = 0.30, where P = 2.27e-8
+        freq, se = tail_frequency(bern_problem(200), 0.30, 200, 10_000, seed=0)
+        assert 0.0 < se < 0.05 * freq
+        assert abs(freq - _bernoulli_tail(200, 0.30)) <= 4.0 * se
+
+    def test_drawn_member_widens_the_states(self):
+        pair = (Poisson(1.0), Poisson(2.0))
+        assert testing._statistic(pair, CONST, 20).states[-1] < 160.0  # cut for the models' 40
+        stat = testing._statistic(pair, CONST, 20, reach=-2.0)
+        assert stat.member(-2.0).lam == pytest.approx(8.0, rel=1e-15)  # mean 20 * 2^3 = 160
+        assert stat.states[-1] >= 160.0 + 12.0 * math.sqrt(160.0)
+        assert stat.support_size == stat.states.size
+
+    def test_member_off_both_supports_has_no_mass(self):
+        # p = q = 0 on symbol 1: p^a q^(1-a) is nan there at a < 0, and reads 0 as on the curve
+        pair = (Categorical([0.5, 0.0, 0.5]), Categorical([0.25, 0.0, 0.75]))
+        member = testing._statistic(pair, CONST, 200).member(-0.5)
+        assert member.probs[1] == 0.0
+        assert member.probs[2] == pytest.approx(0.75 ** 1.5 / (0.25 ** 1.5 + 0.75 ** 1.5))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_untilted_where_the_event_is_not_rare(self, seed):
+        # s = 0.2 <= KL(Q||P) = 1 - ln 2: the draws are S ~ Gamma(20, 1) under Q on stream 2
+        prob = BinaryTestProblem(Exponential(2.0), Exponential(1.0), CONST, 20)
+        stat = testing._statistic((prob.model_p, prob.model_q), CONST, 20)
+        assert testing._tail_tilt(prob, stat, 0.2) == (0.0, 0.0)
+        s = rng_stream(seed, 2, 0).gamma(20, 1.0, 5000)
+        direct = float(np.mean(s - 20 * math.log(2.0) >= 0.2 * 20))
+        freq, se = tail_frequency(prob, 0.2, 20, 5000, seed)
+        assert freq == direct
+        assert se == pytest.approx(math.sqrt(direct * (1.0 - direct) / 5000), rel=1e-12)
+
+    def test_untilted_for_the_sample_itself(self):
+        # a Cauchy pair has no member to draw: the rows are n-samples of Q on stream 2
+        p, q, n = Cauchy(0.0, 1.0), Cauchy(1.0, 1.0), 10
+        prob = BinaryTestProblem(p, q, CONST, n)
+        rows = q.sample(rng_stream(7, 2, 0), 2000 * n).reshape(2000, n)
+        direct = float(np.mean([tilted_llr(prob, x) >= 0.5 * n for x in rows]))
+        freq, se = tail_frequency(prob, 0.5, n, 2000, seed=7)
+        assert freq == direct
+        assert se == pytest.approx(math.sqrt(direct * (1.0 - direct) / 2000), rel=1e-12)
+
+    def test_untilted_where_kl_is_infinite(self):
+        # Q draws symbol 2, which P lacks, with chance 1 - 0.75^n: F(a) = +inf for a < 0
+        prob = BinaryTestProblem(Categorical([0.5, 0.5, 0.0]), Categorical([0.25, 0.5, 0.25]),
+                                 CONST, 10)
+        stat = testing._statistic((prob.model_p, prob.model_q), CONST, 10)
+        assert testing._tail_tilt(prob, stat, 1.0) == (0.0, 0.0)
+        freq, se = tail_frequency(prob, 1.0, 10, 10_000, seed=2)
+        assert abs(freq - (1.0 - 0.75 ** 10)) <= 4.0 * se
