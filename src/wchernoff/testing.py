@@ -291,7 +291,9 @@ class _SumStatistic:
 
     def log_lik(self, i, t):
         theta = self.thetas[i]
-        return theta * t - self.n * self.family.F(theta)
+        out = np.multiply(theta, t)
+        out -= self.n * self.family.F(theta)
+        return out
 
     @functools.cached_property
     def support_size(self):
@@ -366,8 +368,10 @@ class _CountStatistic:
         """Every count vector, as floats, and ln of its multinomial coefficient."""
         counts = _count_matrix(self.n, self.log_phi.size)
         ln_fact = log_factorial(np.arange(self.n + 1.0))
-        log_mult = ln_fact[-1] - ln_fact[counts].sum(axis=1)
-        return counts.astype(float), log_mult
+        log_den = ln_fact[counts[:, 0]]
+        for column in counts.T[1:]:  # no rows x k array of log-factorials
+            log_den += ln_fact[column]
+        return counts.astype(float), np.subtract(ln_fact[-1], log_den, out=log_den)
 
     @property
     def states(self):
@@ -376,7 +380,9 @@ class _CountStatistic:
     def log_law(self, model):
         """ln Multinomial(n, probs) under `model` at each count vector."""
         states, log_mult = self._counts
-        return log_mult + _counts_dot(states, model.logpdf(self.symbols))
+        out = _counts_dot(states, model.logpdf(self.symbols))
+        out += log_mult
+        return out
 
 
 def _statistic(models, weight, n, reach=0.0):
@@ -421,7 +427,7 @@ def _state_logs(models, weight, n):
             "exact sums need categorical models, or Poisson models under a constant"
             " or exponential-tilt weight; use Monte Carlo")
     log_phi = stat.log_weight(stat.states)
-    return [log_phi + stat.log_law(m) for m in models]
+    return [np.add(log, log_phi, out=log) for log in map(stat.log_law, models)]
 
 
 def optimal_loss_exact(problem):
@@ -454,11 +460,11 @@ def _loss(models, weight, n, priors, method, replicates=None, seed=0, ref=None):
     w = priors if priors is not None else (1.0,) * len(models)
     log_w = [math.log(wi) for wi in w]
     if method == EXACT_ENUMERATION:
-        terms = [lw + li for lw, li in zip(log_w, _state_logs(models, weight, n))]
+        terms = [np.add(li, lw, out=li) for lw, li in zip(log_w, _state_logs(models, weight, n))]
         top, rest = terms[0], []  # every term of a state but its largest
         for term in terms[1:]:
             rest.append(np.minimum(top, term))
-            top = np.maximum(top, term)
+            np.maximum(top, term, out=top)
         # a log-domain sum keeps the exponent exact where the loss underflows
         log_value = log_sum_exp(np.concatenate(rest))
         return LossEstimate(exp_or_raise(log_value, "exact loss"), 0.0, EXACT_ENUMERATION, 0,
@@ -496,21 +502,28 @@ def _arc_loss(stat, log_w, replicates, seed, ref):
     where L leaves the range of a double.  A state where p or q has no mass
     scores 0.  Where every drawn score underflows (d spread over far more
     than 745 around 0), the same stream is scored again, scaled by e^-top
-    for the largest log-score top, so that ln L stays finite.
+    for the largest log-score top, so that ln L stays finite.  The score of
+    a chunk is written into one buffer, d and the second branch into another.
     """
     a, n, member = ref.alpha_star, stat.n, stat.member(ref.alpha_star)
     shift, top = 0.0, -math.inf
 
     def score(t):
         nonlocal top
+        d = stat.log_lik(0, t)
         with np.errstate(invalid="ignore"):  # -inf - -inf on a state off both supports
-            d = stat.log_lik(0, t) - stat.log_lik(1, t)
-        live = np.isfinite(d)
-        d = np.where(live, d, 0.0)
-        log_score = np.where(live, np.minimum(log_w[0] + (1.0 - a) * d, log_w[1] - a * d),
-                             -np.inf)
+            d -= stat.log_lik(1, t)
+        off = np.flatnonzero(~np.isfinite(d))  # the states off a support, if any
+        d[off] = 0.0
+        log_score = np.multiply(1.0 - a, d)  # the two branches, each in one buffer
+        log_score += log_w[0]
+        np.subtract(log_w[1], np.multiply(a, d, out=d), out=d)
+        np.minimum(log_score, d, out=log_score)
+        log_score[off] = -np.inf
         top = max(top, float(log_score.max()))
-        return np.exp(log_score - shift)
+        if shift:
+            log_score -= shift
+        return np.exp(log_score, out=log_score)
 
     mean, var = _mc_mean(stat, member, replicates, seed, 0, score)
     if mean == 0.0 and top > -math.inf:
@@ -565,7 +578,8 @@ def _mc_mean(stat, model, replicates, seed, stream_id, score_fn):
     as a histogram over the states, c ~ Multinomial(count, law of T under
     `model`), and adds sum c score and sum c score^2: the same law as the
     sums over `count` rows, with the score evaluated once per state.  Every
-    other chunk draws `count` rows of T.
+    other chunk draws `count` rows of T, sums their scores, then squares them
+    in place (score_fn returns a fresh array) and sums again.
     """
     total, total_sq, done, chunk_idx, hist = 0.0, 0.0, 0, 0, None
     while done < replicates:
@@ -581,11 +595,11 @@ def _mc_mean(stat, model, replicates, seed, stream_id, score_fn):
             drawn = c > 0
             score, copies = scores[drawn], c[drawn]
         else:
-            score, copies = score_fn(stat.draw(model, rng, count)), 1
+            score, copies = score_fn(stat.draw(model, rng, count)), None
         with np.errstate(over="ignore"):  # the sum of squares is the largest, and is checked
-            weighted = copies * score
+            weighted = score if copies is None else copies * score
             total += float(weighted.sum())
-            total_sq += float((weighted * score).sum())
+            total_sq += float(np.multiply(weighted, score, out=weighted).sum())
         if total_sq == math.inf:
             raise ConvergenceError("weight phi(x_1..n) or its square overflows on a sampled"
                                    " replicate")
@@ -796,10 +810,12 @@ def _tail_tilt(problem, stat, s):
 
     The solve starts at alpha = 0, where moments(0) = (0, -KL(Q||P), Var_Q ln q/p).  It is
     (0, 0), the draws staying under Q, where the event is not rare (s <= KL(Q||P)), where T
-    has no member, where the supremum is not attained, and where KL(Q||P) = inf (F is +inf
-    at every a < 0, and the solve ends at alpha = 0).
+    has no member, where the supremum is not attained, and, with no solve, where KL(Q||P) =
+    inf: F is +inf at every a < 0.  Only counts can have that, Q putting mass on a symbol
+    that P lacks; F(0) = ln Q(p > 0) does not tell, as it can round below 0 at full support.
     """
-    if stat.member is None:
+    if stat.member is None or (isinstance(stat, _CountStatistic) and np.any(
+            np.isneginf(stat.log_probs[0]) & (stat.log_probs[1] > -np.inf))):
         return 0.0, 0.0
     curve = AffinityCurve(problem.model_p, problem.model_q, ConstWeight())
     at_q = curve.moments(0.0)

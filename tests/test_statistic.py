@@ -8,6 +8,7 @@ S, or a direct enumeration of the n-fold product space.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,8 +360,9 @@ class TestCountMatrix:
 
 class TestFrozenOutputs:
     """Reference outputs of the statistic layer: Monte Carlo rows of the arc estimator
-    must match to the bit (and sit within 4 SE of a quadrature over the law of S), exact
-    sums of the itertools-built count matrix to 1e-13."""
+    must match to the bit (and sit within 4 SE of a quadrature over the law of S), as must
+    its histograms, the tail frequency, M-ary draws and the exact sums of the count matrix
+    (also held to 1e-13 of the itertools-built one)."""
 
     def test_monte_carlo_rows_to_the_bit(self):
         # a full row chunk and a short one of 7: T is continuous, so no histogram
@@ -394,6 +396,50 @@ class TestFrozenOutputs:
         mary = mary_optimal_loss(MAryProblem(models, TableWeight([1.0, 1.2, 0.8]),
                                              (0.2, 0.3, 0.5)), 25)
         assert mary.value == pytest.approx(0.1273447708435341, rel=1e-13)
+        # and to the bit
+        assert (loss.value, loss.exponent_estimate) == (0.06358670812854961, 0.04592251370278898)
+        assert tv == 1.5890685099822321
+        assert (mary.value, mary.exponent_estimate) == (0.1273447708435341, 0.08243428558796038)
+
+    def test_histogram_arc_to_the_bit(self):
+        # 5456 count vectors of four symbols at n = 30: one histogram per chunk
+        p, q = Categorical([0.1, 0.2, 0.3, 0.4]), Categorical([0.25] * 4)
+        prob = BinaryTestProblem(p, q, TableWeight([1.0, 1.2, 0.8, 1.1]), 30)
+        est = optimal_loss_mc(prob, 100_000, seed=3)
+        assert (est.value, est.std_error) == (0.3661031219610943, 0.0006917233243547808)
+
+    def test_arc_with_a_zero_mass_symbol_to_the_bit(self):
+        # the states that use symbol 3 have ln p^n = -inf: each scores 0 and is never drawn
+        p, q = Categorical([0.5, 0.3, 0.2, 0.0]), Categorical([0.25] * 4)
+        prob = BinaryTestProblem(p, q, TableWeight([1.0, 2.0, 0.5, 3.0]), 6)
+        est = optimal_loss_mc(prob, 2000, seed=4)
+        assert (est.value, est.std_error) == (0.4478649551369629, 0.00021811895024500315)
+        assert abs(est.value - optimal_loss_exact(prob).value) <= 4.0 * est.std_error
+
+    def test_tail_frequency_to_the_bit(self):
+        prob = BinaryTestProblem(Categorical([0.5, 0.5]), Categorical([0.25, 0.75]), CONST, 200)
+        assert tail_frequency(prob, 0.19, 200, 50_000, seed=7) == (0.04006264611069432,
+                                                                   0.0002514593638464639)
+
+    def test_mary_monte_carlo_to_the_bit(self):
+        # three models draw directly, one histogram of S per model
+        problem = MAryProblem((Poisson(1.0), Poisson(2.0), Poisson(4.0)), CONST)
+        est = mary_optimal_loss(problem, 10, "monte_carlo", 50_000, 9)
+        assert (est.value, est.std_error) == (0.24844000000000002, 0.0021070230373681255)
+
+
+def test_monte_carlo_chunk_scores_in_place():
+    # a chunk of 1e5 rows of S takes 8e5 bytes; drawing and scoring it holds at most four
+    # such arrays at once
+    prob = BinaryTestProblem(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[1.0]]), TILT, 20)
+    optimal_loss_mc(prob, testing.MC_CHUNK, seed=0)
+    tracemalloc.start()
+    try:
+        optimal_loss_mc(prob, testing.MC_CHUNK, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * testing.MC_CHUNK
 
 
 def test_poisson_tilt_past_the_largest_double_is_typed():

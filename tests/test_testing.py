@@ -882,3 +882,18 @@ class TestTailFrequency:
         assert testing._tail_tilt(prob, stat, 1.0) == (0.0, 0.0)
         freq, se = tail_frequency(prob, 1.0, 10, 10_000, seed=2)
         assert abs(freq - (1.0 - 0.75 ** 10)) <= 4.0 * se
+
+    def test_infinite_kl_takes_no_legendre_solve(self, monkeypatch):
+        # Q has mass on symbol 2, which P lacks: the draws stay under Q, with no search of
+        # the curve for a tilt (the solve used to bisect to alpha = 0 over 44 evaluations)
+        moments, calls = testing.AffinityCurve.moments, []
+
+        def counted(curve, a):
+            calls.append(a)
+            return moments(curve, a)
+
+        monkeypatch.setattr(testing.AffinityCurve, "moments", counted)
+        prob = BinaryTestProblem(Categorical([0.5, 0.5, 0.0]), Categorical([0.25, 0.5, 0.25]),
+                                 CONST, 10)
+        assert tail_frequency(prob, 0.3, 10, 10_000, seed=2) == (0.9411, 0.002354374439208852)
+        assert len(calls) <= 1
