@@ -33,7 +33,9 @@ discrete (S of a Poisson pair, the counts) and has no more states than a
 chunk of replicates, the chunk is drawn as one histogram over the states
 of T instead, c ~ Multinomial(replicates, law of T).  Each discrete T
 writes its law once, and its exact sums and histograms read that same
-law.
+law.  The count vectors and their multinomial coefficients are enumerated
+once per (n, k) in a process and shared read-only by every pair, weight
+and sum of that size; the cached tables hold at most STATE_BUDGET cells.
 
 The tilted log-likelihood section implements the cumulants psi_P/psi_Q,
 their Legendre transforms, and the Bennett-type martingale tail bound,
@@ -49,10 +51,12 @@ pairs need no integral and the value is +inf where F diverges.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,7 +109,7 @@ __all__ = [
 EXACT_ENUMERATION = "exact_enumeration"
 MONTE_CARLO = "monte_carlo"
 
-# cells of the largest array an exact categorical sum builds
+# cells of the largest array an exact categorical sum builds, and of all cached count tables
 STATE_BUDGET = 10_000_000
 MC_CHUNK = 100_000
 
@@ -236,6 +240,41 @@ def _count_matrix(n, k):
     return counts
 
 
+_COUNT_TABLES = collections.OrderedDict()  # (n, k) -> _count_table's pair, least recent first
+_COUNT_TABLES_LOCK = threading.Lock()
+
+
+def _count_table(n, k):
+    """Every count vector of n draws from k symbols, as floats, and ln of its multinomial
+    coefficient, both read-only.
+
+    Built once per (n, k) and shared by every statistic of that size, across threads too.
+    Before a table is built, the least recently used ones are dropped until the cached
+    count vectors and the new ones hold at most STATE_BUDGET cells, the bound of a single
+    enumeration.
+    """
+    key = (n, k)
+    with _COUNT_TABLES_LOCK:
+        if key in _COUNT_TABLES:
+            _COUNT_TABLES.move_to_end(key)
+            return _COUNT_TABLES[key]
+        cells = math.comb(n + k - 1, n) * k
+        if cells <= STATE_BUDGET:  # a table past the budget is refused by _count_matrix
+            held = sum(states.size for states, _ in _COUNT_TABLES.values())
+            while _COUNT_TABLES and held + cells > STATE_BUDGET:
+                held -= _COUNT_TABLES.popitem(last=False)[1][0].size
+        counts = _count_matrix(n, k)
+        ln_fact = log_factorial(np.arange(n + 1.0))
+        log_den = ln_fact[counts[:, 0]]
+        for column in counts.T[1:]:  # no rows x k array of log-factorials
+            log_den += ln_fact[column]
+        table = counts.astype(float), np.subtract(ln_fact[-1], log_den, out=log_den)
+        for array in table:
+            array.flags.writeable = False
+        _COUNT_TABLES[key] = table
+        return table
+
+
 class _SampleStatistic:
     """T = the n-sample itself, for pairs without a smaller statistic."""
 
@@ -330,7 +369,11 @@ class _SumStatistic:
 
 
 class _CountStatistic:
-    """T = the symbol counts of an n-sample, ~ Multinomial(n, probs)."""
+    """T = the symbol counts of an n-sample, ~ Multinomial(n, probs).
+
+    Its states and their multinomial coefficients are `_count_table(n, k)`: enumerated
+    once per (n, k) in a process, shared read-only, and cached within STATE_BUDGET cells.
+    """
 
     def __init__(self, models, weight, n):
         self.symbols = np.arange(models[0].size)
@@ -363,23 +406,13 @@ class _CountStatistic:
         rows = math.comb(self.n + k - 1, self.n)
         return rows if rows * k <= STATE_BUDGET else math.inf
 
-    @functools.cached_property
-    def _counts(self):
-        """Every count vector, as floats, and ln of its multinomial coefficient."""
-        counts = _count_matrix(self.n, self.log_phi.size)
-        ln_fact = log_factorial(np.arange(self.n + 1.0))
-        log_den = ln_fact[counts[:, 0]]
-        for column in counts.T[1:]:  # no rows x k array of log-factorials
-            log_den += ln_fact[column]
-        return counts.astype(float), np.subtract(ln_fact[-1], log_den, out=log_den)
-
     @property
     def states(self):
-        return self._counts[0]
+        return _count_table(self.n, self.log_phi.size)[0]
 
     def log_law(self, model):
         """ln Multinomial(n, probs) under `model` at each count vector."""
-        states, log_mult = self._counts
+        states, log_mult = _count_table(self.n, self.log_phi.size)
         out = _counts_dot(states, model.logpdf(self.symbols))
         out += log_mult
         return out
@@ -468,7 +501,7 @@ def _loss(models, weight, n, priors, method, replicates=None, seed=0, ref=None):
         # a log-domain sum keeps the exponent exact where the loss underflows
         log_value = log_sum_exp(np.concatenate(rest))
         return LossEstimate(exp_or_raise(log_value, "exact loss"), 0.0, EXACT_ENUMERATION, 0,
-                            -log_value / n)
+                            0.0 - log_value / n)  # +0, not -0, for a loss of 1
     if method != MONTE_CARLO:
         raise PreconditionError(f"unknown method '{method}'")
     if replicates is None or replicates < 1000:
@@ -486,7 +519,7 @@ def _loss(models, weight, n, priors, method, replicates=None, seed=0, ref=None):
                                  functools.partial(_scores, stat, error_fn))
         total += w[i] * mean_i
         var += (w[i] ** 2) * var_i / replicates
-    exponent = math.inf if total <= 0.0 else -math.log(total) / n
+    exponent = math.inf if total <= 0.0 else 0.0 - math.log(total) / n
     return LossEstimate(total, math.sqrt(var), MONTE_CARLO, replicates, exponent)
 
 
@@ -503,19 +536,21 @@ def _arc_loss(stat, log_w, replicates, seed, ref):
     scores 0.  Where every drawn score underflows (d spread over far more
     than 745 around 0), the same stream is scored again, scaled by e^-top
     for the largest log-score top, so that ln L stays finite.  The score of
-    a chunk is written into one buffer, d and the second branch into another.
+    a chunk is written into the two arrays of its log-likelihoods: ln p^n
+    becomes d and then the second branch, ln q^n the first branch and the score.
     """
     a, n, member = ref.alpha_star, stat.n, stat.member(ref.alpha_star)
     shift, top = 0.0, -math.inf
 
     def score(t):
         nonlocal top
-        d = stat.log_lik(0, t)
+        d, log_score = stat.log_lik(0, t), stat.log_lik(1, t)
         with np.errstate(invalid="ignore"):  # -inf - -inf on a state off both supports
-            d -= stat.log_lik(1, t)
-        off = np.flatnonzero(~np.isfinite(d))  # the states off a support, if any
+            d -= log_score
+        off = np.isfinite(d)  # negated in place: one mask beside the chunk's three arrays
+        off = np.flatnonzero(np.logical_not(off, out=off))  # the states off a support, if any
         d[off] = 0.0
-        log_score = np.multiply(1.0 - a, d)  # the two branches, each in one buffer
+        np.multiply(1.0 - a, d, out=log_score)  # the two branches, each in one buffer
         log_score += log_w[0]
         np.subtract(log_w[1], np.multiply(a, d, out=d), out=d)
         np.minimum(log_score, d, out=log_score)
@@ -534,7 +569,7 @@ def _arc_loss(stat, log_w, replicates, seed, ref):
     log_value = math.log(mean) + shift - n * ref.d_c_w
     value = exp_or_raise(log_value, "monte carlo loss")
     std_error = value * math.sqrt(var / replicates) / mean
-    return LossEstimate(value, std_error, MONTE_CARLO, replicates, -log_value / n)
+    return LossEstimate(value, std_error, MONTE_CARLO, replicates, 0.0 - log_value / n)
 
 
 def _decision_errors(stat, log_w, i, t):

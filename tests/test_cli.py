@@ -187,6 +187,18 @@ class TestSimulateCommand:
         assert [line.split(",")[0] for line in lines[1:]] == ["5", "10"]
 
 
+    def test_loss_of_one_prints_exponent_zero(self, runner):
+        # Poisson(1) against itself: every state scores 1, and -ln 1 / n printed -0
+        pair = ["--model-p", POISSON_Q, "--model-q", POISSON_Q, "--n", "3",
+                "--replicates", "1000"]
+        result = runner.invoke(main, ["simulate", *pair])
+        assert result.exit_code == 0
+        assert '"loss": 1,' in result.output
+        assert '"exponent_estimate": 0,' in result.output  # json reads -0 as the int 0
+        result = runner.invoke(main, ["simulate", *pair, "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1] == "3,0,0"
+
 class TestMaryCommand:
     MODELS = ('[{"family": "poisson", "lambda": 1.0},'
               ' {"family": "poisson", "lambda": 2.0},'

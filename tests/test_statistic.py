@@ -6,8 +6,12 @@ here against a brute-force product-space sum, a quadrature over the law of
 S, or a direct enumeration of the n-fold product space.
 """
 
+import collections
+import concurrent.futures
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -357,6 +361,123 @@ class TestCountMatrix:
         with pytest.raises(StateSpaceOverflowError):
             testing._count_matrix(250, 4)
 
+
+
+class TestSharedCountTable:
+    """Count vectors and their multinomial coefficients are enumerated once per (n, k),
+    shared read-only, and cached within STATE_BUDGET cells in total."""
+
+    P4, Q4 = Categorical([0.1, 0.2, 0.3, 0.4]), Categorical([0.25] * 4)
+    R4, S4 = Categorical([0.4, 0.3, 0.2, 0.1]), Categorical([0.05, 0.15, 0.3, 0.5])
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """An empty cache, and the (n, k) of every _count_matrix call."""
+        monkeypatch.setattr(testing, "_COUNT_TABLES", collections.OrderedDict())
+        calls, build = [], testing._count_matrix
+
+        def counting(n, k):
+            calls.append((n, k))
+            return build(n, k)
+
+        monkeypatch.setattr(testing, "_count_matrix", counting)
+        return calls
+
+    @staticmethod
+    def cached_cells():
+        return sum(states.size for states, _ in testing._COUNT_TABLES.values())
+
+    def test_one_build_per_size(self, builds):
+        # 455 count vectors at n = 12: 2000 replicates draw one histogram
+        weights = (CONST, TableWeight([1.0, 1.2, 0.8, 1.1]))
+        for (p, q), w in itertools.product(((self.P4, self.Q4), (self.R4, self.S4)), weights):
+            prob = BinaryTestProblem(p, q, w, 12)
+            optimal_loss_exact(prob)
+            weighted_tv(prob)
+            optimal_loss_mc(prob, 2000, seed=1)
+            mary_optimal_loss(MAryProblem((p, q, self.Q4), w), 12)
+        assert builds == [(12, 4)]
+        stats_ = [testing._statistic(pair, CONST, 12) for pair in ((self.P4, self.Q4),
+                                                                   (self.R4, self.S4))]
+        assert stats_[0].states is stats_[1].states
+
+    def test_table_is_read_only(self, builds):
+        states, log_mult = testing._count_table(6, 4)
+        for array in (states, log_mult):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array += 1.0
+        stat = testing._statistic((self.P4, self.Q4), CONST, 6)
+        with pytest.raises(ValueError):
+            stat.states[0, 0] = 1.0
+
+    def test_cache_holds_at_most_the_budget(self, builds, monkeypatch):
+        # 84 x 4 = 336 cells at n = 6, 21 x 2 = 42 at n = 20, 455 x 4 = 1820 at n = 12 and
+        # 10 x 3 = 30 at n = 3: the first three fit in 2200 cells, and the fourth drops the
+        # least recently used, (20, 2)
+        monkeypatch.setattr(testing, "STATE_BUDGET", 2200)
+        first = [a.copy() for a in testing._count_table(20, 2)]
+        for n, k in ((6, 4), (12, 4), (6, 4), (3, 3), (20, 2)):
+            testing._count_table(n, k)
+            assert self.cached_cells() <= 2200
+            if (n, k) == (3, 3):
+                assert list(testing._COUNT_TABLES) == [(12, 4), (6, 4), (3, 3)]
+        assert builds == [(20, 2), (6, 4), (12, 4), (3, 3), (20, 2)]
+        assert list(testing._COUNT_TABLES) == [(6, 4), (3, 3), (20, 2)]
+        for old, new in zip(first, testing._count_table(20, 2)):
+            assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+        # a table past the budget is refused and drops nothing
+        held = dict(testing._COUNT_TABLES)
+        with pytest.raises(StateSpaceOverflowError):
+            testing._count_table(30, 4)
+        assert dict(testing._COUNT_TABLES) == held
+
+    def test_threads_share_one_build(self, builds):
+        barrier = threading.Barrier(8)
+
+        def build(_):
+            barrier.wait(timeout=30)
+            return testing._count_table(40, 4)
+
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            tables = [f.result(timeout=60) for f in [pool.submit(build, i) for i in range(8)]]
+        assert builds == [(40, 4)]
+        assert all(t is tables[0] for t in tables)
+
+    def test_threads_keep_the_budget(self, builds, monkeypatch):
+        # eight threads on few cores, switching often, over sizes that do not all fit in
+        # 2200 cells: each table read has the bits of one enumeration, and the cache
+        # stays within the budget
+        monkeypatch.setattr(testing, "STATE_BUDGET", 2200)
+        sizes = [(6, 4), (20, 2), (12, 4), (3, 3)]
+        ref = {size: [a.tobytes() for a in testing._count_table(*size)] for size in sizes}
+        testing._COUNT_TABLES.clear()
+
+        def work(i):
+            for j in range(40):
+                size = sizes[(i + j) % len(sizes)]
+                assert [a.tobytes() for a in testing._count_table(*size)] == ref[size]
+                with testing._COUNT_TABLES_LOCK:
+                    assert self.cached_cells() <= 2200
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                for future in [pool.submit(work, i) for i in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_same_bits_cold_and_warm(self, builds):
+        prob = BinaryTestProblem(self.P4, self.Q4, TableWeight([1.0, 1.2, 0.8, 1.1]), 30)
+        cold = optimal_loss_exact(prob), weighted_tv(prob)
+        testing._COUNT_TABLES.clear()
+        other = BinaryTestProblem(self.R4, self.S4, CONST, 30)
+        optimal_loss_exact(other), weighted_tv(other), optimal_loss_mc(other, 10_000, seed=2)
+        assert (optimal_loss_exact(prob), weighted_tv(prob)) == cold
+        assert builds == [(30, 4), (30, 4)]
 
 class TestFrozenOutputs:
     """Reference outputs of the statistic layer: Monte Carlo rows of the arc estimator

@@ -207,6 +207,16 @@ class TestOptimalLossMC:
         est = optimal_loss_mc(prob, 100_000, seed=2)
         assert (est.value, est.std_error) == (0.0, 0.0)
 
+    def test_loss_of_one_reads_exponent_plus_zero(self):
+        # -ln 1 / n is -0: the exact sum, the arc estimator (one symbol) and direct draws
+        # (two equal Cauchy laws, every P-draw an error) all read a loss of exactly 1
+        cat = BinaryTestProblem(Categorical([1.0]), Categorical([1.0]), CONST, 3)
+        cauchy = BinaryTestProblem(Cauchy(0.0, 1.0), Cauchy(0.0, 1.0), CONST, 3)
+        for est in (optimal_loss_exact(cat), optimal_loss_mc(cat, 1000),
+                    optimal_loss_mc(cauchy, 1000)):
+            assert est.value == 1.0
+            assert math.copysign(1.0, est.exponent_estimate) == 1.0, est
+
     def test_simulate_report(self):
         rep = simulate(BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10),
                        5000, seed=1)
