@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -287,7 +288,6 @@ def cmd_tailbound(p, q, w, beta, n, replicates, seed):
     """Martingale tail bound for L* versus its importance-sampled estimate under Q."""
     problem = testing.BinaryTestProblem(p, q, w, n)
     bound = testing.tail_bound(problem, beta, n)
-    stats = testing.tilted_stats(problem)
     freq, se = testing.tail_frequency(problem, beta, n, replicates, seed)
     return {
         "beta": float(beta),
@@ -295,10 +295,7 @@ def cmd_tailbound(p, q, w, beta, n, replicates, seed):
         "bound": bound,
         "empirical_frequency": freq,
         "std_error": se,
-        "kl_qp": stats.kl_qp,
-        "d_bound": stats.d_bound,
-        "sigma2": stats.sigma2,
-        "shift": stats.shift,
+        **asdict(testing.tilted_stats(problem)),
         "replicates": replicates,
         "seed": seed,
     }

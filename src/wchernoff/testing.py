@@ -32,10 +32,11 @@ drawn: the sample itself and three or more models.  Where T is
 discrete (S of a Poisson pair, the counts) and has no more states than a
 chunk of replicates, the chunk is drawn as one histogram over the states
 of T instead, c ~ Multinomial(replicates, law of T).  Each discrete T
-writes its law once, and its exact sums and histograms read that same
-law.  The count vectors and their multinomial coefficients are enumerated
-once per (n, k) in a process and shared read-only by every pair, weight
-and sum of that size; the cached tables hold at most STATE_BUDGET cells.
+writes its law once, over states that cover every model it is given, and
+its exact sums and histograms read that same law.  The count vectors and
+their multinomial coefficients are enumerated once per (n, k) in a process
+and shared read-only by every pair, weight and sum of that size; a table
+that would take the cache past STATE_BUDGET cells empties it first.
 
 The tilted log-likelihood section implements the cumulants psi_P/psi_Q,
 their Legendre transforms, and the Bennett-type martingale tail bound,
@@ -51,7 +52,6 @@ pairs need no integral and the value is +inf where F diverges.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -119,6 +119,13 @@ def _sample_size(n):
     if not (isinstance(n, numbers.Real) and n >= 1 and n % 1 == 0):
         raise PreconditionError(f"sample size n must be an integer >= 1, not {n!r}")
     return int(n)
+
+
+def _replicates(replicates):
+    """replicates as an int; PreconditionError unless it is an integer >= 1000."""
+    if not (isinstance(replicates, numbers.Real) and replicates >= 1000 and replicates % 1 == 0):
+        raise PreconditionError("monte carlo needs replicates >= 1000")
+    return int(replicates)
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,7 @@ def _count_matrix(n, k):
     return counts
 
 
-_COUNT_TABLES = collections.OrderedDict()  # (n, k) -> _count_table's pair, least recent first
+_COUNT_TABLES = {}  # (n, k) -> _count_table's pair
 _COUNT_TABLES_LOCK = threading.Lock()
 
 
@@ -249,20 +256,16 @@ def _count_table(n, k):
     coefficient, both read-only.
 
     Built once per (n, k) and shared by every statistic of that size, across threads too.
-    Before a table is built, the least recently used ones are dropped until the cached
-    count vectors and the new ones hold at most STATE_BUDGET cells, the bound of a single
-    enumeration.
+    A table that would take the cached count vectors past STATE_BUDGET cells, the bound of
+    a single enumeration, empties the cache before it is built.
     """
     key = (n, k)
     with _COUNT_TABLES_LOCK:
         if key in _COUNT_TABLES:
-            _COUNT_TABLES.move_to_end(key)
             return _COUNT_TABLES[key]
-        cells = math.comb(n + k - 1, n) * k
-        if cells <= STATE_BUDGET:  # a table past the budget is refused by _count_matrix
-            held = sum(states.size for states, _ in _COUNT_TABLES.values())
-            while _COUNT_TABLES and held + cells > STATE_BUDGET:
-                held -= _COUNT_TABLES.popitem(last=False)[1][0].size
+        cells = math.comb(n + k - 1, n) * k  # past the budget, _count_matrix refuses the table
+        if cells <= STATE_BUDGET < cells + sum(states.size for states, _ in _COUNT_TABLES.values()):
+            _COUNT_TABLES.clear()
         counts = _count_matrix(n, k)
         ln_fact = log_factorial(np.arange(n + 1.0))
         log_den = ln_fact[counts[:, 0]]
@@ -304,23 +307,17 @@ class _SumStatistic:
     and its lattice and log-mass where S is discrete.
     """
 
-    def __init__(self, models, family, n, reach=0.0):
+    def __init__(self, models, family, n):
         self.models, self.family, self.n = models, family, n
         self.thetas = [family.theta_of_model(m) for m in models]
         if family.lattice is not None:  # the largest mean of S, n F'(theta_i) or its tilt's
-            tops = [t + max(family.gamma, 0.0) for t in self.thetas]
-            if reach:  # or that of the member drawn at alpha = reach < 0, past them all
-                tops.append(self._member_theta(reach))
-            self.top_mean = n * max(family.dF(t) for t in tops)
+            self.top_mean = n * max(family.dF(t + max(family.gamma, 0.0)) for t in self.thetas)
 
     def member(self, alpha):
-        """The model whose S has the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n:
-        the member theta_alpha + gamma, theta_alpha = alpha theta_p + (1 - alpha) theta_q."""
-        return self.family.model_at(self._member_theta(alpha))
-
-    def _member_theta(self, alpha):
-        t_p, t_q = self.thetas
-        return alpha * t_p + (1.0 - alpha) * t_q + self.family.gamma
+        """The model whose S has the law phi^n p^alpha q^(1-alpha) / rho(alpha)^n, p and q
+        the first two models: the member alpha theta_p + (1 - alpha) theta_q + gamma."""
+        t_p, t_q = self.thetas[:2]
+        return self.family.model_at(alpha * t_p + (1.0 - alpha) * t_q + self.family.gamma)
 
     def draw(self, model, rng, count):
         return self.family.draw_sum(model, self.n, rng, count)
@@ -344,8 +341,7 @@ class _SumStatistic:
     @functools.cached_property
     def states(self):
         """S = 0..K, cut for the largest mean, of P_i or of phi^n P_i (member theta_i +
-        gamma's law), past every arc member's on [0, 1] and the one at `reach`; None for
-        a continuous S."""
+        gamma's law), past every arc member's on [0, 1]; None for a continuous S."""
         return None if self.family.lattice is None else self.family.lattice(self.top_mean)
 
     def log_law(self, model):
@@ -418,7 +414,7 @@ class _CountStatistic:
         return out
 
 
-def _statistic(models, weight, n, reach=0.0):
+def _statistic(models, weight, n):
     """The smallest built-in statistic of an n-sample that carries every loss.
 
     Each statistic T offers draw(model, rng, count), T drawn under `model`,
@@ -427,18 +423,18 @@ def _statistic(models, weight, n, reach=0.0):
     continuous T or one past what a chunk or the state budget holds), states
     (None where T is continuous) and log_law(model) = ln P(T = state) over
     them, and member(alpha), the model under which T has the law phi^n
-    p^alpha q^(1-alpha) / rho(alpha)^n of a pair (None for the sample, whose
-    arc member no built-in model draws).  A discrete S keeps its states past
-    the mean of the member at alpha = `reach` as well, where one is drawn
-    below alpha = 0.  The models and weight have passed `check_models`, so
-    every pair either embeds in one family or has no such reading.
+    p^alpha q^(1-alpha) / rho(alpha)^n of the first two models (None for the
+    sample, whose arc member no built-in model draws).  The states cover the
+    law of T under every model given, so a member drawn past the models' means
+    is given as a model too.  The models and weight have passed `check_models`,
+    so every pair either embeds in one family or has no such reading.
     """
     if isinstance(models[0], Categorical):
         return _CountStatistic(models, weight, n)
     embeddings = [embed_pair(models[0], m, weight) for m in models[1:]]
     if None in embeddings:
         return _SampleStatistic(models, weight, n)
-    return _SumStatistic(models, embeddings[0][0], n, reach)
+    return _SumStatistic(models, embeddings[0][0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +500,7 @@ def _loss(models, weight, n, priors, method, replicates=None, seed=0, ref=None):
                             0.0 - log_value / n)  # +0, not -0, for a loss of 1
     if method != MONTE_CARLO:
         raise PreconditionError(f"unknown method '{method}'")
-    if replicates is None or replicates < 1000:
-        raise PreconditionError("monte carlo needs replicates >= 1000")
+    replicates = _replicates(replicates)
     stat = _statistic(models, weight, n)
     if len(models) == 2 and stat.member is not None:
         return _arc_loss(stat, log_w, replicates, seed,
@@ -664,7 +659,7 @@ def simulate(problem, replicates, seed=0):
     est = _loss((problem.model_p, problem.model_q), problem.weight, problem.n, None,
                 MONTE_CARLO, replicates, seed, ref)
     return SimReport(est.value, est.std_error, est.exponent_estimate,
-                     ref.d_c_w, problem.n, replicates, seed, est.method)
+                     ref.d_c_w, problem.n, est.replicates, seed, est.method)
 
 
 def convergence_rows(model_p, model_q, weight, ns, replicates, seed=0):
@@ -845,9 +840,10 @@ def _tail_tilt(problem, stat, s):
 
     The solve starts at alpha = 0, where moments(0) = (0, -KL(Q||P), Var_Q ln q/p).  It is
     (0, 0), the draws staying under Q, where the event is not rare (s <= KL(Q||P)), where T
-    has no member, where the supremum is not attained, and, with no solve, where KL(Q||P) =
-    inf: F is +inf at every a < 0.  Only counts can have that, Q putting mass on a symbol
-    that P lacks; F(0) = ln Q(p > 0) does not tell, as it can round below 0 at full support.
+    has no member, and, with no solve, where KL(Q||P) = inf: F is +inf at every a < 0.  Only
+    counts can have that, Q putting mass on a symbol that P lacks; F(0) = ln Q(p > 0) does
+    not tell, as it can round below 0 at full support.  Where the supremum is not attained,
+    a is the search's edge, -_LEGENDRE_SPAN: every a <= 0 is unbiased.
     """
     if stat.member is None or (isinstance(stat, _CountStatistic) and np.any(
             np.isneginf(stat.log_probs[0]) & (stat.log_probs[1] > -np.inf))):
@@ -858,8 +854,8 @@ def _tail_tilt(problem, stat, s):
         return 0.0, 0.0
     try:
         value, alpha = _legendre(curve, 0.0, s, 0.0, at_q)
-    except RateInfiniteError:
-        return 0.0, 0.0
+    except RateInfiniteError:  # the objective still climbs at the search's edge
+        value, alpha = _LEGENDRE_SPAN * s - curve.moments(-_LEGENDRE_SPAN)[0], _LEGENDRE_SPAN
     return (-alpha, -value) if alpha else (0.0, 0.0)
 
 
@@ -872,16 +868,14 @@ def tail_frequency(problem, beta, n, replicates, seed=0):
     and each score is at most 1 (references in the module docstring).  Unbiased at any
     a; at a = 0 it is the frequency of the event under Q, drawn on stream 2.
     """
-    n = _sample_size(n)
-    if replicates < 1000:
-        raise PreconditionError("monte carlo needs replicates >= 1000")
+    n, replicates = _sample_size(n), _replicates(replicates)
     pair = (problem.model_p, problem.model_q)
     stat = _statistic(pair, ConstWeight(), n)
     shift = problem.shift
     s = float(beta) - shift
     a, log_factor = _tail_tilt(problem, stat, s)
-    if a:  # a Poisson member at a < 0 has its mean past the models'
-        stat = _statistic(pair, ConstWeight(), n, reach=a)
+    drawn = stat.member(a) if a else problem.model_q
+    stat = _statistic((*pair, drawn), ConstWeight(), n)  # its states cover the drawn law too
 
     def score(t):
         with np.errstate(invalid="ignore"):  # nan on a state off both supports, which has no mass
@@ -891,7 +885,6 @@ def tail_frequency(problem, beta, n, replicates, seed=0):
             return hit.astype(float)
         return np.exp(a * (d - n * s), out=np.zeros(hit.size), where=hit)
 
-    mean, var = _mc_mean(stat, stat.member(a) if a else problem.model_q, replicates, seed, 2,
-                         score)
+    mean, var = _mc_mean(stat, drawn, replicates, seed, 2, score)
     factor = math.exp(n * log_factor)
     return factor * mean, factor * math.sqrt(var / replicates)

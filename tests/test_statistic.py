@@ -6,7 +6,6 @@ here against a brute-force product-space sum, a quadrature over the law of
 S, or a direct enumeration of the n-fold product space.
 """
 
-import collections
 import concurrent.futures
 import itertools
 import math
@@ -373,7 +372,7 @@ class TestSharedCountTable:
     @pytest.fixture
     def builds(self, monkeypatch):
         """An empty cache, and the (n, k) of every _count_matrix call."""
-        monkeypatch.setattr(testing, "_COUNT_TABLES", collections.OrderedDict())
+        monkeypatch.setattr(testing, "_COUNT_TABLES", {})
         calls, build = [], testing._count_matrix
 
         def counting(n, k):
@@ -414,17 +413,17 @@ class TestSharedCountTable:
 
     def test_cache_holds_at_most_the_budget(self, builds, monkeypatch):
         # 84 x 4 = 336 cells at n = 6, 21 x 2 = 42 at n = 20, 455 x 4 = 1820 at n = 12 and
-        # 10 x 3 = 30 at n = 3: the first three fit in 2200 cells, and the fourth drops the
-        # least recently used, (20, 2)
+        # 10 x 3 = 30 at n = 3: the first three fit in 2200 cells, and the fourth empties the
+        # cache before it is built
         monkeypatch.setattr(testing, "STATE_BUDGET", 2200)
         first = [a.copy() for a in testing._count_table(20, 2)]
         for n, k in ((6, 4), (12, 4), (6, 4), (3, 3), (20, 2)):
             testing._count_table(n, k)
             assert self.cached_cells() <= 2200
             if (n, k) == (3, 3):
-                assert list(testing._COUNT_TABLES) == [(12, 4), (6, 4), (3, 3)]
+                assert list(testing._COUNT_TABLES) == [(3, 3)]
         assert builds == [(20, 2), (6, 4), (12, 4), (3, 3), (20, 2)]
-        assert list(testing._COUNT_TABLES) == [(6, 4), (3, 3), (20, 2)]
+        assert list(testing._COUNT_TABLES) == [(3, 3), (20, 2)]
         for old, new in zip(first, testing._count_table(20, 2)):
             assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
         # a table past the budget is refused and drops nothing

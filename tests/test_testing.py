@@ -175,6 +175,15 @@ class TestOptimalLossMC:
         with pytest.raises(PreconditionError):
             optimal_loss_mc(bern_problem(2), 500)
 
+    @pytest.mark.parametrize("replicates", [1000.5, None, 999])
+    @pytest.mark.parametrize("pair", [(Poisson(2.0), Poisson(1.0)),
+                                      (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]))],
+                             ids=["arc", "direct"])
+    def test_replicates_must_be_an_integer_of_at_least_1000(self, pair, replicates):
+        # a float count had run on the arc, and ended in a bare TypeError on direct draws
+        with pytest.raises(PreconditionError, match="monte carlo needs replicates >= 1000"):
+            optimal_loss_mc(BinaryTestProblem(*pair, CONST, 10), replicates)
+
     def test_weight_overflow_is_typed(self):
         # phi = e^(40 sum x) overflows on replicates with sum x above 17
         prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), ExpTiltWeight([40.0]), 20)
@@ -797,6 +806,12 @@ class TestTailBound:
         with pytest.raises(PreconditionError, match="monte carlo needs replicates >= 1000"):
             tail_frequency(bern_problem(50), 0.2, 50, 999)
 
+    @pytest.mark.parametrize("replicates", [1000.5, None])
+    def test_frequency_replicates_must_be_an_integer(self, replicates):
+        # each ended in a bare TypeError
+        with pytest.raises(PreconditionError, match="monte carlo needs replicates >= 1000"):
+            tail_frequency(bern_problem(50), 0.2, 50, replicates)
+
 
 def _bernoulli_tail(n, beta):
     """P_Q(L* >= beta n) for BERN_P against BERN_Q: L* = k ln 3/2 + (n - k) ln 1/2 with
@@ -849,9 +864,12 @@ class TestTailFrequency:
 
     def test_drawn_member_widens_the_states(self):
         pair = (Poisson(1.0), Poisson(2.0))
-        assert testing._statistic(pair, CONST, 20).states[-1] < 160.0  # cut for the models' 40
-        stat = testing._statistic(pair, CONST, 20, reach=-2.0)
-        assert stat.member(-2.0).lam == pytest.approx(8.0, rel=1e-15)  # mean 20 * 2^3 = 160
+        stat = testing._statistic(pair, CONST, 20)
+        assert stat.states[-1] < 160.0  # cut for the models' 40
+        member = stat.member(-2.0)
+        assert member.lam == pytest.approx(8.0, rel=1e-15)  # mean 20 * 2^3 = 160
+        stat = testing._statistic((*pair, member), CONST, 20)
+        assert stat.member(-2.0).lam == member.lam  # read off the first two models
         assert stat.states[-1] >= 160.0 + 12.0 * math.sqrt(160.0)
         assert stat.support_size == stat.states.size
 
@@ -873,6 +891,18 @@ class TestTailFrequency:
         freq, se = tail_frequency(prob, 0.2, 20, 5000, seed)
         assert freq == direct
         assert se == pytest.approx(math.sqrt(direct * (1.0 - direct) / 5000), rel=1e-12)
+
+    def test_tilted_to_the_edge_where_the_supremum_is_not_attained(self):
+        # L* = n - S ln 2 under Q = Poisson(1): L* >= n only at S = 0, P = e^-10, and the
+        # Legendre objective climbs toward -ln P / n without reaching it; draws under Q
+        # had read 0 at 1e3 replicates
+        prob = BinaryTestProblem(Poisson(2.0), Poisson(1.0), CONST, 10)
+        stat = testing._statistic((prob.model_p, prob.model_q), CONST, 10)
+        assert testing._tail_tilt(prob, stat, 1.0)[0] == -testing._LEGENDRE_SPAN
+        freq, _ = tail_frequency(prob, 1.0, 10, 1000, seed=0)
+        assert freq == pytest.approx(math.exp(-10.0), rel=1e-4)
+        # past the edge the event is empty
+        assert tail_frequency(prob, 1.5, 10, 1000, seed=0) == (0.0, 0.0)
 
     def test_untilted_for_the_sample_itself(self):
         # a Cauchy pair has no member to draw: the rows are n-samples of Q on stream 2
